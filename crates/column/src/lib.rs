@@ -40,4 +40,4 @@ pub use catalog::{ColumnCatalog, ColumnConfig, ColumnSet, ColumnStats, EDGE_NAME
 pub use dict::Dict;
 pub use disk::{load, open_or_rebuild, save, COLUMNS_DIR};
 pub use error::ColumnError;
-pub use run::ColumnRun;
+pub use run::{investor_edges, ColumnRun};

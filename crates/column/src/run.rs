@@ -268,6 +268,25 @@ fn decode_u32s(buf: &[u8], pos: &mut usize) -> Result<Vec<u32>, ColumnError> {
     Ok(out)
 }
 
+/// The investor-edge rule, defined once for every tier that derives the
+/// investment graph: a user document with `role == "investor"` yields its
+/// `id` (0 when absent) and the unsigned entries of its `investments`
+/// array (none when absent); any other body is not an investor.
+pub fn investor_edges(body: &Value) -> Option<(u32, impl Iterator<Item = u32> + '_)> {
+    if body.get("role").and_then(Value::as_str) != Some("investor") {
+        return None;
+    }
+    let id = body.get("id").and_then(Value::as_u64).unwrap_or(0) as u32;
+    let companies = body
+        .get("investments")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(Value::as_u64)
+        .map(|c| c as u32);
+    Some((id, companies))
+}
+
 /// Investor→company edges extracted at seal time, row-aligned: `counts[r]`
 /// pairs belong to row `r`. Kept per run so merged reads can emit edges in
 /// canonical document order without decoding any document.
@@ -344,12 +363,8 @@ impl ColumnRun {
             }
             if let Some(seg) = &mut edges {
                 let before = seg.pairs.len();
-                if doc.body.get("role").and_then(Value::as_str) == Some("investor") {
-                    let id = doc.body.get("id").and_then(Value::as_u64).unwrap_or(0) as u32;
-                    if let Some(arr) = doc.body.get("investments").and_then(Value::as_arr) {
-                        seg.pairs
-                            .extend(arr.iter().filter_map(Value::as_u64).map(|c| (id, c as u32)));
-                    }
+                if let Some((id, companies)) = investor_edges(&doc.body) {
+                    seg.pairs.extend(companies.map(|c| (id, c)));
                 }
                 seg.counts.push((seg.pairs.len() - before) as u32);
             }

@@ -8,6 +8,7 @@
 
 use crate::error::CoreError;
 use crate::pipeline::PipelineOutcome;
+use crowdnet_column::investor_edges;
 use crowdnet_crawl::augment::NS_CRUNCHBASE;
 use crowdnet_crawl::bfs::{NS_COMPANIES, NS_USERS};
 use crowdnet_crawl::social::{NS_FACEBOOK, NS_TWITTER};
@@ -155,23 +156,17 @@ pub fn investor_records(outcome: &PipelineOutcome) -> Result<Vec<InvestorRecord>
         return Err(CoreError::EmptyInput(NS_USERS.into()));
     }
     Ok(users
-        .filter(|doc| doc.body.get("role").and_then(Value::as_str) == Some("investor"))
-        .map(|doc| {
-            let b = &doc.body;
-            InvestorRecord {
-                id: b.get("id").and_then(Value::as_u64).unwrap_or(0) as u32,
-                investments: b
-                    .get("investments")
-                    .and_then(Value::as_arr)
-                    .map(|arr| {
-                        arr.iter()
-                            .filter_map(Value::as_u64)
-                            .map(|v| v as u32)
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                follow_count: b.get("follow_count").and_then(Value::as_u64).unwrap_or(0),
-            }
+        .flat_map(|doc| {
+            let (id, companies) = investor_edges(&doc.body)?;
+            Some(InvestorRecord {
+                id,
+                investments: companies.collect(),
+                follow_count: doc
+                    .body
+                    .get("follow_count")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(0),
+            })
         })
         .collect())
 }

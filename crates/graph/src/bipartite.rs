@@ -205,6 +205,22 @@ impl BipartiteGraph {
         self.com_index.get(&id).copied()
     }
 
+    /// Original ids of the companies investor `id` holds, in adjacency
+    /// order; `None` for an unknown investor.
+    pub fn company_ids_of(&self, id: u32) -> Option<Vec<u32>> {
+        let i = self.investor_index(id)?;
+        let companies = self.companies_of(i).iter();
+        Some(companies.map(|&c| self.company_id(c)).collect())
+    }
+
+    /// Original ids of the investors of company `id`, in adjacency order;
+    /// `None` for an unknown company.
+    pub fn investor_ids_of(&self, id: u32) -> Option<Vec<u32>> {
+        let c = self.company_index(id)?;
+        let investors = self.investors_of(c).iter();
+        Some(investors.map(|&i| self.investor_id(i)).collect())
+    }
+
     /// Out-degrees of all investors (the Figure 3 sample).
     pub fn investor_degrees(&self) -> Vec<u64> {
         self.out_adj.iter().map(|n| n.len() as u64).collect()

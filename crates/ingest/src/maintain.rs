@@ -15,6 +15,7 @@
 //! snapshot 0 of the AngelList companies/users namespaces; namespace stats
 //! watch every event.
 
+use crowdnet_column::investor_edges;
 use crowdnet_graph::fxhash::FxHashMap;
 use crowdnet_graph::{BipartiteGraph, DynRankConfig, DynamicPageRank, DynamicProjection};
 use crowdnet_json::Value;
@@ -76,16 +77,12 @@ impl GraphMaintainer {
     /// superset portfolio converges to the same graph as a rebuild that
     /// scans both document versions. Returns the number of new edges.
     pub fn apply_doc(&mut self, doc: &Document) -> u64 {
-        if doc.body.get("role").and_then(Value::as_str) != Some("investor") {
-            return 0;
-        }
-        let id = doc.body.get("id").and_then(Value::as_u64).unwrap_or(0) as u32;
-        let Some(arr) = doc.body.get("investments").and_then(Value::as_arr) else {
+        let Some((id, companies)) = investor_edges(&doc.body) else {
             return 0;
         };
         let mut added = 0u64;
-        for company in arr.iter().filter_map(Value::as_u64) {
-            let ins = self.graph.add_edge(id, company as u32);
+        for company in companies {
+            let ins = self.graph.add_edge(id, company);
             if ins.new_investor {
                 self.degrees.push(0);
             }

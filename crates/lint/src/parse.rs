@@ -466,8 +466,12 @@ fn parse_fn(
 ) -> Option<FnDecl> {
     let name_tok = &tokens[at + 1];
     let name = name_tok.text.clone();
-    // Skip generics to the parameter list.
+    // Skip generics to the parameter list, keeping inline bounds
+    // (`<S: DataSource>`): a parameter typed by a bounded generic
+    // dispatches like `dyn` of its bound, so `s.method()` inside a generic
+    // function fans out to every impl of the trait.
     let mut j = at + 2;
+    let mut bounds: Vec<(String, String)> = Vec::new();
     if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
         let mut depth = 0i32;
         while j < tokens.len() {
@@ -478,6 +482,17 @@ fn parse_fn(
                 if depth == 0 {
                     j += 1;
                     break;
+                }
+            } else if depth == 1
+                && tokens[j].kind == TokenKind::Ident
+                && tokens.get(j + 1).is_some_and(|t| t.is_punct(':'))
+            {
+                let bound_end = tokens[j + 2..]
+                    .iter()
+                    .position(|t| t.is_punct(',') || t.is_punct('>') || t.is_punct('<'))
+                    .map_or(tokens.len(), |n| j + 2 + n);
+                if let Some(bound) = extract_type(&tokens[j + 2..bound_end]) {
+                    bounds.push((tokens[j].text.clone(), bound));
                 }
             }
             j += 1;
@@ -490,7 +505,12 @@ fn parse_fn(
     if params_close <= j {
         return None; // parameter list never closes (truncated input)
     }
-    let params = parse_params(&tokens[j + 1..params_close]);
+    let mut params = parse_params(&tokens[j + 1..params_close]);
+    for (_, ty) in &mut params {
+        if let Some((_, bound)) = bounds.iter().find(|(g, _)| g == ty) {
+            *ty = bound.clone();
+        }
+    }
     // Find the body `{` (or bail at `;` — a bodiless trait signature).
     let open = find_brace(tokens, params_close + 1)?;
     let close = matching_brace(tokens, open);
@@ -831,6 +851,16 @@ mod tests {
         assert!(
             matches!(&ev[1].kind, EventKind::Method { fmt_str, .. } if fmt_str.as_deref() == Some("a.{x}.c"))
         );
+    }
+
+    #[test]
+    fn bounded_generic_params_take_the_bound_as_their_type() {
+        let p = parsed("fn stats<S: DataSource, T>(s: &S, t: T, ctx: &mut QueryCtx) { s.m(); }\n");
+        let f = &p.fns[0];
+        assert_eq!(f.local_type("s"), Some("DataSource"));
+        // Unbounded generics stay opaque.
+        assert_eq!(f.local_type("t"), Some("T"));
+        assert_eq!(f.local_type("ctx"), Some("QueryCtx"));
     }
 
     #[test]

@@ -64,13 +64,20 @@ pub const ALL: &[Rule] = &[
         id: panicpath::ID,
         summary: "no panic site reachable from Service endpoints or Server::call",
         explain: "Sweeps the workspace call graph from every method of impl Service and \
-                  from Server::call in crates/serve, and flags .unwrap()/.expect()/panic!/\
-                  todo!/unimplemented! in any transitively reachable function, plus direct \
-                  indexing inside crates/serve itself (the handler layer must use checked \
-                  access on client-controlled ids; numeric kernels in graph/dataflow index \
-                  dense arrays by construction and are exempt). unreachable! is allowed — \
-                  it documents an invariant. Resolution is heuristic and under-approximate: \
-                  treat this as a regression tripwire, not a proof.",
+                  from Server::call in crates/serve, every method of impl Router in \
+                  crates/shard and of impl ShardServer / impl RemoteShard in \
+                  crates/shardnet (trait impls such as impl DataSource for Service count), \
+                  and flags .unwrap()/.expect()/panic!/todo!/unimplemented! in any \
+                  transitively reachable function, plus direct indexing inside \
+                  crates/serve, crates/shard and crates/shardnet themselves (the handler \
+                  layers must use checked access on client-controlled ids; numeric kernels \
+                  in graph/dataflow index dense arrays by construction and are exempt). \
+                  The endpoint bodies are free functions generic over <S: DataSource> in \
+                  serve::router, reached through router::respond; a call on a parameter \
+                  typed by a bounded generic fans out to every impl of the bound, so both \
+                  data sources are swept. unreachable! is allowed — it documents an \
+                  invariant. Resolution is heuristic and under-approximate: treat this as \
+                  a regression tripwire, not a proof.",
         check: panicpath::check,
     },
     Rule {

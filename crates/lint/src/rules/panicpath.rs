@@ -5,9 +5,14 @@
 //! `Server::call`, every method of `impl Router` in `crates/shard`, and
 //! every method of `impl ShardServer` / `impl RemoteShard` in
 //! `crates/shardnet` (the out-of-process leg handler and its client) —
-//! the functions a client request enters through. From those roots the
-//! workspace call graph is swept, and inside every reachable function
-//! (any crate) the rule flags:
+//! the functions a client request enters through. Trait impls count
+//! (`impl DataSource for Service` / `for Router` are roots like any
+//! inherent method), and the endpoint bodies — free functions generic
+//! over `<S: DataSource>` in `serve::router` — are reached from
+//! `Service::handle` / `Router::handle` through `router::respond`; their
+//! `s.method()` calls fan out to every impl of the bound, in any crate.
+//! From those roots the workspace call graph is swept, and inside every
+//! reachable function (any crate) the rule flags:
 //!
 //! * `.unwrap()` / `.expect(…)` calls,
 //! * `panic!` / `todo!` / `unimplemented!` invocations (`unreachable!`
@@ -132,6 +137,66 @@ mod tests {
         assert_eq!(d[0].file, "crates/serve/src/router.rs");
         assert_eq!(d[0].line, 2);
         assert!(d[0].message.contains("Service::handle"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn generic_endpoint_bodies_and_both_trait_impls_are_swept() {
+        // The merged endpoint table's shape: root method → generic free
+        // fn → trait-method fan-out → one impl per crate.
+        let a = analysis(&[
+            (
+                "crates/serve/src/service.rs",
+                "impl Service { pub fn handle(&self) { router::respond(self); } }\n\
+                 impl DataSource for Service { fn scan(&self) { self.store.scan(); } }\n",
+            ),
+            (
+                "crates/serve/src/router.rs",
+                "pub fn respond<S: DataSource>(s: &S) { stats(s); }\n\
+                 fn stats<S: DataSource>(s: &S) { s.scan(); v.unwrap(); }\n",
+            ),
+            (
+                "crates/shard/src/router.rs",
+                "impl DataSource for Router {\n    fn scan(&self) { legs.unwrap(); }\n}\n",
+            ),
+        ]);
+        let d = check(&a);
+        assert_eq!(d.len(), 2, "{d:?}");
+        let generic = d
+            .iter()
+            .find(|d| d.file == "crates/serve/src/router.rs")
+            .expect("unwrap in the generic endpoint body");
+        assert_eq!(generic.line, 2);
+        let chain = "Service::handle → respond → stats";
+        assert!(generic.message.contains(chain), "{}", generic.message);
+        let second_impl = d
+            .iter()
+            .find(|d| d.file == "crates/shard/src/router.rs")
+            .expect("unwrap in the second crate's impl");
+        assert_eq!(second_impl.line, 2);
+        let message = &second_impl.message;
+        assert!(message.contains("Router::scan"), "{message}");
+    }
+
+    #[test]
+    fn trait_fan_out_reaches_impls_that_are_not_roots_themselves() {
+        let a = analysis(&[
+            (
+                "crates/serve/src/service.rs",
+                "impl Service { pub fn handle(&self) { router::respond(self); } }\n",
+            ),
+            (
+                "crates/serve/src/router.rs",
+                "pub fn respond<S: DataSource>(s: &S) { s.scan(); }\n",
+            ),
+            (
+                "crates/ingest/src/live.rs",
+                "impl DataSource for LiveView { fn scan(&self) { v.unwrap(); } }\n",
+            ),
+        ]);
+        let d = check(&a);
+        assert_eq!(d.len(), 1, "{d:?}");
+        let chain = "Service::handle → respond → LiveView::scan";
+        assert!(d[0].message.contains(chain), "{}", d[0].message);
     }
 
     #[test]

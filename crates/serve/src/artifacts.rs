@@ -10,11 +10,12 @@
 //! the service rebuilds on the next request rather than serving from a
 //! half-updated view.
 //!
-//! The extraction mirrors `crowdnet-core::features` (user documents with
-//! `role == "investor"`, their `investments` array as edges); serve cannot
-//! depend on `crowdnet-core` — the `repro` binary there depends on serve.
+//! Edges come from [`crowdnet_column::investor_edges`], the rule shared
+//! with the column sealer, the ingest maintainers and
+//! `crowdnet-core::features`.
 
 use crate::error::ServeError;
+use crowdnet_column::investor_edges;
 use crowdnet_dataflow::dataset::scan_store;
 use crowdnet_dataflow::ExecCtx;
 use crowdnet_graph::fxhash::FxHashMap;
@@ -24,7 +25,7 @@ use crowdnet_graph::projection::Projection;
 use crowdnet_graph::{BipartiteGraph, Coda, CodaConfig, Cover};
 use crowdnet_json::Value;
 use crowdnet_store::store::NamespaceStats;
-use crowdnet_store::{SnapshotId, Store, StoreError};
+use crowdnet_store::{Document, SnapshotId, Store, StoreError};
 use crowdnet_telemetry::Telemetry;
 
 /// Namespaces of the crawled corpus (string-identical to the constants in
@@ -111,12 +112,6 @@ pub struct Artifacts {
     pub stats: Option<Vec<NamespaceStats>>,
     /// `"company:{id}"` / `"user:{id}"` → document body.
     entities: FxHashMap<String, Value>,
-    /// AngelList investor id → dense index in `graph`.
-    investor_idx: FxHashMap<u32, u32>,
-    /// AngelList company id → dense index in `graph`.
-    company_idx: FxHashMap<u32, u32>,
-    /// AngelList investor id → dense index in `filtered`.
-    filtered_idx: FxHashMap<u32, u32>,
     /// Dense `filtered` index → community ids.
     membership: FxHashMap<u32, Vec<usize>>,
 }
@@ -134,7 +129,7 @@ impl Artifacts {
         let _span = telemetry.span("serve.artifacts.build");
         let version = store.version();
 
-        let mut scans: Vec<(&str, Vec<crowdnet_store::Document>)> = Vec::new();
+        let mut scans: Vec<(&str, Vec<Document>)> = Vec::new();
         for ns in [NS_COMPANIES, NS_USERS] {
             match scan_store(store, ns, SnapshotId(0), ctx) {
                 Ok(d) => scans.push((ns, d.collect())),
@@ -142,13 +137,13 @@ impl Artifacts {
                 Err(e) => return Err(ServeError::Store(e)),
             }
         }
-        Ok(Artifacts::from_documents(version, scans, telemetry, cfg))
+        Ok(Artifacts::from_scans(version, scans, None, telemetry, cfg))
     }
 
     /// Build every artifact from the columnar projection instead of the
     /// JSON log. The decoded column rows reproduce the canonical scan
     /// exactly and the pre-extracted edge segments reproduce the
-    /// `role == "investor"` edge walk, so the result is byte-identical to
+    /// investor-edge walk, so the result is byte-identical to
     /// [`Artifacts::build`] at the catalog's version. Absent namespaces
     /// are skipped like `build` skips `NamespaceNotFound`; any decode
     /// error surfaces so the caller can fall back to the JSON path —
@@ -161,12 +156,12 @@ impl Artifacts {
         let _span = telemetry.span("serve.artifacts.build");
         let version = catalog.version();
 
-        let mut scans: Vec<(&str, Vec<crowdnet_store::Document>)> = Vec::new();
+        let mut scans: Vec<(&str, Vec<Document>)> = Vec::new();
         for ns in [NS_COMPANIES, NS_USERS] {
             if !catalog.has(ns, SnapshotId(0)) {
                 continue;
             }
-            let docs: Vec<crowdnet_store::Document> = catalog
+            let docs = catalog
                 .docs_partitioned(ns, SnapshotId(0))?
                 .into_iter()
                 .flatten()
@@ -178,32 +173,8 @@ impl Artifacts {
         } else {
             Vec::new()
         };
-
-        let mut entities: FxHashMap<String, Value> = FxHashMap::default();
-        for (_, docs) in scans {
-            for doc in docs {
-                entities.insert(doc.key, doc.body);
-            }
-        }
-
-        let graph = BipartiteGraph::from_edges(edges);
-        let pagerank = pagerank(
-            &Projection::from_bipartite(&graph, cfg.max_company_degree),
-            &PageRankConfig::default(),
-        );
-        let (artifacts, _) = Artifacts::assemble(
-            ArtifactParts {
-                version,
-                graph,
-                entities,
-                pagerank,
-                stats: None,
-            },
-            cfg,
-            telemetry,
-            None,
-        );
-        Ok(artifacts)
+        let edges = Some(edges);
+        Ok(Artifacts::from_scans(version, scans, edges, telemetry, cfg))
     }
 
     /// Build every artifact from already-gathered canonical scans of the
@@ -213,24 +184,32 @@ impl Artifacts {
     /// order, and assemble byte-identical artifacts.
     pub fn from_documents(
         version: u64,
-        scans: Vec<(&str, Vec<crowdnet_store::Document>)>,
+        scans: Vec<(&str, Vec<Document>)>,
         telemetry: &Telemetry,
         cfg: &ArtifactsConfig,
     ) -> Artifacts {
+        Artifacts::from_scans(version, scans, None, telemetry, cfg)
+    }
+
+    /// The one constructor behind the three entry points above: index the
+    /// scanned documents by key, take the investment edges as given
+    /// (sealed column segments) or walk them out of the user documents,
+    /// then graph → PageRank → [`Artifacts::assemble`].
+    fn from_scans(
+        version: u64,
+        scans: Vec<(&str, Vec<Document>)>,
+        sealed_edges: Option<Vec<(u32, u32)>>,
+        telemetry: &Telemetry,
+        cfg: &ArtifactsConfig,
+    ) -> Artifacts {
+        let walk_edges = sealed_edges.is_none();
+        let mut edges = sealed_edges.unwrap_or_default();
         let mut entities: FxHashMap<String, Value> = FxHashMap::default();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
         for (ns, docs) in scans {
             for doc in docs {
-                if ns == NS_USERS
-                    && doc.body.get("role").and_then(Value::as_str) == Some("investor")
-                {
-                    let id = doc.body.get("id").and_then(Value::as_u64).unwrap_or(0) as u32;
-                    if let Some(arr) = doc.body.get("investments").and_then(Value::as_arr) {
-                        edges.extend(
-                            arr.iter()
-                                .filter_map(Value::as_u64)
-                                .map(|c| (id, c as u32)),
-                        );
+                if walk_edges && ns == NS_USERS {
+                    if let Some((id, companies)) = investor_edges(&doc.body) {
+                        edges.extend(companies.map(|c| (id, c)));
                     }
                 }
                 entities.insert(doc.key, doc.body);
@@ -261,7 +240,7 @@ impl Artifacts {
     /// the epoch publisher's constructor. Derives the filtered graph, the
     /// CoDA cover (warm-started from a previous epoch's model when
     /// `warm = Some((model, its_filtered_graph))`), strength summaries
-    /// and the id→index maps. Returns the fitted CoDA model alongside so
+    /// and the membership map. Returns the fitted CoDA model alongside so
     /// the caller can warm-start the *next* epoch.
     pub fn assemble(
         parts: ArtifactParts,
@@ -312,17 +291,6 @@ impl Artifacts {
             })
             .collect();
 
-        let index_of = |g: &BipartiteGraph| -> FxHashMap<u32, u32> {
-            (0..g.investor_count() as u32)
-                .map(|i| (g.investor_id(i), i))
-                .collect()
-        };
-        let investor_idx = index_of(&graph);
-        let filtered_idx = index_of(&filtered);
-        let company_idx: FxHashMap<u32, u32> = (0..graph.company_count() as u32)
-            .map(|c| (graph.company_id(c), c))
-            .collect();
-
         let mut membership: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
         for (cid, community) in cover.iter().enumerate() {
             for &m in &community.members {
@@ -340,9 +308,6 @@ impl Artifacts {
                 pagerank,
                 stats,
                 entities,
-                investor_idx,
-                company_idx,
-                filtered_idx,
                 membership,
             },
             model,
@@ -356,19 +321,14 @@ impl Artifacts {
 
     /// Dense index of an AngelList investor id in the full graph.
     pub fn investor_index(&self, id: u32) -> Option<u32> {
-        self.investor_idx.get(&id).copied()
-    }
-
-    /// Dense index of an AngelList company id in the full graph.
-    pub fn company_index(&self, id: u32) -> Option<u32> {
-        self.company_idx.get(&id).copied()
+        self.graph.investor_index(id)
     }
 
     /// Community ids an investor (by AngelList id) belongs to, with its
     /// dense index in the filtered graph. `None` when the investor did not
     /// survive the ≥k cleaning filter.
     pub fn investor_membership(&self, id: u32) -> Option<(u32, &[usize])> {
-        let idx = self.filtered_idx.get(&id).copied()?;
+        let idx = self.filtered.investor_index(id)?;
         let communities = self
             .membership
             .get(&idx)
@@ -407,7 +367,6 @@ impl Artifacts {
 mod tests {
     use super::*;
     use crowdnet_json::obj;
-    use crowdnet_store::Document;
 
     fn seeded_store() -> Store {
         let store = Store::memory(4);
@@ -481,7 +440,7 @@ mod tests {
         let idx = a.investor_index(100).unwrap();
         assert_eq!(a.graph.investor_id(idx), 100);
         assert!(a.investor_index(999).is_none());
-        assert!(a.company_index(5).is_some());
+        assert!(a.graph.company_index(5).is_some());
         assert_eq!(a.pagerank.len(), a.graph.investor_count());
     }
 

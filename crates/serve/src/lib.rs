@@ -7,10 +7,13 @@
 //!
 //! Three layers (DESIGN.md §7):
 //!
-//! * [`service`] — the core: an opened [`Store`](crowdnet_store::Store)
-//!   plus lazily-built, version-stamped analytic [`artifacts`] (bipartite
-//!   graph, CoDA cover with the paper's strength metrics, degree/PageRank
-//!   tables), exposed through typed endpoints and ad-hoc SQL ([`router`]).
+//! * [`router`] — the one endpoint table: typed endpoints and ad-hoc SQL
+//!   written once over a small data-source trait, with the cache/span/
+//!   latency request wrapper; [`service`] is its unsharded source — an
+//!   opened [`Store`](crowdnet_store::Store) plus lazily-built,
+//!   version-stamped analytic [`artifacts`] (bipartite graph, CoDA cover
+//!   with the paper's strength metrics, degree/PageRank tables) — and
+//!   `crowdnet-shard`'s `Router` is the sharded one.
 //! * [`cache`] — a sharded byte-budgeted LRU over rendered responses,
 //!   invalidated by the store's content version: a re-crawl never serves
 //!   stale results.

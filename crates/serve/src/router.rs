@@ -1,4 +1,6 @@
-//! Route table: maps parsed requests onto the service's typed endpoints.
+//! The endpoint table: the one place in the workspace that parses a
+//! path, validates parameters, maps errors to statuses and builds a
+//! response envelope.
 //!
 //! | Endpoint | Answers |
 //! |---|---|
@@ -13,23 +15,193 @@
 //! | `GET /top/investors?by=degree\|pagerank&k=N` | ranked investors |
 //! | `GET\|POST /sql?ns=…&q=…` | ad-hoc SQL via `dataflow::sql::query` |
 //!
-//! Handlers return `Result<Value, ServeError>`; this module renders either
-//! side to a [`Response`], so status mapping lives in exactly one place.
+//! Every endpoint is a free function generic over [`DataSource`], the
+//! handful of data accesses that differ between an unsharded
+//! [`Service`](crate::Service) and `crowdnet-shard`'s scatter-gather
+//! `Router`. Both enter through [`respond`] — cache probe, span, route,
+//! render, cache put, latency — so a new endpoint is one function and one
+//! `match` arm, answered byte-identically by every tier.
+//!
+//! A source that could not reach all of its data says so by recording
+//! the missing shards in [`QueryCtx::degraded`]. The table turns a
+//! non-empty set into the degraded contract: `"partial": true` plus
+//! `"degraded_shards"` on the envelope, `"body": null` / bare `{"id": …}`
+//! envelopes where a 404 cannot be told from a gap, and no cache put.
+//! An unsharded service never records any, so it never degrades.
 
+use crate::artifacts::{Artifacts, NS_USERS};
+use crate::cache::ResultCache;
 use crate::error::ServeError;
 use crate::http::{parse_query, Request, Response};
-use crate::service::Service;
-use crowdnet_dataflow::dataset::scan_store;
-use crowdnet_dataflow::sql;
+use crate::service::ServiceConfig;
+use crowdnet_dataflow::{sql, Dataset, ExecCtx};
+use crowdnet_graph::BipartiteGraph;
 use crowdnet_json::{obj, Value};
-use crowdnet_store::SnapshotId;
+use crowdnet_store::store::NamespaceStats;
+use crowdnet_store::Document;
+use crowdnet_telemetry::{Counter, Histogram, Telemetry};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// Serve `req` against `service`, rendering errors as JSON envelopes.
-pub fn respond(service: &Service, req: &Request) -> Response {
-    match route(service, req) {
-        Ok(value) => Response::json(200, &value),
-        Err(e) => error_response(&e),
+/// Per-request state shared between the table and its data source.
+#[derive(Debug, Default)]
+pub struct QueryCtx {
+    /// Clock reading after which a source stops starting new fan-out legs
+    /// (request start + the `x-deadline-ms` header); `None` = no budget.
+    pub deadline_at: Option<u64>,
+    /// Shards that could not contribute to this response (down,
+    /// recovering, past the budget, or reply lost).
+    pub degraded: BTreeSet<usize>,
+}
+
+/// The data accesses behind the endpoint table — everything that differs
+/// between answering from one store and answering from N shards.
+pub trait DataSource {
+    /// `(cache epoch, key suffix)` for this request, or `None` while the
+    /// result cache must not participate.
+    fn cache_scope(&self) -> Option<(u64, &'static str)>;
+    /// True while the tier flags itself degraded (`/healthz`, `/stats`).
+    fn tier_degraded(&self) -> bool;
+    /// The live content version `/healthz` reports.
+    fn live_version(&self) -> u64;
+    /// An extra `/healthz` field, placed before the cache block.
+    fn health_detail(&self) -> Option<(&'static str, Value)>;
+    /// The artifacts requests answer from right now.
+    fn current_artifacts(&self, ctx: &mut QueryCtx) -> Result<Arc<Artifacts>, ServeError>;
+    /// Per-namespace stats and the version they are consistent at.
+    fn namespace_stats(&self, ctx: &mut QueryCtx)
+        -> Result<(Vec<NamespaceStats>, u64), ServeError>;
+    /// The document stored under `"{kind}:{id}"`, if any.
+    fn entity_body(
+        &self,
+        ctx: &mut QueryCtx,
+        kind: &str,
+        id: u32,
+    ) -> Result<Option<Value>, ServeError>;
+    /// Company ids investor `id` holds (`None` = unknown investor).
+    fn investor_companies(
+        &self,
+        ctx: &mut QueryCtx,
+        id: u32,
+    ) -> Result<Option<Vec<u32>>, ServeError>;
+    /// Investor ids of company `id` (`None` = unknown company).
+    fn company_investors(
+        &self,
+        ctx: &mut QueryCtx,
+        id: u32,
+    ) -> Result<Option<Vec<u32>>, ServeError>;
+    /// The `k` highest-degree investors, ranked like [`rank_investors`].
+    fn top_by_degree(&self, ctx: &mut QueryCtx, k: usize) -> Result<Vec<(u32, f64)>, ServeError>;
+    /// The canonical partition scan of `ns` at snapshot 0.
+    fn scan_partitions(
+        &self,
+        ctx: &mut QueryCtx,
+        ns: &str,
+    ) -> Result<Vec<Vec<Document>>, ServeError>;
+}
+
+/// What a serving tier owns around its data source: the knobs, the
+/// dataflow context SQL runs on, the result cache and the request
+/// metrics.
+pub struct Surface {
+    cfg: ServiceConfig,
+    telemetry: Telemetry,
+    cache: ResultCache,
+    requests: Counter,
+    latency: Histogram,
+    span_prefix: &'static str,
+}
+
+impl Surface {
+    /// `requests` counts every call to [`respond`]; endpoint spans are
+    /// named `{span_prefix}.{first path segment}`.
+    pub fn new(
+        cfg: ServiceConfig,
+        telemetry: Telemetry,
+        requests: Counter,
+        span_prefix: &'static str,
+    ) -> Surface {
+        Surface {
+            cache: ResultCache::new(&cfg.cache, &telemetry),
+            latency: telemetry.histogram("serve.latency_ms"),
+            cfg,
+            telemetry,
+            requests,
+            span_prefix,
+        }
     }
+
+    /// The serving knobs.
+    pub fn cfg(&self) -> &ServiceConfig {
+        &self.cfg
+    }
+
+    /// The dataflow context scans and SQL run on.
+    pub fn ctx(&self) -> ExecCtx {
+        ExecCtx::new(self.cfg.threads)
+    }
+
+    /// The telemetry handle every request reports into.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+}
+
+/// Serve one request end to end against `source`. Never panics; every
+/// failure is a status-coded JSON response. `ctx` is the caller's so it
+/// can see afterwards which shards the response went without.
+pub fn respond<S: DataSource>(
+    surface: &Surface,
+    source: &S,
+    ctx: &mut QueryCtx,
+    req: &Request,
+) -> Response {
+    surface.requests.inc();
+    let started = surface.telemetry.now_ms();
+    // Health checks bypass the cache (they report live occupancy).
+    let cached = source
+        .cache_scope()
+        .filter(|_| req.method == "GET" && req.path() != "/healthz")
+        .map(|(epoch, suffix)| (format!("{} {}{suffix}", req.method, req.target), epoch));
+    if let Some((key, epoch)) = &cached {
+        if let Some(hit) = surface.cache.get(key, *epoch) {
+            surface.latency.record(surface.telemetry.now_ms() - started);
+            return hit;
+        }
+    }
+    ctx.deadline_at = req
+        .header("x-deadline-ms")
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .map(|ms| started.saturating_add(ms));
+    let result = {
+        let _span = surface.telemetry.span(&format!(
+            "{}.{}",
+            surface.span_prefix,
+            endpoint_name(req.path())
+        ));
+        route(surface, source, ctx, req)
+    };
+    let response = match result {
+        Ok(mut value) => {
+            if !ctx.degraded.is_empty() {
+                if let Some(o) = value.as_obj_mut() {
+                    o.insert("partial", Value::Bool(true));
+                    let shards = ctx.degraded.iter().map(|&i| Value::from(i as u64));
+                    o.insert("degraded_shards", Value::Arr(shards.collect()));
+                }
+            }
+            Response::json(200, &value)
+        }
+        Err(e) => error_response(&e),
+    };
+    // A partial answer reflects whichever shards were up: never cached.
+    if let Some((key, epoch)) = cached {
+        if response.status == 200 && ctx.degraded.is_empty() {
+            surface.cache.put(&key, epoch, response.clone());
+        }
+    }
+    surface.latency.record(surface.telemetry.now_ms() - started);
+    response
 }
 
 /// Render a [`ServeError`] with its status and (for 503s) a `Retry-After`.
@@ -46,7 +218,69 @@ pub fn error_response(e: &ServeError) -> Response {
     }
 }
 
-fn route(service: &Service, req: &Request) -> Result<Value, ServeError> {
+/// One representative target per endpoint, with real ids from the
+/// source's current artifacts — the smoke-test surface used by
+/// `check.sh` and `repro serve --smoke`.
+pub fn example_targets<S: DataSource>(source: &S) -> Result<Vec<String>, ServeError> {
+    let artifacts = source.current_artifacts(&mut QueryCtx::default())?;
+    let mut targets = vec!["/healthz".to_string(), "/stats".to_string()];
+    if artifacts.graph.investor_count() > 0 {
+        let inv = artifacts.graph.investor_id(0);
+        let com = artifacts.graph.company_id(0);
+        targets.push(format!("/entity/user/{inv}"));
+        targets.push(format!("/entity/company/{com}"));
+        targets.push(format!("/investor/{inv}/portfolio"));
+        targets.push(format!("/investor/{inv}/communities"));
+        targets.push(format!("/company/{com}/investors"));
+    }
+    targets.push("/communities".to_string());
+    if !artifacts.cover.is_empty() {
+        targets.push("/communities/0".to_string());
+    }
+    targets.push("/top/investors?by=degree&k=5".to_string());
+    targets.push("/top/investors?by=pagerank&k=5".to_string());
+    targets.push(format!(
+        "/sql?ns={}&q=SELECT+COUNT(*)+AS+n+FROM+docs",
+        NS_USERS.replace('/', "%2F")
+    ));
+    Ok(targets)
+}
+
+/// Pair each investor of `graph` with its index-aligned score and keep
+/// the top `k`, descending, ties broken by ascending id so the ranking is
+/// deterministic.
+pub fn rank_investors(
+    graph: &BipartiteGraph,
+    scores: impl IntoIterator<Item = f64>,
+    k: usize,
+) -> Vec<(u32, f64)> {
+    let mut ranked: Vec<(u32, f64)> = scores
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| (graph.investor_id(i as u32), s))
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.truncate(k);
+    ranked
+}
+
+/// First path segment, for span naming (`serve.stats`, `shard.sql`, …).
+fn endpoint_name(path: &str) -> &str {
+    let trimmed = path.trim_start_matches('/');
+    let seg = trimmed.split('/').next().unwrap_or_default();
+    if seg.is_empty() {
+        "root"
+    } else {
+        seg
+    }
+}
+
+fn route<S: DataSource>(
+    surface: &Surface,
+    s: &S,
+    ctx: &mut QueryCtx,
+    req: &Request,
+) -> Result<Value, ServeError> {
     let path = req.path().to_string();
     let segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let is_sql_post = req.method == "POST" && segs.as_slice() == ["sql"];
@@ -57,78 +291,68 @@ fn route(service: &Service, req: &Request) -> Result<Value, ServeError> {
         )));
     }
     match segs.as_slice() {
-        ["healthz"] => healthz(service),
-        ["stats"] => stats(service),
-        ["entity", kind, id] => entity(service, kind, parse_id(id)?),
-        ["investor", id, "portfolio"] => portfolio(service, parse_id(id)?),
-        ["investor", id, "communities"] => investor_communities(service, parse_id(id)?),
-        ["company", id, "investors"] => company_investors(service, parse_id(id)?),
-        ["communities"] => communities(service),
-        ["communities", id] => community(service, id),
-        ["top", "investors"] => top_investors(service, req),
-        ["sql"] => sql_endpoint(service, req),
+        ["healthz"] => healthz(surface, s),
+        ["stats"] => stats(s, ctx),
+        ["entity", kind, id] => entity(s, ctx, kind, parse_id(id)?),
+        ["investor", id, "portfolio"] => portfolio(s, ctx, parse_id(id)?),
+        ["investor", id, "communities"] => investor_communities(s, ctx, parse_id(id)?),
+        ["company", id, "investors"] => company_investors(s, ctx, parse_id(id)?),
+        ["communities"] => communities(s, ctx),
+        ["communities", id] => community(s, ctx, id),
+        ["top", "investors"] => top_investors(s, ctx, req),
+        ["sql"] => sql_endpoint(surface, s, ctx, req),
         _ => Err(ServeError::NotFound(path)),
     }
 }
 
-/// Parse a path segment as an entity id (shared with the shard router so
-/// both render the same 400 envelope).
-pub fn parse_id(s: &str) -> Result<u32, ServeError> {
+fn parse_id(s: &str) -> Result<u32, ServeError> {
     s.parse::<u32>()
         .map_err(|_| ServeError::BadRequest(format!("bad id: {s:?}")))
 }
 
 /// First query parameter named `name`, percent-decoded.
-pub fn param(req: &Request, name: &str) -> Option<String> {
+fn param(req: &Request, name: &str) -> Option<String> {
     parse_query(req.query().unwrap_or_default())
         .into_iter()
         .find(|(k, _)| k == name)
         .map(|(_, v)| v)
 }
 
-/// `Some(x)` → number, `None` → JSON null.
-pub fn opt_f64(v: Option<f64>) -> Value {
-    v.map(Value::from).unwrap_or(Value::Null)
-}
-
-/// Render entity ids as a JSON array of numbers.
-pub fn id_array(ids: impl IntoIterator<Item = u32>) -> Value {
-    Value::Arr(ids.into_iter().map(|i| Value::from(u64::from(i))).collect())
-}
-
-fn healthz(service: &Service) -> Result<Value, ServeError> {
-    let cache = service.cache_stats();
-    Ok(obj! {
-        "ok" => true,
-        "degraded" => service.is_degraded(),
-        "version" => service.store().version(),
-        "cache" => obj! {
-            "entries" => cache.entries,
-            "bytes" => cache.bytes,
-            "capacity_bytes" => cache.capacity_bytes,
-        },
-    })
-}
-
-fn stats(service: &Service) -> Result<Value, ServeError> {
-    // Pinned-epoch mode: answer from the stats frozen into the epoch, at
-    // the epoch's version — consistent with every other endpoint even
-    // while the store takes writes. Otherwise read the store live.
-    let mut rendered = match service.pinned_artifacts() {
-        Some(epoch) if epoch.stats.is_some() => {
-            render_stats(epoch.stats.as_deref().unwrap_or_default(), epoch.version)
-        }
-        _ => render_stats(&service.store().stats()?, service.store().version()),
-    };
-    if let Some(o) = rendered.as_obj_mut() {
-        o.insert("degraded", Value::Bool(service.is_degraded()));
+/// A lookup that found nothing: a 404 when every shard answered; when one
+/// could not, the id alone (the miss may be the gap, not the data).
+fn missing(ctx: &QueryCtx, what: &str, id: u32) -> Result<Value, ServeError> {
+    if ctx.degraded.is_empty() {
+        Err(ServeError::NotFound(format!("{what} {id}")))
+    } else {
+        Ok(obj! {"id" => u64::from(id)})
     }
-    Ok(rendered)
 }
 
-/// Render namespace stats + version as the `/stats` envelope (shared with
-/// the shard router, which merges per-shard stats into the same shape).
-pub fn render_stats(stats: &[crowdnet_store::store::NamespaceStats], version: u64) -> Value {
+fn healthz<S: DataSource>(surface: &Surface, s: &S) -> Result<Value, ServeError> {
+    let cache = surface.cache.stats();
+    let mut health = obj! {
+        "ok" => true,
+        "degraded" => s.tier_degraded(),
+        "version" => s.live_version(),
+    };
+    if let Some(o) = health.as_obj_mut() {
+        if let Some((name, detail)) = s.health_detail() {
+            o.insert(name, detail);
+        }
+        o.insert(
+            "cache",
+            obj! {
+                "entries" => cache.entries,
+                "bytes" => cache.bytes,
+                "capacity_bytes" => cache.capacity_bytes,
+            },
+        );
+    }
+    Ok(health)
+}
+
+fn stats<S: DataSource>(s: &S, ctx: &mut QueryCtx) -> Result<Value, ServeError> {
+    let (stats, version) = s.namespace_stats(ctx)?;
     let namespaces = stats
         .iter()
         .map(|n| {
@@ -140,49 +364,62 @@ pub fn render_stats(stats: &[crowdnet_store::store::NamespaceStats], version: u6
             }
         })
         .collect();
-    obj! {
+    Ok(obj! {
         "version" => version,
         "namespaces" => Value::Arr(namespaces),
-    }
+        "degraded" => s.tier_degraded() || !ctx.degraded.is_empty(),
+    })
 }
 
-fn entity(service: &Service, kind: &str, id: u32) -> Result<Value, ServeError> {
+fn entity<S: DataSource>(
+    s: &S,
+    ctx: &mut QueryCtx,
+    kind: &str,
+    id: u32,
+) -> Result<Value, ServeError> {
     if kind != "company" && kind != "user" {
         return Err(ServeError::BadRequest(format!(
             "unknown entity kind: {kind:?} (company|user)"
         )));
     }
-    let artifacts = service.artifacts()?;
-    let body = artifacts
-        .entity(kind, id)
-        .cloned()
-        .ok_or_else(|| ServeError::NotFound(format!("{kind}:{id}")))?;
+    let body = match s.entity_body(ctx, kind, id)? {
+        Some(body) => body,
+        None if ctx.degraded.is_empty() => {
+            return Err(ServeError::NotFound(format!("{kind}:{id}")))
+        }
+        // The owner is out: a null body instead of guessing between 404
+        // and 500.
+        None => Value::Null,
+    };
     Ok(obj! {"kind" => kind, "id" => u64::from(id), "body" => body})
 }
 
-fn portfolio(service: &Service, id: u32) -> Result<Value, ServeError> {
-    let artifacts = service.artifacts()?;
-    let idx = artifacts
-        .investor_index(id)
-        .ok_or_else(|| ServeError::NotFound(format!("investor {id}")))?;
-    let companies = artifacts.graph.companies_of(idx);
+fn portfolio<S: DataSource>(s: &S, ctx: &mut QueryCtx, id: u32) -> Result<Value, ServeError> {
+    let artifacts = s.current_artifacts(ctx)?;
+    let Some(mut ids) = s.investor_companies(ctx, id)? else {
+        return missing(ctx, "investor", id);
+    };
     // Sorted by id so the listing is canonical regardless of dense-index
     // assignment order (and therefore identical under sharding).
-    let mut ids: Vec<u32> = companies
-        .iter()
-        .map(|&c| artifacts.graph.company_id(c))
-        .collect();
     ids.sort_unstable();
+    let pagerank = artifacts
+        .investor_index(id)
+        .and_then(|i| artifacts.pagerank.get(i as usize).copied())
+        .unwrap_or(0.0);
     Ok(obj! {
         "id" => u64::from(id),
-        "degree" => companies.len(),
-        "pagerank" => artifacts.pagerank.get(idx as usize).copied().unwrap_or(0.0),
-        "companies" => id_array(ids),
+        "degree" => ids.len(),
+        "pagerank" => pagerank,
+        "companies" => ids,
     })
 }
 
-fn investor_communities(service: &Service, id: u32) -> Result<Value, ServeError> {
-    let artifacts = service.artifacts()?;
+fn investor_communities<S: DataSource>(
+    s: &S,
+    ctx: &mut QueryCtx,
+    id: u32,
+) -> Result<Value, ServeError> {
+    let artifacts = s.current_artifacts(ctx)?;
     if artifacts.investor_index(id).is_none() {
         return Err(ServeError::NotFound(format!("investor {id}")));
     }
@@ -198,37 +435,35 @@ fn investor_communities(service: &Service, id: u32) -> Result<Value, ServeError>
     })
 }
 
-fn company_investors(service: &Service, id: u32) -> Result<Value, ServeError> {
-    let artifacts = service.artifacts()?;
-    let idx = artifacts
-        .company_index(id)
-        .ok_or_else(|| ServeError::NotFound(format!("company {id}")))?;
-    let investors = artifacts.graph.investors_of(idx);
+fn company_investors<S: DataSource>(
+    s: &S,
+    ctx: &mut QueryCtx,
+    id: u32,
+) -> Result<Value, ServeError> {
+    let Some(mut ids) = s.company_investors(ctx, id)? else {
+        return missing(ctx, "company", id);
+    };
     // Sorted by id: canonical independent of dense-index assignment order.
-    let mut ids: Vec<u32> = investors
-        .iter()
-        .map(|&i| artifacts.graph.investor_id(i))
-        .collect();
     ids.sort_unstable();
     Ok(obj! {
         "id" => u64::from(id),
-        "degree" => investors.len(),
-        "investors" => id_array(ids),
+        "degree" => ids.len(),
+        "investors" => ids,
     })
 }
 
-fn community_summary(artifacts: &crate::artifacts::Artifacts, id: usize) -> Option<Value> {
+fn community_summary(artifacts: &Artifacts, id: usize) -> Option<Value> {
     let s = artifacts.communities.get(id)?;
     Some(obj! {
         "id" => s.id,
         "size" => s.size,
-        "avg_shared_investment" => opt_f64(s.avg_shared_investment),
-        "shared_investor_pct" => opt_f64(s.shared_investor_pct),
+        "avg_shared_investment" => s.avg_shared_investment,
+        "shared_investor_pct" => s.shared_investor_pct,
     })
 }
 
-fn communities(service: &Service) -> Result<Value, ServeError> {
-    let artifacts = service.artifacts()?;
+fn communities<S: DataSource>(s: &S, ctx: &mut QueryCtx) -> Result<Value, ServeError> {
+    let artifacts = s.current_artifacts(ctx)?;
     let list = (0..artifacts.communities.len())
         .filter_map(|i| community_summary(&artifacts, i))
         .collect();
@@ -239,23 +474,27 @@ fn communities(service: &Service) -> Result<Value, ServeError> {
     })
 }
 
-fn community(service: &Service, raw_id: &str) -> Result<Value, ServeError> {
+fn community<S: DataSource>(s: &S, ctx: &mut QueryCtx, raw_id: &str) -> Result<Value, ServeError> {
     let id = raw_id
         .parse::<usize>()
         .map_err(|_| ServeError::BadRequest(format!("bad community id: {raw_id:?}")))?;
-    let artifacts = service.artifacts()?;
+    let artifacts = s.current_artifacts(ctx)?;
     let (_, members) = artifacts
         .community(id)
         .ok_or_else(|| ServeError::NotFound(format!("community {id}")))?;
     let mut summary = community_summary(&artifacts, id)
         .ok_or_else(|| ServeError::NotFound(format!("community {id}")))?;
     if let Some(o) = summary.as_obj_mut() {
-        o.insert("members", id_array(members));
+        o.insert("members", Value::from(members));
     }
     Ok(summary)
 }
 
-fn top_investors(service: &Service, req: &Request) -> Result<Value, ServeError> {
+fn top_investors<S: DataSource>(
+    s: &S,
+    ctx: &mut QueryCtx,
+    req: &Request,
+) -> Result<Value, ServeError> {
     let by = param(req, "by").unwrap_or_else(|| "degree".into());
     let k = match param(req, "k") {
         Some(raw) => raw
@@ -263,29 +502,20 @@ fn top_investors(service: &Service, req: &Request) -> Result<Value, ServeError> 
             .map_err(|_| ServeError::BadRequest(format!("bad k: {raw:?}")))?,
         None => 10,
     };
-    let artifacts = service.artifacts()?;
-    let scores: Vec<f64> = match by.as_str() {
-        "degree" => artifacts
-            .graph
-            .investor_degrees()
-            .into_iter()
-            .map(|d| d as f64)
-            .collect(),
-        "pagerank" => artifacts.pagerank.clone(),
+    let ranked = match by.as_str() {
+        "degree" => s.top_by_degree(ctx, k)?,
+        // PageRank is a whole-graph score: always ranked from the
+        // source's (global) artifacts.
+        "pagerank" => {
+            let artifacts = s.current_artifacts(ctx)?;
+            rank_investors(&artifacts.graph, artifacts.pagerank.iter().copied(), k)
+        }
         other => {
             return Err(ServeError::BadRequest(format!(
                 "unknown ranking: {other:?} (degree|pagerank)"
             )))
         }
     };
-    let mut ranked: Vec<(u32, f64)> = scores
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| (artifacts.graph.investor_id(i as u32), s))
-        .collect();
-    // Ties break by ascending id so the ranking is deterministic.
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    ranked.truncate(k);
     let rows = ranked
         .into_iter()
         .map(|(id, score)| obj! {"id" => u64::from(id), "score" => score})
@@ -293,7 +523,12 @@ fn top_investors(service: &Service, req: &Request) -> Result<Value, ServeError> 
     Ok(obj! {"by" => by, "k" => k, "investors" => Value::Arr(rows)})
 }
 
-fn sql_endpoint(service: &Service, req: &Request) -> Result<Value, ServeError> {
+fn sql_endpoint<S: DataSource>(
+    surface: &Surface,
+    s: &S,
+    ctx: &mut QueryCtx,
+    req: &Request,
+) -> Result<Value, ServeError> {
     let ns = param(req, "ns")
         .ok_or_else(|| ServeError::BadRequest("missing ?ns= namespace".into()))?;
     let query_text = if req.method == "POST" && !req.body.is_empty() {
@@ -302,10 +537,10 @@ fn sql_endpoint(service: &Service, req: &Request) -> Result<Value, ServeError> {
     } else {
         param(req, "q").ok_or_else(|| ServeError::BadRequest("missing ?q= query".into()))?
     };
-    let docs = scan_store(service.store(), &ns, SnapshotId(0), service.ctx)?;
+    let docs = Dataset::from_partitions(s.scan_partitions(ctx, &ns)?, surface.ctx());
     let table = sql::query(&query_text, docs.map(|d| d.body))?;
     let total = table.rows.len();
-    let limit = service.cfg.sql_row_limit;
+    let limit = surface.cfg.sql_row_limit;
     let rows = table
         .rows
         .into_iter()
@@ -324,6 +559,7 @@ fn sql_endpoint(service: &Service, req: &Request) -> Result<Value, ServeError> {
 mod tests {
     use super::*;
     use crate::service::tests::seeded_service;
+    use crate::Service;
 
     fn get(svc: &Service, target: &str) -> (u16, Value) {
         let resp = svc.handle(&Request::get(target));

@@ -1,29 +1,33 @@
-//! The service core: one opened store + lazily-built artifacts + the
-//! result cache, exposed as a single `Request → Response` function.
+//! The service core: one opened store + lazily-built artifacts, the
+//! unsharded [`DataSource`] behind the endpoint table in [`router`].
 //!
 //! [`Service::handle`] is the whole request path, shared verbatim by the
 //! in-process front end (tests, benches, `repro serve --smoke`) and the
 //! TCP server — so "everything is also callable without sockets" is a
-//! structural property, not a test shim.
+//! structural property, not a test shim. It is one call into
+//! [`router::respond`]; what lives here is where the data comes from:
+//! the pinned or lazily rebuilt [`Artifacts`] and the store itself.
 //!
 //! Artifacts are rebuilt whenever [`Store::version`] moves past the stamp
 //! on the cached build; the result cache uses the same version as its
 //! invalidation epoch, so a re-crawl invalidates both in one counter bump.
 
 use crate::artifacts::{Artifacts, ArtifactsConfig};
-use crate::cache::{CacheConfig, CacheStats, ResultCache};
+use crate::cache::CacheConfig;
 use crate::error::ServeError;
 use crate::http::{Request, Response};
-use crate::router;
+use crate::router::{self, DataSource, QueryCtx, Surface};
 use crowdnet_column::ColumnCatalog;
-use crowdnet_dataflow::ExecCtx;
-use crowdnet_store::Store;
-use crowdnet_telemetry::{Counter, Histogram, Telemetry};
+use crowdnet_json::Value;
+use crowdnet_store::store::NamespaceStats;
+use crowdnet_store::{Document, SnapshotId, Store};
+use crowdnet_telemetry::Telemetry;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Service knobs.
+/// Serving knobs, shared by the unsharded service and the shard router
+/// so both answer byte-identically from the same corpus.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Artifact-build knobs (CoDA size/seed, cleaning threshold, …).
@@ -50,10 +54,8 @@ impl Default for ServiceConfig {
 
 /// The query-serving core.
 pub struct Service {
-    pub(crate) store: Arc<Store>,
-    pub(crate) ctx: ExecCtx,
-    pub(crate) telemetry: Telemetry,
-    pub(crate) cfg: ServiceConfig,
+    surface: Surface,
+    store: Arc<Store>,
     artifacts_slot: RwLock<Option<Arc<Artifacts>>>,
     /// Columnar projection of the store, when the owning tier maintains
     /// one. Lazy rebuilds prefer it over re-parsing the JSON log whenever
@@ -69,30 +71,20 @@ pub struct Service {
     /// clients can tell the data may trail the store. Surfaced by
     /// `/healthz` and `/stats`.
     degraded: AtomicBool,
-    cache: ResultCache,
-    requests: Counter,
-    latency: Histogram,
 }
 
 impl Service {
     /// Wrap an opened store. Nothing is scanned yet — artifacts build on
     /// the first request that needs them.
     pub fn new(store: Arc<Store>, cfg: ServiceConfig, telemetry: Telemetry) -> Service {
-        let cache = ResultCache::new(&cfg.cache, &telemetry);
         let requests = telemetry.counter("serve.requests");
-        let latency = telemetry.histogram("serve.latency_ms");
         Service {
-            ctx: ExecCtx::new(cfg.threads.max(1)),
+            surface: Surface::new(cfg, telemetry, requests, "serve"),
             store,
-            telemetry: telemetry.clone(),
-            cfg,
             artifacts_slot: RwLock::new(None),
             columns_slot: RwLock::new(None),
             pinned: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
-            cache,
-            requests,
-            latency,
         }
     }
 
@@ -148,12 +140,7 @@ impl Service {
 
     /// The telemetry handle every request reports into.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Result-cache occupancy (for `/healthz` and tests).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.surface.telemetry()
     }
 
     /// The artifacts requests answer from. In pinned-epoch mode this is
@@ -178,17 +165,19 @@ impl Service {
         // columnar projection when one is installed at exactly this
         // version; any column error (corrupt run, stale manifest) drops
         // to the JSON scan, which is always authoritative.
+        let telemetry = self.surface.telemetry();
+        let cfg = &self.surface.cfg().artifacts;
         let columnar = self
             .columns()
             .filter(|c| c.version() == version)
-            .and_then(|c| Artifacts::from_columns(&c, &self.telemetry, &self.cfg.artifacts).ok());
+            .and_then(|c| Artifacts::from_columns(&c, telemetry, cfg).ok());
         let built = match columnar {
             Some(a) => Arc::new(a),
             None => Arc::new(Artifacts::build(
                 &self.store,
-                self.ctx,
-                &self.telemetry,
-                &self.cfg.artifacts,
+                self.surface.ctx(),
+                telemetry,
+                cfg,
             )?),
         };
         let mut slot = self.artifacts_slot.write();
@@ -207,80 +196,106 @@ impl Service {
     /// the TCP and in-process front ends. Never panics; every failure is a
     /// status-coded JSON response.
     pub fn handle(&self, req: &Request) -> Response {
-        self.requests.inc();
-        let started = self.telemetry.now_ms();
+        router::respond(&self.surface, self, &mut QueryCtx::default(), req)
+    }
+
+    /// One representative target per endpoint, with real ids from the
+    /// current artifacts ([`router::example_targets`]).
+    pub fn example_targets(&self) -> Result<Vec<String>, ServeError> {
+        router::example_targets(self)
+    }
+}
+
+/// The unsharded data source: every access reads the one store or the
+/// artifacts built from it, so no shard is ever missing and `ctx` stays
+/// untouched.
+impl DataSource for Service {
+    fn cache_scope(&self) -> Option<(u64, &'static str)> {
         // Cache epoch: the installed epoch's stamp when pinned (entries
         // survive raw store writes until the next publish), the live
         // store version otherwise.
-        let version = match self.pinned_artifacts() {
+        let epoch = match self.pinned_artifacts() {
             Some(a) => a.version,
             None => self.store.version(),
         };
         // Degraded responses carry a flag in their bodies, so they must not
         // share cache entries with healthy ones at the same version.
-        let key = if self.is_degraded() {
-            format!("{} {} [degraded]", req.method, req.target)
+        let suffix = if self.is_degraded() {
+            " [degraded]"
         } else {
-            format!("{} {}", req.method, req.target)
+            ""
         };
-        // Health checks bypass the cache (they report live occupancy).
-        let cacheable = req.method == "GET" && req.path() != "/healthz";
-        if cacheable {
-            if let Some(hit) = self.cache.get(&key, version) {
-                self.latency.record(self.telemetry.now_ms() - started);
-                return hit;
+        Some((epoch, suffix))
+    }
+
+    fn tier_degraded(&self) -> bool {
+        self.is_degraded()
+    }
+
+    fn live_version(&self) -> u64 {
+        self.store.version()
+    }
+
+    fn health_detail(&self) -> Option<(&'static str, Value)> {
+        None
+    }
+
+    fn current_artifacts(&self, _ctx: &mut QueryCtx) -> Result<Arc<Artifacts>, ServeError> {
+        self.artifacts()
+    }
+
+    fn namespace_stats(
+        &self,
+        _ctx: &mut QueryCtx,
+    ) -> Result<(Vec<NamespaceStats>, u64), ServeError> {
+        // Pinned-epoch mode: answer from the stats frozen into the epoch, at
+        // the epoch's version — consistent with every other endpoint even
+        // while the store takes writes. Otherwise read the store live.
+        if let Some(epoch) = self.pinned_artifacts() {
+            if let Some(stats) = &epoch.stats {
+                return Ok((stats.clone(), epoch.version));
             }
         }
-        let response = {
-            let _span = self
-                .telemetry
-                .span(&format!("serve.{}", endpoint_name(req.path())));
-            router::respond(self, req)
-        };
-        if cacheable && response.status == 200 {
-            self.cache.put(&key, version, response.clone());
-        }
-        self.latency.record(self.telemetry.now_ms() - started);
-        response
+        Ok((self.store.stats()?, self.store.version()))
     }
 
-    /// One representative target per endpoint, with real ids from the
-    /// current artifacts — the smoke-test surface used by `check.sh` and
-    /// `repro serve --smoke`.
-    pub fn example_targets(&self) -> Result<Vec<String>, ServeError> {
-        let artifacts = self.artifacts()?;
-        let mut targets = vec!["/healthz".to_string(), "/stats".to_string()];
-        if artifacts.graph.investor_count() > 0 {
-            let inv = artifacts.graph.investor_id(0);
-            let com = artifacts.graph.company_id(0);
-            targets.push(format!("/entity/user/{inv}"));
-            targets.push(format!("/entity/company/{com}"));
-            targets.push(format!("/investor/{inv}/portfolio"));
-            targets.push(format!("/investor/{inv}/communities"));
-            targets.push(format!("/company/{com}/investors"));
-        }
-        targets.push("/communities".to_string());
-        if !artifacts.cover.is_empty() {
-            targets.push("/communities/0".to_string());
-        }
-        targets.push("/top/investors?by=degree&k=5".to_string());
-        targets.push("/top/investors?by=pagerank&k=5".to_string());
-        targets.push(format!(
-            "/sql?ns={}&q=SELECT+COUNT(*)+AS+n+FROM+docs",
-            crate::artifacts::NS_USERS.replace('/', "%2F")
-        ));
-        Ok(targets)
+    fn entity_body(
+        &self,
+        _ctx: &mut QueryCtx,
+        kind: &str,
+        id: u32,
+    ) -> Result<Option<Value>, ServeError> {
+        Ok(self.artifacts()?.entity(kind, id).cloned())
     }
-}
 
-/// First path segment, for span naming (`serve.stats`, `serve.sql`, …).
-fn endpoint_name(path: &str) -> &str {
-    let trimmed = path.trim_start_matches('/');
-    let seg = trimmed.split('/').next().unwrap_or_default();
-    if seg.is_empty() {
-        "root"
-    } else {
-        seg
+    fn investor_companies(
+        &self,
+        _ctx: &mut QueryCtx,
+        id: u32,
+    ) -> Result<Option<Vec<u32>>, ServeError> {
+        Ok(self.artifacts()?.graph.company_ids_of(id))
+    }
+
+    fn company_investors(
+        &self,
+        _ctx: &mut QueryCtx,
+        id: u32,
+    ) -> Result<Option<Vec<u32>>, ServeError> {
+        Ok(self.artifacts()?.graph.investor_ids_of(id))
+    }
+
+    fn top_by_degree(&self, _ctx: &mut QueryCtx, k: usize) -> Result<Vec<(u32, f64)>, ServeError> {
+        let a = self.artifacts()?;
+        let degrees = a.graph.investor_degrees().into_iter().map(|d| d as f64);
+        Ok(router::rank_investors(&a.graph, degrees, k))
+    }
+
+    fn scan_partitions(
+        &self,
+        _ctx: &mut QueryCtx,
+        ns: &str,
+    ) -> Result<Vec<Vec<Document>>, ServeError> {
+        Ok(self.store.scan_partitions(ns, SnapshotId(0))?)
     }
 }
 
@@ -288,8 +303,7 @@ fn endpoint_name(path: &str) -> &str {
 pub(crate) mod tests {
     use super::*;
     use crate::artifacts::{NS_COMPANIES, NS_USERS};
-    use crowdnet_json::{obj, Value};
-    use crowdnet_store::Document;
+    use crowdnet_json::obj;
 
     pub(crate) fn seeded_service() -> Service {
         let store = Store::memory(4);

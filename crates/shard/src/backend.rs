@@ -34,6 +34,7 @@ use crowdnet_graph::fxhash::FxHashMap;
 use crowdnet_graph::BipartiteGraph;
 use crowdnet_ingest::{IngestConfig, IngestEngine};
 use crowdnet_json::Value;
+use crowdnet_serve::router::rank_investors;
 use crowdnet_store::store::NamespaceStats;
 use crowdnet_store::{Document, SnapshotId, Store, Vfs};
 use crowdnet_telemetry::{Counter, Telemetry};
@@ -349,41 +350,17 @@ impl ShardBackend for LocalShard {
     }
 
     fn investor_edges(&self, id: u32) -> Result<Option<Vec<u32>>, ShardError> {
-        let epoch = self.epoch()?;
-        Ok(epoch.graph.investor_index(id).map(|i| {
-            epoch
-                .graph
-                .companies_of(i)
-                .iter()
-                .map(|&c| epoch.graph.company_id(c))
-                .collect()
-        }))
+        Ok(self.epoch()?.graph.company_ids_of(id))
     }
 
     fn company_edges(&self, id: u32) -> Result<Option<Vec<u32>>, ShardError> {
-        let epoch = self.epoch()?;
-        Ok(epoch.graph.company_index(id).map(|c| {
-            epoch
-                .graph
-                .investors_of(c)
-                .iter()
-                .map(|&i| epoch.graph.investor_id(i))
-                .collect()
-        }))
+        Ok(self.epoch()?.graph.investor_ids_of(id))
     }
 
     fn top_k_prefix(&self, k: usize) -> Result<Vec<(u32, f64)>, ShardError> {
         let epoch = self.epoch()?;
-        let mut ranked: Vec<(u32, f64)> = epoch
-            .graph
-            .investor_degrees()
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| (epoch.graph.investor_id(i as u32), d as f64))
-            .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        Ok(ranked)
+        let degrees = epoch.graph.investor_degrees().into_iter().map(|d| d as f64);
+        Ok(rank_investors(&epoch.graph, degrees, k))
     }
 
     fn shard_stats(&self) -> Result<Vec<NamespaceStats>, ShardError> {
@@ -451,10 +428,16 @@ impl ShardBackend for LocalShard {
 
 impl Drop for LocalShard {
     fn drop(&mut self) {
-        // Drop the sender to disconnect the executor, then join it.
+        // Drop the sender to disconnect the executor, then join it —
+        // unless this *is* the executor: a job that owned the last
+        // reference runs the drop on `shard-exec-N` itself, where joining
+        // would panic (self-join). Detached, the thread exits as soon as
+        // the job returns and `recv` sees the disconnect.
         self.exec_tx.lock().take();
         if let Some(thread) = self.exec_thread.lock().take() {
-            let _ = thread.join();
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -555,6 +538,30 @@ mod tests {
             }))
             .unwrap_or_else(|job| job());
         assert_eq!(rx.recv().unwrap(), 42);
+    }
+
+    #[test]
+    fn last_reference_dropped_on_the_executor_neither_panics_nor_hangs() {
+        let t = Telemetry::new();
+        let shard = Arc::new(LocalShard::open_memory(4, 2, &t).unwrap());
+        let queue = Arc::clone(&shard);
+        let (go_tx, go_rx) = sync_channel::<()>(1);
+        let (done_tx, rx) = sync_channel::<()>(1);
+        queue
+            .offload(Box::new(move || {
+                // Once the caller has let go, the job owns the last `Arc`:
+                // `Drop for LocalShard` runs here, on the shard's own
+                // executor thread. A panic in it unwinds past the send
+                // and the receiver sees a hang-up.
+                let _ = go_rx.recv();
+                drop(shard);
+                let _ = done_tx.send(());
+            }))
+            .unwrap_or_else(|_| panic!("executor queue rejected the job"));
+        drop(queue);
+        go_tx.send(()).unwrap();
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("drop on the executor thread panicked or hung");
     }
 
     #[test]

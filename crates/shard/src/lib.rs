@@ -22,12 +22,12 @@
 //!   keeps namespaces and snapshot ids in **lockstep** across shards (the
 //!   invariant every merge relies on), tracks health, and maintains the
 //!   logical version an unsharded store would report.
-//! * [`Router`] — scatter-gather serving: the exact route table and
-//!   response envelopes of `crowdnet_serve::Service`, answered by merging
-//!   per-shard results (bounded-heap top-k, associative stats, canonical
-//!   re-sorted scans for SQL and artifacts) under a per-request deadline
-//!   budget. A dead or recovering shard degrades responses to flagged
-//!   partials instead of failing them.
+//! * [`Router`] — scatter-gather serving: the sharded data source behind
+//!   `crowdnet_serve::router`'s one endpoint table, answering each access
+//!   by merging per-shard results (bounded-heap top-k, associative stats,
+//!   canonical re-sorted scans for SQL and artifacts) under a per-request
+//!   deadline budget. A dead or recovering shard is reported as a gap,
+//!   which the table turns into a flagged partial instead of a failure.
 //!
 //! The whole surface is proptest-gated against the unsharded service:
 //! for any op sequence, 1-, 2- and 4-shard deployments answer every
@@ -44,5 +44,6 @@ pub use backend::{
 };
 pub use error::ShardError;
 pub use partitioner::Partitioner;
-pub use router::{Router, RouterConfig};
+pub use crowdnet_serve::ServiceConfig as RouterConfig;
+pub use router::Router;
 pub use set::{merge_stats, ShardSet};

@@ -1,133 +1,85 @@
-//! Scatter-gather router: the unsharded serving surface over N shards.
+//! Scatter-gather router: the sharded data source behind the endpoint
+//! table of `crowdnet_serve::router`.
 //!
-//! The [`Router`] answers the exact route table of
-//! `crowdnet_serve::Service` — same paths, same envelopes, same error
-//! strings — by fanning queries out to the healthy shards and merging
-//! their partial results. Every fan-out leg is a serializable
+//! Paths, validation, envelopes and the cache wrapper live once, in
+//! `crowdnet_serve::router`; the [`Router`] implements its
+//! [`DataSource`] by fanning each access out to the healthy shards and
+//! merging their partial results. Every fan-out leg is a serializable
 //! [`ShardBackend`](crate::ShardBackend) method (the router never touches
 //! a shard's store), so the same code path serves in-process
 //! `LocalShard`s and `crowdnet-shardnet`'s out-of-process `RemoteShard`s:
 //!
-//! * **entity** — single-shard: the partitioner names the owner, one
+//! * **entity body** — single-shard: the partitioner names the owner, one
 //!   `entity_docs` leg answers.
-//! * **portfolio / company investors** — scatter `investor_edges` /
-//!   `company_edges`; an investor's edges live on one shard
-//!   (co-location), a company's inbound edges concatenate disjointly;
-//!   merged ids sort ascending, matching the canonical unsharded listing.
-//! * **top-k** — per-shard `top_k_prefix` legs merged through a bounded
-//!   heap (at most one candidate per shard in flight), ties broken by
-//!   ascending id exactly like the unsharded sort.
-//! * **stats** — associative merge of per-shard `shard_stats` legs.
-//! * **sql / communities / pagerank** — per-shard `scan_partitions` legs
+//! * **investor companies / company investors** — scatter
+//!   `investor_edges` / `company_edges`; an investor's edges live on one
+//!   shard (co-location), a company's inbound edges concatenate
+//!   disjointly.
+//! * **top-k by degree** — per-shard `top_k_prefix` legs merged through a
+//!   bounded heap (at most one candidate per shard in flight), ties
+//!   broken by ascending id exactly like the unsharded ranking.
+//! * **namespace stats** — associative merge of per-shard `shard_stats`
+//!   legs.
+//! * **partition scans / artifacts** — per-shard `scan_partitions` legs
 //!   are concatenated in shard order and stable-sorted by key, which
 //!   reconstructs the unsharded store's canonical partition scans
 //!   byte-for-byte (same-key documents never span shards); communities
 //!   and PageRank come from global [`Artifacts`] assembled from that
 //!   canonical merge and cached per logical version.
 //!
-//! Fan-outs run on the shards' executor threads under a shared deadline
-//! budget: a shard that is down, mid-recovery, past the budget, or whose
-//! leg fails in *transport* (unreachable process, dead connection,
-//! malformed frame) is skipped and the response is flagged
-//! `"partial": true` with the shard indices in `"degraded_shards"` —
-//! degraded, never failed. Only logical errors (a bad query, a missing
-//! namespace) propagate as error statuses.
+//! Fan-outs run on the shards' executor threads under the request's
+//! deadline budget: a shard that is down, mid-recovery, past the budget,
+//! or whose leg fails in *transport* (unreachable process, dead
+//! connection, malformed frame) is skipped and recorded in
+//! [`QueryCtx::degraded`], which the endpoint table turns into a flagged
+//! partial response — degraded, never failed. Only logical errors (a bad
+//! query, a missing namespace) propagate as error statuses.
 
 use crate::backend::{Job, ShardBackend, ShardHealth};
 use crate::error::ShardError;
 use crate::set::{merge_stats, ShardSet};
 use crowdnet_json::{obj, Value};
-use crowdnet_serve::artifacts::{Artifacts, ArtifactsConfig, NS_COMPANIES, NS_USERS};
-use crowdnet_serve::cache::{CacheConfig, CacheStats, ResultCache};
+use crowdnet_serve::artifacts::{Artifacts, NS_COMPANIES, NS_USERS};
 use crowdnet_serve::http::{Request, Response};
-use crowdnet_serve::router::{
-    error_response, id_array, opt_f64, param, parse_id, render_stats,
-};
-use crowdnet_serve::{RequestHandler, ServeError};
-use crowdnet_dataflow::{sql, Dataset, ExecCtx};
+use crowdnet_serve::router::{self, DataSource, QueryCtx, Surface};
+use crowdnet_serve::{RequestHandler, ServeError, ServiceConfig};
+use crowdnet_store::store::NamespaceStats;
 use crowdnet_store::{Document, SnapshotId, StoreError};
-use crowdnet_telemetry::{Counter, Histogram, Telemetry};
+use crowdnet_telemetry::{Counter, Telemetry};
 use parking_lot::RwLock;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-
-/// Router knobs. Artifact and SQL knobs mirror `ServiceConfig` so a
-/// sharded deployment answers byte-identically to an unsharded one built
-/// from the same corpus.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Artifact-build knobs for the global (cross-shard) artifacts.
-    pub artifacts: ArtifactsConfig,
-    /// Result-cache sizing.
-    pub cache: CacheConfig,
-    /// Maximum rows an ad-hoc SQL response returns.
-    pub sql_row_limit: usize,
-    /// Dataflow threads for merged scans and SQL execution.
-    pub threads: usize,
-    /// Fan-out budget applied when a request carries no `x-deadline-ms`
-    /// header; `None` means no deadline.
-    pub default_deadline_ms: Option<u64>,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            artifacts: ArtifactsConfig::default(),
-            cache: CacheConfig::default(),
-            sql_row_limit: 1000,
-            threads: 2,
-            default_deadline_ms: None,
-        }
-    }
-}
-
-/// Per-request fan-out state: the deadline budget and which shards could
-/// not contribute (down, recovering, past deadline, or reply lost).
-struct QueryCtx {
-    deadline_at: Option<u64>,
-    degraded: BTreeSet<usize>,
-}
 
 /// The scatter-gather front end over a [`ShardSet`].
 pub struct Router {
     set: Arc<ShardSet>,
-    ctx: ExecCtx,
-    telemetry: Telemetry,
-    cfg: RouterConfig,
+    surface: Surface,
     /// Global artifacts memo, keyed by the set's logical version. Only
     /// fully-healthy builds are cached; degraded builds are served once
     /// and rebuilt (they reflect whichever shards were up).
     global: RwLock<Option<(u64, Arc<Artifacts>)>>,
-    cache: ResultCache,
-    requests: Counter,
     fanouts: Counter,
     single_shard: Counter,
     partial: Counter,
     deadline_skips: Counter,
     epoch_builds: Counter,
-    latency: Histogram,
 }
 
 impl Router {
     /// Wrap a shard set. Nothing is scanned yet — global artifacts build
     /// on the first request that needs them.
-    pub fn new(set: Arc<ShardSet>, cfg: RouterConfig, telemetry: Telemetry) -> Router {
-        let cache = ResultCache::new(&cfg.cache, &telemetry);
+    pub fn new(set: Arc<ShardSet>, cfg: ServiceConfig, telemetry: Telemetry) -> Router {
+        let requests = telemetry.counter("shard.router.requests");
         Router {
-            ctx: ExecCtx::new(cfg.threads.max(1)),
             set,
-            cache,
-            requests: telemetry.counter("shard.router.requests"),
             fanouts: telemetry.counter("shard.router.fanouts"),
             single_shard: telemetry.counter("shard.router.single_shard"),
             partial: telemetry.counter("shard.router.partial"),
             deadline_skips: telemetry.counter("shard.router.deadline_skips"),
             epoch_builds: telemetry.counter("shard.router.epoch_builds"),
-            latency: telemetry.histogram("serve.latency_ms"),
-            telemetry,
-            cfg,
             global: RwLock::new(None),
+            surface: Surface::new(cfg, telemetry, requests, "shard"),
         }
     }
 
@@ -136,191 +88,30 @@ impl Router {
         &self.set
     }
 
-    /// Result-cache occupancy (for `/healthz` and tests).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Serve one request end to end — the sharded analogue of
     /// `Service::handle`. Never panics; every failure is a status-coded
     /// JSON response.
     pub fn handle(&self, req: &Request) -> Response {
-        self.requests.inc();
-        let started = self.telemetry.now_ms();
-        let version = self.set.version();
-        // Responses from a degraded set carry partial flags and reflect
-        // whichever shards were up, so the cache only participates while
-        // every shard is healthy.
-        let all_healthy = !self.set.any_unhealthy();
-        let key = format!("{} {}", req.method, req.target);
-        let cacheable = all_healthy && req.method == "GET" && req.path() != "/healthz";
-        if cacheable {
-            if let Some(hit) = self.cache.get(&key, version) {
-                self.latency.record(self.telemetry.now_ms() - started);
-                return hit;
-            }
+        let mut ctx = QueryCtx::default();
+        let response = router::respond(&self.surface, self, &mut ctx, req);
+        if response.status == 200 && !ctx.degraded.is_empty() {
+            self.partial.inc();
         }
-        let deadline_at = req
-            .header("x-deadline-ms")
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .or(self.cfg.default_deadline_ms)
-            .map(|ms| started + ms);
-        let mut ctx = QueryCtx {
-            deadline_at,
-            degraded: BTreeSet::new(),
-        };
-        let result = {
-            let _span = self
-                .telemetry
-                .span(&format!("shard.{}", endpoint_name(req.path())));
-            self.route(&mut ctx, req)
-        };
-        let response = match result {
-            Ok(mut value) => {
-                if !ctx.degraded.is_empty() {
-                    if let Some(o) = value.as_obj_mut() {
-                        o.insert("partial", Value::Bool(true));
-                        o.insert(
-                            "degraded_shards",
-                            Value::Arr(
-                                ctx.degraded.iter().map(|&i| Value::from(i as u64)).collect(),
-                            ),
-                        );
-                    }
-                    self.partial.inc();
-                }
-                Response::json(200, &value)
-            }
-            Err(e) => error_response(&e),
-        };
-        if cacheable && response.status == 200 && ctx.degraded.is_empty() {
-            self.cache.put(&key, version, response.clone());
-        }
-        self.latency.record(self.telemetry.now_ms() - started);
         response
     }
 
-    /// One representative target per endpoint (same surface as
-    /// `Service::example_targets`), with real ids from the global
-    /// artifacts — the smoke surface `repro serve --shards` walks.
+    /// One representative target per endpoint, with real ids from the
+    /// global artifacts — the smoke surface `repro serve --shards` walks.
     pub fn example_targets(&self) -> Result<Vec<String>, ServeError> {
-        let mut ctx = QueryCtx {
-            deadline_at: None,
-            degraded: BTreeSet::new(),
-        };
-        let artifacts = self.global_artifacts(&mut ctx)?;
-        let mut targets = vec!["/healthz".to_string(), "/stats".to_string()];
-        if artifacts.graph.investor_count() > 0 {
-            let inv = artifacts.graph.investor_id(0);
-            let com = artifacts.graph.company_id(0);
-            targets.push(format!("/entity/user/{inv}"));
-            targets.push(format!("/entity/company/{com}"));
-            targets.push(format!("/investor/{inv}/portfolio"));
-            targets.push(format!("/investor/{inv}/communities"));
-            targets.push(format!("/company/{com}/investors"));
-        }
-        targets.push("/communities".to_string());
-        if !artifacts.cover.is_empty() {
-            targets.push("/communities/0".to_string());
-        }
-        targets.push("/top/investors?by=degree&k=5".to_string());
-        targets.push("/top/investors?by=pagerank&k=5".to_string());
-        targets.push(format!(
-            "/sql?ns={}&q=SELECT+COUNT(*)+AS+n+FROM+docs",
-            NS_USERS.replace('/', "%2F")
-        ));
-        Ok(targets)
+        router::example_targets(self)
     }
 
-    fn route(&self, ctx: &mut QueryCtx, req: &Request) -> Result<Value, ServeError> {
-        let path = req.path().to_string();
-        let segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        let is_sql_post = req.method == "POST" && segs.as_slice() == ["sql"];
-        if req.method != "GET" && !is_sql_post {
-            return Err(ServeError::MethodNotAllowed(format!(
-                "{} {}",
-                req.method, path
-            )));
-        }
-        match segs.as_slice() {
-            ["healthz"] => self.healthz(),
-            ["stats"] => self.stats(ctx),
-            ["entity", kind, id] => self.entity(ctx, kind, parse_id(id)?),
-            ["investor", id, "portfolio"] => self.portfolio(ctx, parse_id(id)?),
-            ["investor", id, "communities"] => self.investor_communities(ctx, parse_id(id)?),
-            ["company", id, "investors"] => self.company_investors(ctx, parse_id(id)?),
-            ["communities"] => self.communities(ctx),
-            ["communities", id] => self.community(ctx, id),
-            ["top", "investors"] => self.top_investors(ctx, req),
-            ["sql"] => self.sql_endpoint(ctx, req),
-            _ => Err(ServeError::NotFound(path)),
-        }
-    }
-
-    // ---- fan-out machinery -------------------------------------------
-
-    /// Scatter one job per healthy shard onto the shards' executor
-    /// threads and gather replies in shard order. Shards that are
-    /// unhealthy, past the deadline budget, or whose reply is lost are
-    /// recorded in `ctx.degraded` and omitted from the result.
-    fn scatter<T, F>(&self, ctx: &mut QueryCtx, mut make_job: F) -> Vec<(usize, T)>
-    where
-        T: Send + 'static,
-        F: FnMut(usize) -> Box<dyn FnOnce() -> T + Send + 'static>,
-    {
-        self.fanouts.inc();
-        let mut pending = Vec::new();
-        for (idx, shard) in self.set.shards().iter().enumerate() {
-            if shard.health() != ShardHealth::Healthy {
-                ctx.degraded.insert(idx);
-                continue;
-            }
-            if let Some(deadline) = ctx.deadline_at {
-                if self.telemetry.now_ms() > deadline {
-                    self.deadline_skips.inc();
-                    ctx.degraded.insert(idx);
-                    continue;
-                }
-            }
-            let job = make_job(idx);
-            let (tx, rx) = sync_channel::<T>(1);
-            let telemetry = self.telemetry.clone();
-            let skips = self.deadline_skips.clone();
-            let deadline = ctx.deadline_at;
-            let wrapped: Job = Box::new(move || {
-                if let Some(d) = deadline {
-                    if telemetry.now_ms() > d {
-                        // Budget ran out while queued: drop the reply
-                        // sender so the gather marks this shard degraded.
-                        skips.inc();
-                        return;
-                    }
-                }
-                let _ = tx.send(job());
-            });
-            // Executor queue full (or gone): run the job inline rather
-            // than blocking or failing — same never-wait discipline as
-            // the serve worker pool.
-            if let Err(job) = shard.offload(wrapped) {
-                job();
-            }
-            pending.push((idx, rx));
-        }
-        let mut gathered = Vec::with_capacity(pending.len());
-        for (idx, rx) in pending {
-            match rx.recv() {
-                Ok(v) => gathered.push((idx, v)),
-                Err(_) => {
-                    ctx.degraded.insert(idx);
-                }
-            }
-        }
-        gathered
-    }
-
-    /// Scatter one leg call per healthy shard and gather its replies.
-    /// Transport failures (unreachable shard, dead connection, malformed
-    /// frame, executor gone) degrade the shard; logical errors propagate.
+    /// Scatter one leg call per healthy shard onto the shards' executor
+    /// threads and gather the replies in shard order. A shard that is
+    /// unhealthy, past the deadline budget, whose reply is lost or whose
+    /// leg fails in transport (unreachable shard, dead connection,
+    /// malformed frame, executor gone) is recorded in `ctx.degraded` and
+    /// omitted from the result; logical errors propagate.
     fn scatter_leg<T, F>(
         &self,
         ctx: &mut QueryCtx,
@@ -330,23 +121,58 @@ impl Router {
         T: Send + 'static,
         F: Fn(&Arc<dyn ShardBackend>) -> Result<T, ShardError> + Send + Sync + 'static,
     {
+        self.fanouts.inc();
         let leg = Arc::new(leg);
-        let results = self.scatter(ctx, |idx| {
-            let shard = self.set.shards().get(idx).map(Arc::clone);
-            let leg = Arc::clone(&leg);
-            Box::new(move || match shard {
-                Some(s) => leg(&s),
-                None => Err(ShardError::NoSuchShard(idx)),
-            })
-        });
-        let mut gathered = Vec::with_capacity(results.len());
-        for (idx, r) in results {
-            match r {
-                Ok(v) => gathered.push((idx, v)),
-                Err(e) if e.is_transport() => {
+        let mut pending = Vec::new();
+        for (idx, shard) in self.set.shards().iter().enumerate() {
+            if shard.health() != ShardHealth::Healthy {
+                ctx.degraded.insert(idx);
+                continue;
+            }
+            if let Some(deadline) = ctx.deadline_at {
+                if self.surface.telemetry().now_ms() > deadline {
+                    self.deadline_skips.inc();
+                    ctx.degraded.insert(idx);
+                    continue;
+                }
+            }
+            let (tx, rx) = sync_channel::<Result<T, ShardError>>(1);
+            let (leg, backend) = (Arc::clone(&leg), Arc::clone(shard));
+            let telemetry = self.surface.telemetry().clone();
+            let skips = self.deadline_skips.clone();
+            let deadline = ctx.deadline_at;
+            let job: Job = Box::new(move || {
+                if let Some(d) = deadline {
+                    if telemetry.now_ms() > d {
+                        // Budget ran out while queued: drop the reply
+                        // sender so the gather marks this shard degraded.
+                        skips.inc();
+                        return;
+                    }
+                }
+                let _ = tx.send(leg(&backend));
+            });
+            // Executor queue full (or gone): run the job inline rather
+            // than blocking or failing — same never-wait discipline as
+            // the serve worker pool.
+            if let Err(job) = shard.offload(job) {
+                job();
+            }
+            pending.push((idx, rx));
+        }
+        // Every leg finishes before any error is reported.
+        let replies: Vec<_> = pending
+            .into_iter()
+            .map(|(idx, rx)| (idx, rx.recv()))
+            .collect();
+        let mut gathered = Vec::with_capacity(replies.len());
+        for (idx, reply) in replies {
+            match reply {
+                Ok(Ok(v)) => gathered.push((idx, v)),
+                Ok(Err(e)) if !e.is_transport() => return Err(shard_to_serve(e)),
+                _ => {
                     ctx.degraded.insert(idx);
                 }
-                Err(e) => return Err(shard_to_serve(e)),
             }
         }
         Ok(gathered)
@@ -363,40 +189,25 @@ impl Router {
         ctx: &mut QueryCtx,
         ns: &str,
     ) -> Result<Option<Vec<Vec<Document>>>, ServeError> {
-        let results = self.scatter(ctx, |idx| {
-            let shard = self.set.shards().get(idx).map(Arc::clone);
-            let ns = ns.to_string();
-            Box::new(move || match shard {
-                Some(s) => s.scan_partitions(&ns, SnapshotId(0)),
-                None => Err(ShardError::NoSuchShard(idx)),
-            })
-        });
-        let mut merged: Vec<Vec<Document>> = Vec::new();
-        let mut any = false;
-        for (idx, r) in results {
-            match r {
-                Ok(parts) => {
-                    any = true;
-                    if merged.len() < parts.len() {
-                        merged.resize_with(parts.len(), Vec::new);
-                    }
-                    for (p, docs) in parts.into_iter().enumerate() {
-                        if let Some(slot) = merged.get_mut(p) {
-                            slot.extend(docs);
-                        }
-                    }
-                }
-                // Snapshot lockstep: a namespace exists on all shards or
-                // none, so any miss means the namespace is absent.
-                Err(ShardError::Store(StoreError::NamespaceNotFound(_))) => return Ok(None),
-                Err(e) if e.is_transport() => {
-                    ctx.degraded.insert(idx);
-                }
-                Err(e) => return Err(shard_to_serve(e)),
-            }
-        }
-        if !any && ctx.degraded.is_empty() {
+        let owned = ns.to_string();
+        let legs = match self.scatter_leg(ctx, move |s| s.scan_partitions(&owned, SnapshotId(0))) {
+            Ok(legs) => legs,
+            // Snapshot lockstep: a namespace exists on all shards or
+            // none, so any miss means the namespace is absent.
+            Err(ServeError::Store(StoreError::NamespaceNotFound(_))) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        if legs.is_empty() && ctx.degraded.is_empty() {
             return Ok(None);
+        }
+        let mut merged: Vec<Vec<Document>> = Vec::new();
+        for (_, parts) in legs {
+            if merged.len() < parts.len() {
+                merged.resize_with(parts.len(), Vec::new);
+            }
+            for (slot, docs) in merged.iter_mut().zip(parts) {
+                slot.extend(docs);
+            }
         }
         for part in &mut merged {
             // Stable: same-key documents are single-shard, so their
@@ -405,48 +216,27 @@ impl Router {
         }
         Ok(Some(merged))
     }
+}
 
-    /// Cross-shard [`Artifacts`] at the set's logical version, assembled
-    /// from the canonically merged corpus scans. Fully-healthy builds are
-    /// memoized per version; degraded builds are served uncached.
-    fn global_artifacts(&self, ctx: &mut QueryCtx) -> Result<Arc<Artifacts>, ServeError> {
-        let version = self.set.version();
-        {
-            let memo = self.global.read();
-            if let Some((v, a)) = &*memo {
-                if *v == version {
-                    return Ok(Arc::clone(a));
-                }
-            }
-        }
-        let mut scans: Vec<(&str, Vec<Document>)> = Vec::new();
-        for ns in [NS_COMPANIES, NS_USERS] {
-            if let Some(parts) = self.merged_partitions(ctx, ns)? {
-                scans.push((ns, parts.into_iter().flatten().collect()));
-            }
-        }
-        let built = Arc::new(Artifacts::from_documents(
-            version,
-            scans,
-            &self.telemetry,
-            &self.cfg.artifacts,
-        ));
-        self.epoch_builds.inc();
-        if ctx.degraded.is_empty() {
-            let mut memo = self.global.write();
-            match &*memo {
-                // A racing builder won with an equal-or-newer stamp.
-                Some((v, a)) if *v >= version => return Ok(Arc::clone(a)),
-                _ => *memo = Some((version, Arc::clone(&built))),
-            }
-        }
-        Ok(built)
+/// The sharded data source: each access is a scatter over the healthy
+/// shards (or one leg to the owning shard), with every shard that could
+/// not contribute recorded in `ctx.degraded`.
+impl DataSource for Router {
+    fn cache_scope(&self) -> Option<(u64, &'static str)> {
+        // Responses from a degraded set reflect whichever shards were up,
+        // so the cache only participates while every shard is healthy.
+        (!self.set.any_unhealthy()).then(|| (self.set.version(), ""))
     }
 
-    // ---- endpoints ----------------------------------------------------
+    fn tier_degraded(&self) -> bool {
+        self.set.any_unhealthy()
+    }
 
-    fn healthz(&self) -> Result<Value, ServeError> {
-        let cache = self.cache.stats();
+    fn live_version(&self) -> u64 {
+        self.set.version()
+    }
+
+    fn health_detail(&self) -> Option<(&'static str, Value)> {
         let shards = self
             .set
             .shards()
@@ -470,244 +260,120 @@ impl Router {
                 }
             })
             .collect();
-        Ok(obj! {
-            "ok" => true,
-            "degraded" => self.set.any_unhealthy(),
-            "version" => self.set.version(),
-            "shards" => Value::Arr(shards),
-            "cache" => obj! {
-                "entries" => cache.entries,
-                "bytes" => cache.bytes,
-                "capacity_bytes" => cache.capacity_bytes,
-            },
-        })
+        Some(("shards", Value::Arr(shards)))
     }
 
-    fn stats(&self, ctx: &mut QueryCtx) -> Result<Value, ServeError> {
+    /// Cross-shard [`Artifacts`] at the set's logical version, assembled
+    /// from the canonically merged corpus scans. Fully-healthy builds are
+    /// memoized per version; degraded builds are served uncached.
+    fn current_artifacts(&self, ctx: &mut QueryCtx) -> Result<Arc<Artifacts>, ServeError> {
+        let version = self.set.version();
+        {
+            let memo = self.global.read();
+            if let Some((v, a)) = &*memo {
+                if *v == version {
+                    return Ok(Arc::clone(a));
+                }
+            }
+        }
+        let mut scans: Vec<(&str, Vec<Document>)> = Vec::new();
+        for ns in [NS_COMPANIES, NS_USERS] {
+            if let Some(parts) = self.merged_partitions(ctx, ns)? {
+                scans.push((ns, parts.into_iter().flatten().collect()));
+            }
+        }
+        let built = Arc::new(Artifacts::from_documents(
+            version,
+            scans,
+            self.surface.telemetry(),
+            &self.surface.cfg().artifacts,
+        ));
+        self.epoch_builds.inc();
+        if ctx.degraded.is_empty() {
+            let mut memo = self.global.write();
+            match &*memo {
+                // A racing builder won with an equal-or-newer stamp.
+                Some((v, a)) if *v >= version => return Ok(Arc::clone(a)),
+                _ => *memo = Some((version, Arc::clone(&built))),
+            }
+        }
+        Ok(built)
+    }
+
+    fn namespace_stats(
+        &self,
+        ctx: &mut QueryCtx,
+    ) -> Result<(Vec<NamespaceStats>, u64), ServeError> {
         let legs = self.scatter_leg(ctx, |s| s.shard_stats())?;
         let merged = merge_stats(legs.into_iter().map(|(_, v)| v));
-        let mut rendered = render_stats(&merged, self.set.version());
-        if let Some(o) = rendered.as_obj_mut() {
-            o.insert(
-                "degraded",
-                Value::Bool(self.set.any_unhealthy() || !ctx.degraded.is_empty()),
-            );
-        }
-        Ok(rendered)
+        Ok((merged, self.set.version()))
     }
 
-    fn entity(&self, ctx: &mut QueryCtx, kind: &str, id: u32) -> Result<Value, ServeError> {
-        if kind != "company" && kind != "user" {
-            return Err(ServeError::BadRequest(format!(
-                "unknown entity kind: {kind:?} (company|user)"
-            )));
-        }
+    fn entity_body(
+        &self,
+        ctx: &mut QueryCtx,
+        kind: &str,
+        id: u32,
+    ) -> Result<Option<Value>, ServeError> {
         let ns = if kind == "company" { NS_COMPANIES } else { NS_USERS };
         let key = format!("{kind}:{id}");
         let owner = self.set.partitioner().shard_of(ns, &key);
         self.single_shard.inc();
-        let shard = self
-            .set
-            .shard(owner)
-            .ok_or_else(|| ServeError::NotFound(key.clone()))?;
+        let Some(shard) = self.set.shard(owner) else {
+            return Ok(None);
+        };
         if shard.health() != ShardHealth::Healthy {
-            // The owner is out: degrade to a partial envelope instead of
-            // guessing between 404 and 500.
             ctx.degraded.insert(owner);
-            return Ok(obj! {"kind" => kind, "id" => u64::from(id), "body" => Value::Null});
+            return Ok(None);
         }
-        let docs = match shard.entity_docs(std::slice::from_ref(&key)) {
-            Ok(docs) => docs,
+        match shard.entity_docs(std::slice::from_ref(&key)) {
+            Ok(docs) => Ok(docs.into_iter().next().flatten()),
             Err(e) if e.is_transport() => {
                 // The owner died between the health check and the leg:
-                // same partial envelope as a flagged-down owner.
+                // same gap as a flagged-down owner.
                 ctx.degraded.insert(owner);
-                return Ok(obj! {"kind" => kind, "id" => u64::from(id), "body" => Value::Null});
+                Ok(None)
             }
-            Err(e) => return Err(shard_to_serve(e)),
-        };
-        let body = docs
-            .into_iter()
-            .next()
-            .flatten()
-            .ok_or(ServeError::NotFound(key))?;
-        Ok(obj! {"kind" => kind, "id" => u64::from(id), "body" => body})
+            Err(e) => Err(shard_to_serve(e)),
+        }
     }
 
-    fn portfolio(&self, ctx: &mut QueryCtx, id: u32) -> Result<Value, ServeError> {
-        let artifacts = self.global_artifacts(ctx)?;
+    fn investor_companies(
+        &self,
+        ctx: &mut QueryCtx,
+        id: u32,
+    ) -> Result<Option<Vec<u32>>, ServeError> {
+        // Co-location: exactly one shard owns the investor.
         let legs = self.scatter_leg(ctx, move |s| s.investor_edges(id))?;
-        let mut found = false;
-        let mut ids: Vec<u32> = Vec::new();
-        for (_idx, edges) in legs {
-            if let Some(companies) = edges {
-                // Co-location: exactly one shard owns the investor.
-                found = true;
-                ids.extend(companies);
-            }
-        }
-        if !found {
-            if ctx.degraded.is_empty() {
-                return Err(ServeError::NotFound(format!("investor {id}")));
-            }
-            return Ok(obj! {"id" => u64::from(id)});
-        }
-        let degree = ids.len();
-        ids.sort_unstable();
-        let pagerank = artifacts
-            .investor_index(id)
-            .and_then(|i| artifacts.pagerank.get(i as usize).copied())
-            .unwrap_or(0.0);
-        Ok(obj! {
-            "id" => u64::from(id),
-            "degree" => degree,
-            "pagerank" => pagerank,
-            "companies" => id_array(ids),
-        })
+        Ok(concat_found(legs))
     }
 
-    fn investor_communities(&self, ctx: &mut QueryCtx, id: u32) -> Result<Value, ServeError> {
-        let artifacts = self.global_artifacts(ctx)?;
-        if artifacts.investor_index(id).is_none() {
-            return Err(ServeError::NotFound(format!("investor {id}")));
-        }
-        let (filtered, communities) = match artifacts.investor_membership(id) {
-            Some((_, cids)) => (true, cids.to_vec()),
-            None => (false, Vec::new()),
-        };
-        Ok(obj! {
-            "id" => u64::from(id),
-            "in_filtered_graph" => filtered,
-            "communities" => Value::Arr(communities.into_iter().map(Value::from).collect()),
-        })
-    }
-
-    fn company_investors(&self, ctx: &mut QueryCtx, id: u32) -> Result<Value, ServeError> {
+    fn company_investors(
+        &self,
+        ctx: &mut QueryCtx,
+        id: u32,
+    ) -> Result<Option<Vec<u32>>, ServeError> {
+        // A company's inbound edges may span shards (its investors hash
+        // independently); the slices are disjoint.
         let legs = self.scatter_leg(ctx, move |s| s.company_edges(id))?;
-        let mut found = false;
-        let mut ids: Vec<u32> = Vec::new();
-        for (_idx, investors) in legs {
-            if let Some(investors) = investors {
-                // A company's inbound edges may span shards (its investors
-                // hash independently); the slices are disjoint.
-                found = true;
-                ids.extend(investors);
-            }
-        }
-        if !found {
-            if ctx.degraded.is_empty() {
-                return Err(ServeError::NotFound(format!("company {id}")));
-            }
-            return Ok(obj! {"id" => u64::from(id)});
-        }
-        ids.sort_unstable();
-        Ok(obj! {
-            "id" => u64::from(id),
-            "degree" => ids.len(),
-            "investors" => id_array(ids),
-        })
+        Ok(concat_found(legs))
     }
 
-    fn communities(&self, ctx: &mut QueryCtx) -> Result<Value, ServeError> {
-        let artifacts = self.global_artifacts(ctx)?;
-        let list = (0..artifacts.communities.len())
-            .filter_map(|i| community_summary(&artifacts, i))
-            .collect();
-        Ok(obj! {
-            "count" => artifacts.communities.len(),
-            "filtered_investors" => artifacts.filtered.investor_count(),
-            "communities" => Value::Arr(list),
-        })
+    fn top_by_degree(&self, ctx: &mut QueryCtx, k: usize) -> Result<Vec<(u32, f64)>, ServeError> {
+        // Degree is shard-local: merge per-shard top-k prefixes through a
+        // bounded heap (≤ one candidate per shard).
+        let legs = self.scatter_leg(ctx, move |s| s.top_k_prefix(k))?;
+        let per_shard = legs.into_iter().map(|(_, ranked)| ranked).collect();
+        Ok(merge_top_k(per_shard, k))
     }
 
-    fn community(&self, ctx: &mut QueryCtx, raw_id: &str) -> Result<Value, ServeError> {
-        let id = raw_id
-            .parse::<usize>()
-            .map_err(|_| ServeError::BadRequest(format!("bad community id: {raw_id:?}")))?;
-        let artifacts = self.global_artifacts(ctx)?;
-        let (_, members) = artifacts
-            .community(id)
-            .ok_or_else(|| ServeError::NotFound(format!("community {id}")))?;
-        let mut summary = community_summary(&artifacts, id)
-            .ok_or_else(|| ServeError::NotFound(format!("community {id}")))?;
-        if let Some(o) = summary.as_obj_mut() {
-            o.insert("members", id_array(members));
-        }
-        Ok(summary)
-    }
-
-    fn top_investors(&self, ctx: &mut QueryCtx, req: &Request) -> Result<Value, ServeError> {
-        let by = param(req, "by").unwrap_or_else(|| "degree".into());
-        let k = match param(req, "k") {
-            Some(raw) => raw
-                .parse::<usize>()
-                .map_err(|_| ServeError::BadRequest(format!("bad k: {raw:?}")))?,
-            None => 10,
-        };
-        let ranked = match by.as_str() {
-            // Degree is shard-local: merge per-shard top-k prefixes
-            // through a bounded heap (≤ one candidate per shard).
-            "degree" => {
-                let legs = self.scatter_leg(ctx, move |s| s.top_k_prefix(k))?;
-                let per_shard: Vec<Vec<(u32, f64)>> =
-                    legs.into_iter().map(|(_, ranked)| ranked).collect();
-                merge_top_k(per_shard, k)
-            }
-            // PageRank is a whole-graph score; rank the global artifacts
-            // exactly like the unsharded service.
-            "pagerank" => {
-                let artifacts = self.global_artifacts(ctx)?;
-                let mut ranked: Vec<(u32, f64)> = artifacts
-                    .pagerank
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| (artifacts.graph.investor_id(i as u32), s))
-                    .collect();
-                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                ranked.truncate(k);
-                ranked
-            }
-            other => {
-                return Err(ServeError::BadRequest(format!(
-                    "unknown ranking: {other:?} (degree|pagerank)"
-                )))
-            }
-        };
-        let rows = ranked
-            .into_iter()
-            .map(|(id, score)| obj! {"id" => u64::from(id), "score" => score})
-            .collect();
-        Ok(obj! {"by" => by, "k" => k, "investors" => Value::Arr(rows)})
-    }
-
-    fn sql_endpoint(&self, ctx: &mut QueryCtx, req: &Request) -> Result<Value, ServeError> {
-        let ns = param(req, "ns")
-            .ok_or_else(|| ServeError::BadRequest("missing ?ns= namespace".into()))?;
-        let query_text = if req.method == "POST" && !req.body.is_empty() {
-            String::from_utf8(req.body.clone())
-                .map_err(|_| ServeError::BadRequest("sql body is not utf-8".into()))?
-        } else {
-            param(req, "q").ok_or_else(|| ServeError::BadRequest("missing ?q= query".into()))?
-        };
-        let parts = self
-            .merged_partitions(ctx, &ns)?
-            .ok_or(ServeError::Store(StoreError::NamespaceNotFound(ns)))?;
-        let docs = Dataset::from_partitions(parts, self.ctx);
-        let table = sql::query(&query_text, docs.map(|d| d.body))?;
-        let total = table.rows.len();
-        let limit = self.cfg.sql_row_limit;
-        let rows = table
-            .rows
-            .into_iter()
-            .take(limit)
-            .map(Value::Arr)
-            .collect();
-        Ok(obj! {
-            "columns" => Value::Arr(table.columns.into_iter().map(Value::from).collect()),
-            "rows" => Value::Arr(rows),
-            "row_count" => total,
-            "truncated" => total > limit,
-        })
+    fn scan_partitions(
+        &self,
+        ctx: &mut QueryCtx,
+        ns: &str,
+    ) -> Result<Vec<Vec<Document>>, ServeError> {
+        self.merged_partitions(ctx, ns)?
+            .ok_or_else(|| ServeError::Store(StoreError::NamespaceNotFound(ns.to_string())))
     }
 }
 
@@ -715,6 +381,18 @@ impl RequestHandler for Router {
     fn handle(&self, req: &Request) -> Response {
         Router::handle(self, req)
     }
+}
+
+/// Concatenate the id lists of the shards that know the entity; `None`
+/// when no answering shard does.
+fn concat_found(legs: Vec<(usize, Option<Vec<u32>>)>) -> Option<Vec<u32>> {
+    let mut found: Option<Vec<u32>> = None;
+    for (_, ids) in legs {
+        if let Some(ids) = ids {
+            found.get_or_insert_with(Vec::new).extend(ids);
+        }
+    }
+    found
 }
 
 /// Map shard-set failures onto serve statuses: store errors keep their
@@ -727,29 +405,6 @@ fn shard_to_serve(e: crate::error::ShardError) -> ServeError {
             other.to_string(),
         )),
     }
-}
-
-/// First path segment, for span naming (`shard.stats`, `shard.sql`, …).
-fn endpoint_name(path: &str) -> &str {
-    let trimmed = path.trim_start_matches('/');
-    let seg = trimmed.split('/').next().unwrap_or_default();
-    if seg.is_empty() {
-        "root"
-    } else {
-        seg
-    }
-}
-
-/// One community rendered for listings — same shape as the unsharded
-/// service's summaries.
-fn community_summary(artifacts: &Artifacts, id: usize) -> Option<Value> {
-    let s = artifacts.communities.get(id)?;
-    Some(obj! {
-        "id" => s.id,
-        "size" => s.size,
-        "avg_shared_investment" => opt_f64(s.avg_shared_investment),
-        "shared_investor_pct" => opt_f64(s.shared_investor_pct),
-    })
 }
 
 /// Heap entry for the bounded top-k merge: max-heap on score, ties broken
@@ -820,8 +475,12 @@ mod tests {
 
     /// Same corpus written to an unsharded store and through a shard set.
     fn seeded_pair(shards: usize) -> (Service, Router) {
+        seeded_pair_on(shards, Telemetry::new())
+    }
+
+    /// [`seeded_pair`] with the router (and its shards) on telemetry `t`.
+    fn seeded_pair_on(shards: usize, t: Telemetry) -> (Service, Router) {
         let store = Arc::new(Store::memory(4));
-        let t = Telemetry::new();
         let set = Arc::new(ShardSet::memory(shards, 4, &t).unwrap());
         let mut write = |ns: &str, doc: Document| {
             store.put(ns, doc.clone()).unwrap();
@@ -854,7 +513,7 @@ mod tests {
             );
         }
         let service = Service::new(store, ServiceConfig::default(), Telemetry::new());
-        let router = Router::new(set, RouterConfig::default(), t);
+        let router = Router::new(set, ServiceConfig::default(), t);
         (service, router)
     }
 
@@ -913,7 +572,7 @@ mod tests {
     #[test]
     fn cache_serves_repeat_requests_and_invalidates_on_write() {
         let (_service, router) = seeded_pair(2);
-        let t = router.telemetry.clone();
+        let t = router.surface.telemetry().clone();
         let r1 = router.handle(&Request::get("/stats"));
         let r2 = router.handle(&Request::get("/stats"));
         assert_eq!(r1, r2);
@@ -952,7 +611,7 @@ mod tests {
                 .map(|a| a.len()),
             Some(1)
         );
-        assert!(router.telemetry.counter("shard.router.partial").value() > 0);
+        assert!(router.surface.telemetry().counter("shard.router.partial").value() > 0);
         // Recovery restores byte-identical answers.
         router.set().recover().unwrap();
         for target in &targets {
@@ -970,21 +629,44 @@ mod tests {
 
     #[test]
     fn expired_deadline_yields_partial_not_error() {
-        let (_service, router) = seeded_pair(2);
-        // Warm the global artifacts so /stats is the only fan-out left.
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        // A manual clock: every read advances it by `step` ms, so with
+        // step = 1 a zero budget is already spent when the first leg is
+        // about to be dispatched.
+        let now = Arc::new(AtomicU64::new(0));
+        let step = Arc::new(AtomicU64::new(0));
+        let (service, router) = seeded_pair_on(2, {
+            let (now, step) = (Arc::clone(&now), Arc::clone(&step));
+            Telemetry::with_clock(Arc::new(move || {
+                now.fetch_add(step.load(Ordering::SeqCst), Ordering::SeqCst)
+            }))
+        });
+        // Warm the global artifacts so the ranking is the only fan-out left.
         router.handle(&Request::get("/communities"));
+        let target = "/top/investors?by=degree&k=2";
         let req = Request {
             method: "GET".into(),
-            target: "/top/investors?by=degree&k=2".into(),
+            target: target.into(),
             version: "HTTP/1.1".into(),
             headers: vec![("x-deadline-ms".into(), "0".into())],
             body: Vec::new(),
         };
-        // A zero budget may or may not expire before dispatch on a fast
-        // clock; force it by a second call after real time passes.
-        std::thread::sleep(std::time::Duration::from_millis(3));
+        step.store(1, Ordering::SeqCst);
         let resp = router.handle(&req);
-        assert!(resp.status == 200, "deadline produced a non-200");
+        step.store(0, Ordering::SeqCst);
+        assert_eq!(resp.status, 200, "deadline produced a non-200");
+        let v = Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        assert_eq!(v.get("partial").and_then(Value::as_bool), Some(true));
+        let degraded = v.get("degraded_shards").and_then(Value::as_arr).unwrap();
+        assert!(!degraded.is_empty(), "no shard flagged past the budget");
+        let t = router.surface.telemetry();
+        assert!(t.counter("shard.router.deadline_skips").value() > 0);
+        // The partial answer was not cached: the same target without a
+        // budget gets the full ranking.
+        let full = router.handle(&Request::get(target));
+        assert_eq!(full.body, service.handle(&Request::get(target)).body);
+        assert_eq!(t.counter("serve.cache.hit").value(), 0);
     }
 
     #[test]
@@ -1065,7 +747,7 @@ mod tests {
                 ),
             })
             .unwrap();
-        let router = Router::new(set, RouterConfig::default(), t);
+        let router = Router::new(set, ServiceConfig::default(), t);
         for target in ["/stats", "/top/investors?by=degree&k=3", "/communities"] {
             let resp = router.handle(&Request::get(target));
             assert!(

@@ -192,20 +192,6 @@ impl ShardSet {
         Ok(())
     }
 
-    /// Merged per-namespace stats across the given shards. With every
-    /// shard included this is byte-identical to the unsharded
-    /// `Store::stats`.
-    pub fn merged_stats(
-        &self,
-        include: impl Fn(&Arc<dyn ShardBackend>) -> bool,
-    ) -> Result<Vec<NamespaceStats>, ShardError> {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter().filter(|s| include(s)) {
-            per_shard.push(shard.shard_stats()?);
-        }
-        Ok(merge_stats(per_shard))
-    }
-
     /// Copy every namespace, snapshot and document of `src` into the set,
     /// routing documents through the partitioner and keeping snapshot ids
     /// aligned. Documents arrive in canonical scan order, which preserves
@@ -259,8 +245,8 @@ impl ShardSet {
 
 /// Associative merge of per-shard namespace stats: document and byte
 /// counts sum; snapshot counts agree under lockstep (merged as max so a
-/// recovering shard cannot drag the count down). Shared by the set and
-/// the router's scattered `/stats`.
+/// recovering shard cannot drag the count down). With every shard
+/// included this is byte-identical to the unsharded `Store::stats`.
 pub fn merge_stats(per_shard: impl IntoIterator<Item = Vec<NamespaceStats>>) -> Vec<NamespaceStats> {
     let mut merged: BTreeMap<String, NamespaceStats> = BTreeMap::new();
     for stats in per_shard {
@@ -378,7 +364,7 @@ mod tests {
             set.put(NS, doc(id)).unwrap();
             reference.put(NS, doc(id)).unwrap();
         }
-        let merged = set.merged_stats(|_| true).unwrap();
+        let merged = merge_stats(set.shards().iter().map(|s| s.shard_stats().unwrap()));
         let direct = reference.stats().unwrap();
         assert_eq!(merged.len(), direct.len());
         for (m, d) in merged.iter().zip(&direct) {

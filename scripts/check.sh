@@ -9,6 +9,19 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
+echo "==> perfbench (the benchmark package is not a workspace member: build it and run its --tiny smoke against the crates/* public APIs)"
+# perfbench/ compiles against crates/* but cannot be edited by the PRs it
+# judges, so an API break must be caught here, not by the benchmark
+# pipeline. A rewritten perfbench/Cargo.lock means a crates/* manifest
+# changed its dependency set — that fails the gate too.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+if [ -n "$(git status --porcelain -- perfbench/)" ]; then
+  echo "perfbench: building or testing changed files under perfbench/:" >&2
+  git status --porcelain -- perfbench/ >&2
+  exit 1
+fi
+
 echo "==> crowdnet-lint --workspace (gate + JSON report -> results/lint-report.json)"
 # Exit 1 covers both new violations and stale baseline entries (hardened
 # ratchet). The machine-readable report lands next to the other artifacts;
