@@ -4,7 +4,10 @@
 //! - **Per-leg latency**: p50/p99 of each serializable leg called
 //!   directly on an in-process [`LocalShard`] vs through a
 //!   [`RemoteShard`] over loopback TCP wire frames — the cost of the
-//!   process boundary itself (connect/pool, HTTP framing, JSON codec).
+//!   process boundary itself (connect/pool, HTTP framing, codec) — plus
+//!   the bulk `scan_partitions` reply's **bytes on the wire** (sealed
+//!   column runs behind the envelope), next to what the same slice
+//!   weighed as the JSON document frame it replaced.
 //! - **Scatter sweep** (1/2/4 remote shards): closed-loop wall
 //!   throughput and latency quantiles for cache-busted `/sql` scans
 //!   through the router, every leg of which crosses the wire.
@@ -19,9 +22,9 @@
 
 use crowdnet_core::pipeline::{Pipeline, PipelineConfig};
 use crowdnet_json::{obj, Value};
-use crowdnet_serve::{bind, Request, Server, ServerConfig, TcpHandle};
+use crowdnet_serve::{bind, Request, RequestHandler, Server, ServerConfig, TcpHandle};
 use crowdnet_shard::{LocalShard, Router, RouterConfig, ShardBackend, ShardSet};
-use crowdnet_shardnet::{RemoteShard, RemoteShardConfig, ShardServer};
+use crowdnet_shardnet::{wire, RemoteShard, RemoteShardConfig, ShardServer};
 use crowdnet_socialsim::Clock;
 use crowdnet_store::{SnapshotId, Store};
 use crowdnet_telemetry::Telemetry;
@@ -63,6 +66,7 @@ fn sql_target(nonce: &str) -> String {
 /// The handle keeps the listener alive for as long as the caller holds it.
 struct RemoteLeg {
     remote: Arc<RemoteShard>,
+    handler: Arc<ShardServer>,
     handle: TcpHandle,
 }
 
@@ -79,7 +83,7 @@ fn spawn_shard_server(
     )?);
     let handler = Arc::new(ShardServer::new(shard, &server_telemetry));
     let server = Arc::new(Server::with_handler(
-        handler,
+        Arc::clone(&handler) as Arc<dyn RequestHandler>,
         server_telemetry,
         ServerConfig::default(),
     ));
@@ -90,7 +94,7 @@ fn spawn_shard_server(
         RemoteShardConfig::default(),
         client_telemetry,
     )?);
-    Ok(RemoteLeg { remote, handle })
+    Ok(RemoteLeg { remote, handler, handle })
 }
 
 /// Build a remote deployment over `store`: `shards` shard servers on
@@ -212,6 +216,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "loopback_p99_us" => *rp99,
         });
     }
+
+    // Bytes on the wire for one bulk scan reply (HTTP body: envelope
+    // frame + column runs), and the JSON document frame the same slice
+    // used to travel as.
+    let mut scan_request = Request::get("/shard/scan_partitions");
+    scan_request.method = "POST".into();
+    scan_request.body = wire::encode_frame(&obj! {"ns" => SCAN_NS, "snapshot" => 0u64});
+    let scan_reply_bytes = leg0.handler.handle(&scan_request).body.len() as u64;
+    let scanned = leg0.remote.scan_partitions(SCAN_NS, SnapshotId(0))?;
+    let scan_docs = scanned.iter().map(Vec::len).sum::<usize>() as u64;
+    let json_frame_bytes =
+        wire::encode_frame(&wire::ok_envelope(wire::partitions_to_value(&scanned))).len() as u64;
+    eprintln!(
+        "scan leg on the wire: {scan_reply_bytes} B for {scan_docs} docs \
+         (JSON document frame: {json_frame_bytes} B)"
+    );
     drop(leg0.handle);
 
     // Closed-loop scatter sweep at 1/2/4 remote shards.
@@ -308,6 +328,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "leg_reps" => LEG_REPS as u64,
         "requests_per_client" => REQUESTS_PER_CLIENT as u64,
         "leg_latency" => Value::Arr(leg_values),
+        "scan_leg_wire" => obj! {
+            "docs" => scan_docs,
+            "reply_bytes" => scan_reply_bytes,
+            "reply_bytes_per_doc" => scan_reply_bytes as f64 / scan_docs.max(1) as f64,
+            "json_document_frame_bytes" => json_frame_bytes,
+        },
         "scatter_sweep" => Value::Arr(sweep_rows),
         "degraded" => obj! {
             "shards" => 3u64,

@@ -453,15 +453,21 @@ impl ColumnCatalog {
             .unwrap_or_default()
     }
 
-    fn partition_runs(
+    /// The sealed runs of one snapshot, `[partition][run]` in seal order:
+    /// what [`ColumnCatalog::docs_partitioned`] merges, for callers that
+    /// move the runs themselves instead of decoding them (a shard's bulk
+    /// scan leg ships each partition as [`crate::disk::encode_partition`]
+    /// and the far side feeds [`merge_runs`]).
+    pub fn partition_runs(
         &self,
         ns: &str,
         snap: SnapshotId,
-    ) -> Result<&Vec<Vec<Arc<ColumnRun>>>, ColumnError> {
+    ) -> Result<&[Vec<Arc<ColumnRun>>], ColumnError> {
         self.namespaces
             .get(ns)
             .ok_or_else(|| ColumnError::Missing(format!("namespace {ns:?} not projected")))?
             .get(&snap.0)
+            .map(Vec::as_slice)
             .ok_or_else(|| {
                 ColumnError::Missing(format!("snapshot {} of {ns:?} not projected", snap.0))
             })
@@ -483,7 +489,7 @@ impl ColumnCatalog {
         let parts = self.partition_runs(ns, snap)?;
         let mut out = Vec::with_capacity(self.partitions);
         for runs in parts {
-            out.push(merge_partition_docs(runs)?);
+            out.push(merge_runs(runs)?);
         }
         if let Some(c) = &self.scan_docs {
             c.add(out.iter().map(Vec::len).sum::<usize>() as u64);
@@ -599,7 +605,10 @@ fn merge_pick(runs: &[Arc<ColumnRun>], rows: &[usize]) -> Option<usize> {
     best
 }
 
-fn merge_partition_docs(runs: &[Arc<ColumnRun>]) -> Result<Vec<Document>, ColumnError> {
+/// One partition's documents from its runs: the `(key, run index)` k-way
+/// merge (see module docs), so the output is the partition's canonical
+/// scan order with append order kept among equal keys.
+pub fn merge_runs(runs: &[Arc<ColumnRun>]) -> Result<Vec<Document>, ColumnError> {
     let mut rows: Vec<usize> = vec![0; runs.len()];
     let mut cursors: Vec<(Vec<Cursor>, Cursor)> = runs.iter().map(|r| r.cursors()).collect();
     let total: usize = runs.iter().map(|r| r.rows()).sum();

@@ -17,6 +17,15 @@
 //! All I/O goes through the store's [`Vfs`] handle, so fault injection
 //! covers column commits exactly like it covers log appends.
 //!
+//! ## One partition encoding
+//!
+//! A `part-NNN.col` file is [`encode_partition`] of that partition's
+//! runs — each run's sealed bytes in one CRC frame, in seal order — and
+//! [`decode_partition`] is its only reader. The shard wire ships the same
+//! bytes as the payload of a bulk scan leg (`crowdnet-shardnet`), so a
+//! partition has one serialized form whether it sits on disk or crosses
+//! a socket, and a flipped or missing byte fails the same CRC in both.
+//!
 //! ## Commit protocol
 //!
 //! A save builds the whole tree under `.columns.tmp/`, writes the
@@ -115,10 +124,7 @@ pub fn save(store: &Store, set: &ColumnSet) -> Result<u64, ColumnError> {
                 continue;
             }
             vfs.create_dir_all(&snap_dir)?;
-            let mut file = Vec::new();
-            for run in part_runs {
-                file.extend_from_slice(&frame::encode(&run.encode()));
-            }
+            let file = encode_partition(part_runs);
             bytes_written += file.len() as u64;
             vfs.write_file(&snap_dir.join(format!("part-{p:03}.col")), &file)?;
         }
@@ -286,8 +292,43 @@ pub fn load(
     Ok(set)
 }
 
-/// Read and decode one `.col` file: `want` CRC-framed run payloads.
-/// An absent file with `want == 0` is an empty partition.
+/// One partition's runs as `.col` bytes: each run's sealed payload in
+/// its own CRC frame, in seal order (see module docs).
+pub fn encode_partition(runs: &[Arc<ColumnRun>]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
+        runs.iter().map(|r| frame::HEADER_LEN + r.encoded_len() + 1).sum(),
+    );
+    for run in runs {
+        out.extend_from_slice(&frame::encode(run.sealed_bytes()));
+    }
+    out
+}
+
+/// Inverse of [`encode_partition`]. Zero bytes are an empty partition;
+/// a frame that is torn, broken or fails its CRC, or a payload that is
+/// not a run, is `Corrupt` — never a partial result.
+pub fn decode_partition(bytes: &[u8]) -> Result<Vec<Arc<ColumnRun>>, ColumnError> {
+    let mut runs = Vec::new();
+    let mut offset = 0usize;
+    loop {
+        match frame::step(bytes, offset) {
+            frame::Step::Ok { payload, next } => {
+                let payload = bytes
+                    .get(payload)
+                    .ok_or_else(|| corrupt("frame payload out of range"))?;
+                runs.push(Arc::new(ColumnRun::decode(payload)?));
+                offset = next;
+            }
+            frame::Step::End => return Ok(runs),
+            frame::Step::Corrupt { .. } | frame::Step::Torn | frame::Step::Broken => {
+                return Err(corrupt(format!("bad run frame at byte {offset}")));
+            }
+        }
+    }
+}
+
+/// Read and decode one `.col` file holding `want` runs. An absent file
+/// with `want == 0` is an empty partition.
 fn read_runs(
     vfs: &Arc<dyn Vfs>,
     path: &Path,
@@ -299,24 +340,7 @@ fn read_runs(
         }
         return Err(corrupt(format!("{} missing", path.display())));
     }
-    let bytes = vfs.read(path)?;
-    let mut runs = Vec::with_capacity(want);
-    let mut offset = 0usize;
-    loop {
-        match frame::step(&bytes, offset) {
-            frame::Step::Ok { payload, next } => {
-                let payload = bytes
-                    .get(payload)
-                    .ok_or_else(|| corrupt("frame payload out of range"))?;
-                runs.push(Arc::new(ColumnRun::decode(payload)?));
-                offset = next;
-            }
-            frame::Step::End => break,
-            frame::Step::Corrupt { .. } | frame::Step::Torn | frame::Step::Broken => {
-                return Err(corrupt(format!("bad frame in {}", path.display())));
-            }
-        }
-    }
+    let runs = decode_partition(&vfs.read(path)?)?;
     if runs.len() != want {
         return Err(corrupt(format!(
             "{}: {} runs on disk, manifest says {want}",
@@ -512,6 +536,47 @@ mod tests {
                 .unwrap()
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn partition_bytes_round_trip_and_reject_damage() {
+        let docs = |ids: std::ops::Range<usize>| -> Vec<Document> {
+            ids.map(|i| Document::new(format!("user:{i:03}"), obj! {"id" => i as u64}))
+                .collect()
+        };
+        // Two runs with an overlapping key: the second run re-appends it.
+        let runs = vec![
+            Arc::new(ColumnRun::from_docs(&docs(0..6), false)),
+            Arc::new(ColumnRun::from_docs(&docs(4..9), false)),
+        ];
+        let bytes = encode_partition(&runs);
+        let back = decode_partition(&bytes).unwrap();
+        assert_eq!(back.len(), 2);
+        for (a, b) in runs.iter().zip(&back) {
+            assert_eq!(a.sealed_bytes(), b.sealed_bytes());
+        }
+        assert_eq!(
+            crate::merge_runs(&back).unwrap(),
+            crate::merge_runs(&runs).unwrap()
+        );
+        assert_eq!(encode_partition(&back), bytes);
+        // No runs ⇔ no bytes.
+        assert!(encode_partition(&[]).is_empty());
+        assert!(decode_partition(&[]).unwrap().is_empty());
+        // Every strict prefix that cuts into a frame is an error (a cut
+        // on the frame boundary is simply a shorter, valid partition).
+        let first_frame = frame::HEADER_LEN + runs[0].encoded_len() + 1;
+        for cut in 1..bytes.len() {
+            if cut != first_frame {
+                assert!(decode_partition(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+        }
+        // A flipped byte anywhere fails the frame walk or the CRC.
+        for at in 0..bytes.len() {
+            let mut damaged = bytes.clone();
+            damaged[at] ^= 0x20;
+            assert!(decode_partition(&damaged).is_err(), "flip at {at}");
+        }
     }
 
     #[test]

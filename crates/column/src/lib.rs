@@ -36,8 +36,10 @@ pub mod error;
 pub mod run;
 mod varint;
 
-pub use catalog::{ColumnCatalog, ColumnConfig, ColumnSet, ColumnStats, EDGE_NAMESPACE};
+pub use catalog::{
+    merge_runs, ColumnCatalog, ColumnConfig, ColumnSet, ColumnStats, EDGE_NAMESPACE,
+};
 pub use dict::Dict;
-pub use disk::{load, open_or_rebuild, save, COLUMNS_DIR};
+pub use disk::{decode_partition, encode_partition, load, open_or_rebuild, save, COLUMNS_DIR};
 pub use error::ColumnError;
 pub use run::{investor_edges, ColumnRun};

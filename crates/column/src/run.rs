@@ -310,7 +310,10 @@ pub struct ColumnRun {
     fields: Vec<(u32, FieldColumn)>,
     scalars: FieldColumn,
     edges: Option<EdgeSegment>,
-    encoded_len: usize,
+    /// The run's serialized form, kept from the one encode at seal time
+    /// (or from the bytes it was decoded from): what `.col` files and
+    /// the shard wire both carry, CRC-framed.
+    sealed: Vec<u8>,
 }
 
 impl ColumnRun {
@@ -379,9 +382,9 @@ impl ColumnRun {
             fields,
             scalars,
             edges,
-            encoded_len: 0,
+            sealed: Vec::new(),
         };
-        run.encoded_len = run.encode().len();
+        run.sealed = run.encode();
         run
     }
 
@@ -456,7 +459,13 @@ impl ColumnRun {
 
     /// Size of this run's wire encoding in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.encoded_len
+        self.sealed.len()
+    }
+
+    /// The sealed payload: [`ColumnRun::decode`] of these bytes yields
+    /// this run. Callers frame it (see [`crate::disk::encode_partition`]).
+    pub fn sealed_bytes(&self) -> &[u8] {
+        &self.sealed
     }
 
     pub(crate) fn edge_segment(&self) -> Option<&EdgeSegment> {
@@ -476,8 +485,9 @@ impl ColumnRun {
         Some(FieldReader { run: self, idx, shape_has: has, cur: Cursor::default() })
     }
 
-    /// Serialize into one contiguous payload (framed by the caller).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize into one contiguous payload. Runs once per run, at seal
+    /// time; everything after reads [`ColumnRun::sealed_bytes`].
+    fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.rows * 8);
         buf.extend_from_slice(MAGIC);
         buf.push(FORMAT);
@@ -590,8 +600,10 @@ impl ColumnRun {
                 let mut pairs = Vec::with_capacity(np.min(1 << 20));
                 let (mut pi, mut pc) = (0i64, 0i64);
                 for _ in 0..np {
-                    pi += get_i64(buf, &mut pos).ok_or_else(|| corrupt("investor delta"))?;
-                    pc += get_i64(buf, &mut pos).ok_or_else(|| corrupt("company delta"))?;
+                    let di = get_i64(buf, &mut pos).ok_or_else(|| corrupt("investor delta"))?;
+                    let dc = get_i64(buf, &mut pos).ok_or_else(|| corrupt("company delta"))?;
+                    pi = pi.checked_add(di).ok_or_else(|| corrupt("investor id range"))?;
+                    pc = pc.checked_add(dc).ok_or_else(|| corrupt("company id range"))?;
                     let inv = u32::try_from(pi).map_err(|_| corrupt("investor id range"))?;
                     let comp = u32::try_from(pc).map_err(|_| corrupt("company id range"))?;
                     pairs.push((inv, comp));
@@ -623,7 +635,7 @@ impl ColumnRun {
             fields,
             scalars,
             edges,
-            encoded_len: buf.len(),
+            sealed: buf.to_vec(),
         })
     }
 }
@@ -711,11 +723,26 @@ mod tests {
         let run = ColumnRun::from_docs(&docs, true);
         assert_eq!(run.decode_docs().unwrap(), docs);
         // And through the wire encoding.
-        let bytes = run.encode();
-        let back = ColumnRun::decode(&bytes).unwrap();
+        let bytes = run.sealed_bytes();
+        let back = ColumnRun::decode(bytes).unwrap();
         assert_eq!(back.decode_docs().unwrap(), docs);
         assert_eq!(back.rows(), docs.len());
         assert_eq!(back.encoded_len(), bytes.len());
+    }
+
+    #[test]
+    fn sealed_bytes_are_the_one_encoding() {
+        for build_edges in [true, false] {
+            let run = ColumnRun::from_docs(&sample_docs(), build_edges);
+            assert_eq!(run.encoded_len(), run.sealed_bytes().len());
+            // The bytes kept at seal time are what a fresh encode yields,
+            // and a decoded run re-encodes to the bytes it came from —
+            // so save and the wire can copy them instead of encoding.
+            assert_eq!(run.encode(), run.sealed_bytes());
+            let back = ColumnRun::decode(run.sealed_bytes()).unwrap();
+            assert_eq!(back.sealed_bytes(), run.sealed_bytes());
+            assert_eq!(back.encode(), run.sealed_bytes());
+        }
     }
 
     #[test]
@@ -740,7 +767,7 @@ mod tests {
     #[test]
     fn truncated_run_is_corrupt_not_panic() {
         let docs = sample_docs();
-        let bytes = ColumnRun::from_docs(&docs, true).encode();
+        let bytes = ColumnRun::from_docs(&docs, true).sealed_bytes().to_vec();
         for cut in 0..bytes.len() {
             assert!(ColumnRun::decode(&bytes[..cut]).is_err());
         }

@@ -208,6 +208,16 @@ impl IngestEngine {
         self.columns.as_ref().map(ColumnSet::catalog)
     }
 
+    /// Seal the pending column appends into runs and return the catalog
+    /// over everything sealed so far, when the projection is enabled —
+    /// the one place an engine's pending buffers empty. Every consumer
+    /// that freezes the engine's state into an epoch calls it:
+    /// [`IngestEngine::publish`] here, a shard's epoch refresh in
+    /// `crowdnet-shard`.
+    pub fn seal_columns(&mut self) -> Option<Arc<ColumnCatalog>> {
+        self.columns.as_mut().map(ColumnSet::seal)
+    }
+
     /// Rebuild every maintainer from a full store scan at the current
     /// version, then adopt that version as the applied watermark. This is
     /// both initial bootstrap and the overflow-recovery path; buffered
@@ -474,7 +484,7 @@ impl IngestEngine {
         // catalog in the same swap as the artifacts, and persist it next
         // to the JSON log (a no-op for memory stores). A failed save never
         // fails the publish: the projection is derived and rebuildable.
-        let catalog = self.columns.as_mut().map(ColumnSet::seal);
+        let catalog = self.seal_columns();
         if let Some(svc) = service {
             if let Some(catalog) = &catalog {
                 svc.install_columns(Arc::clone(catalog));

@@ -39,6 +39,12 @@ pub mod error;
 pub mod live;
 pub mod maintain;
 
+/// The projection crate whose [`ColumnSet`](column::ColumnSet) the engine
+/// maintains and seals, under the engine's own name so a tier that
+/// freezes engine state into epochs (`crowdnet-shard`) names the catalog
+/// and run types of [`IngestEngine::seal_columns`] without a dependency
+/// edge of its own.
+pub use crowdnet_column as column;
 pub use engine::{DrainReport, IngestConfig, IngestEngine};
 pub use error::IngestError;
 pub use live::{run_live, DayOutcome, LiveConfig};

@@ -8,7 +8,8 @@
 //! `submit`, `recover` — every one a plain request/response exchange over
 //! owned data, so the same seam is implemented by the in-process
 //! [`LocalShard`] and by `crowdnet-shardnet`'s `RemoteShard`, which puts
-//! each leg on the wire as a length-prefixed JSON frame. The router never
+//! each leg on the wire as a length-prefixed JSON frame (and the bulk
+//! scan's payload as the sealed column runs behind one). The router never
 //! touches a shard's `Store` directly.
 //!
 //! The in-process [`LocalShard`] owns:
@@ -17,7 +18,9 @@
 //!   injection reaches every shard file);
 //! * an [`IngestEngine`] subscribed to that store's changefeed, drained
 //!   lazily to publish per-shard [`ShardEpoch`]s — the immutable
-//!   graph + entity view the read legs answer from;
+//!   graph + entity + sealed-column view every read leg answers from,
+//!   bulk scans included (the refresh is also what seals the engine's
+//!   pending column appends, so they never outlive one epoch);
 //! * a persistent executor thread fed by a **bounded** channel
 //!   ([`ShardBackend::offload`]), so N shards give a fan-out query N-way
 //!   parallelism without per-request thread spawns (when the queue is
@@ -32,11 +35,12 @@
 use crate::error::ShardError;
 use crowdnet_graph::fxhash::FxHashMap;
 use crowdnet_graph::BipartiteGraph;
+use crowdnet_ingest::column::{merge_runs, ColumnCatalog, ColumnRun};
 use crowdnet_ingest::{IngestConfig, IngestEngine};
 use crowdnet_json::Value;
 use crowdnet_serve::router::rank_investors;
 use crowdnet_store::store::NamespaceStats;
-use crowdnet_store::{Document, SnapshotId, Store, Vfs};
+use crowdnet_store::{Document, SnapshotId, Store, StoreError, Vfs};
 use crowdnet_telemetry::{Counter, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
@@ -93,8 +97,9 @@ impl ShardHealth {
 }
 
 /// An immutable per-shard view at one store version: the shard's slice of
-/// the investment graph plus its entity documents. Cheap to share
-/// (`Arc`), replaced wholesale when the shard's store moves.
+/// the investment graph, its entity documents and the sealed column runs
+/// of everything it stores. Cheap to share (`Arc`), replaced wholesale
+/// when the shard's store moves.
 pub struct ShardEpoch {
     /// Store version the epoch is consistent at.
     pub version: u64,
@@ -103,6 +108,34 @@ pub struct ShardEpoch {
     pub graph: BipartiteGraph,
     /// `"company:{id}"` / `"user:{id}"` → document body.
     pub entities: FxHashMap<String, Value>,
+    /// Every `(namespace, snapshot)` of the shard's store as sealed
+    /// column runs at `version` — the source of the `scan_partitions`
+    /// leg, in process and on the wire.
+    pub columns: Arc<ColumnCatalog>,
+}
+
+impl ShardEpoch {
+    /// The sealed runs behind a `scan_partitions` leg, `[partition][run]`
+    /// in seal order; merging each partition's runs by `(key, run index)`
+    /// is [`Store::scan_partitions`] at the epoch's version, and absence
+    /// fails with the store's own variants — the router's lockstep rule
+    /// reads a missing namespace off `NamespaceNotFound`.
+    pub fn scan_runs(
+        &self,
+        ns: &str,
+        snapshot: SnapshotId,
+    ) -> Result<&[Vec<Arc<ColumnRun>>], ShardError> {
+        self.columns.partition_runs(ns, snapshot).map_err(|_| {
+            ShardError::Store(if self.columns.snapshots(ns).is_empty() {
+                StoreError::NamespaceNotFound(ns.to_string())
+            } else {
+                StoreError::SnapshotNotFound {
+                    namespace: ns.to_string(),
+                    snapshot: snapshot.0,
+                }
+            })
+        })
+    }
 }
 
 /// Summary of a shard's current epoch: the `epoch_meta` leg's reply, and
@@ -244,12 +277,12 @@ impl LocalShard {
         store: Arc<Store>,
         telemetry: &Telemetry,
     ) -> Result<LocalShard, ShardError> {
-        let engine = IngestEngine::new(
+        let mut engine = IngestEngine::new(
             Arc::clone(&store),
             IngestConfig::default(),
             telemetry.clone(),
         )?;
-        let epoch = Arc::new(snapshot_epoch(&engine));
+        let epoch = Arc::new(snapshot_epoch(&mut engine)?);
         let (tx, rx) = sync_channel::<Job>(EXEC_QUEUE);
         let thread = std::thread::Builder::new()
             .name(format!("shard-exec-{index}"))
@@ -292,20 +325,34 @@ impl LocalShard {
         // concurrent readers without blocking them on the drain.
         let mut engine = self.engine.lock();
         engine.drain()?;
-        let fresh = Arc::new(snapshot_epoch(&engine));
+        let fresh = Arc::new(snapshot_epoch(&mut engine)?);
         *self.epoch.write() = Arc::clone(&fresh);
         self.refreshes.inc();
         Ok(fresh)
     }
 }
 
-/// Freeze the engine's maintained state into an immutable epoch.
-fn snapshot_epoch(engine: &IngestEngine) -> ShardEpoch {
-    ShardEpoch {
+/// Freeze the engine's maintained state into an immutable epoch, sealing
+/// the column appends that arrived since the last one.
+fn snapshot_epoch(engine: &mut IngestEngine) -> Result<ShardEpoch, ShardError> {
+    let columns = engine
+        .seal_columns()
+        .ok_or_else(|| projection_error("the shard's ingest engine keeps no column projection"))?;
+    Ok(ShardEpoch {
         version: engine.applied_version(),
         graph: engine.graph().graph().clone(),
         entities: engine.entities().clone_map(),
-    }
+        columns,
+    })
+}
+
+/// The shard's own projection failed it — a local data fault like a
+/// corrupt log line, so a store error, not a transport one.
+fn projection_error(what: impl std::fmt::Display) -> ShardError {
+    ShardError::Store(StoreError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("column projection: {what}"),
+    )))
 }
 
 impl ShardBackend for LocalShard {
@@ -338,7 +385,11 @@ impl ShardBackend for LocalShard {
         ns: &str,
         snapshot: SnapshotId,
     ) -> Result<Vec<Vec<Document>>, ShardError> {
-        Ok(self.store.scan_partitions(ns, snapshot)?)
+        self.epoch()?
+            .scan_runs(ns, snapshot)?
+            .iter()
+            .map(|runs| merge_runs(runs).map_err(projection_error))
+            .collect()
     }
 
     fn entity_docs(&self, keys: &[String]) -> Result<Vec<Option<Value>>, ShardError> {
@@ -418,7 +469,7 @@ impl ShardBackend for LocalShard {
         self.store.recover()?;
         let mut engine = self.engine.lock();
         engine.catch_up()?;
-        let fresh = Arc::new(snapshot_epoch(&engine));
+        let fresh = Arc::new(snapshot_epoch(&mut engine)?);
         *self.epoch.write() = fresh;
         drop(engine);
         self.set_health(ShardHealth::Healthy);
@@ -507,6 +558,83 @@ mod tests {
         let stats = shard.shard_stats().unwrap();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].documents, 1);
+    }
+
+    fn put(shard: &LocalShard, ns: &str, key: &str, body: Value) {
+        shard
+            .submit(&WriteOp::Put {
+                ns: ns.into(),
+                doc: Document::new(key, body),
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn every_refresh_seals_the_pending_columns_and_scans_match_the_store() {
+        let t = Telemetry::new();
+        let shard = LocalShard::open_memory(0, 2, &t).unwrap();
+        let ns = "journal/daily";
+        for day in 0..6u64 {
+            put(&shard, ns, &format!("day:{day}"), obj! {"day" => day, "rev" => 0u64});
+        }
+        // Appends wait in the engine's pending buffers until an epoch
+        // refresh seals them — and no longer than that.
+        shard.epoch().unwrap();
+        let pending = |shard: &LocalShard| {
+            shard.engine.lock().columns().map(|c| c.pending_docs())
+        };
+        assert_eq!(pending(&shard), Some(0));
+        let check = |snap: u32| {
+            assert_eq!(
+                shard.scan_partitions(ns, SnapshotId(snap)).unwrap(),
+                shard.store().scan_partitions(ns, SnapshotId(snap)).unwrap(),
+                "snapshot {snap}"
+            );
+        };
+        check(0);
+        // A re-appended key lands in a second run; the merge must keep
+        // both versions in append order.
+        put(&shard, ns, "day:3", obj! {"day" => 3u64, "rev" => 1u64});
+        check(0);
+        assert_eq!(pending(&shard), Some(0));
+        // A rolled snapshot scans on its own, and snapshot 0 stays put.
+        assert_eq!(shard.submit(&WriteOp::NewSnapshot { ns: ns.into() }).unwrap().snapshot, 1);
+        put(&shard, ns, "day:3", obj! {"day" => 3u64, "rev" => 2u64});
+        put(&shard, ns, "day:9", obj! {"day" => 9u64, "rev" => 0u64});
+        check(1);
+        check(0);
+        assert_eq!(pending(&shard), Some(0));
+        // The scan leg answers from the same epoch as every other leg.
+        assert_eq!(shard.epoch().unwrap().columns.version(), shard.store().version());
+    }
+
+    #[test]
+    fn scan_errors_mirror_the_store() {
+        let t = Telemetry::new();
+        let shard = LocalShard::open_memory(0, 2, &t).unwrap();
+        put(&shard, "journal/daily", "day:1", obj! {"day" => 1u64});
+        match shard.scan_partitions("ghost", SnapshotId(0)) {
+            Err(ShardError::Store(StoreError::NamespaceNotFound(ns))) => assert_eq!(ns, "ghost"),
+            other => panic!("unknown namespace answered {other:?}"),
+        }
+        match shard.scan_partitions("journal/daily", SnapshotId(7)) {
+            Err(ShardError::Store(StoreError::SnapshotNotFound { namespace, snapshot })) => {
+                assert_eq!((namespace.as_str(), snapshot), ("journal/daily", 7));
+            }
+            other => panic!("unknown snapshot answered {other:?}"),
+        }
+        // Present but empty: a namespace created for lockstep, and a
+        // snapshot rolled before its first append.
+        shard
+            .submit(&WriteOp::EnsureNamespace { ns: "angellist/users".into() })
+            .unwrap();
+        shard
+            .submit(&WriteOp::NewSnapshot { ns: "journal/daily".into() })
+            .unwrap();
+        for (ns, snap) in [("angellist/users", 0), ("journal/daily", 1)] {
+            let parts = shard.scan_partitions(ns, SnapshotId(snap)).unwrap();
+            assert_eq!(parts, vec![Vec::new(), Vec::new()], "{ns}[{snap}]");
+        }
     }
 
     #[test]

@@ -42,6 +42,10 @@ pub mod set;
 pub use backend::{
     EpochMeta, Job, LocalShard, ShardBackend, ShardEpoch, ShardHealth, WriteAck, WriteOp,
 };
+/// The projection crate behind [`ShardEpoch::columns`], re-exported so the
+/// wire tier (`crowdnet-shardnet`) frames and decodes the same run types
+/// the scan leg is defined over.
+pub use crowdnet_ingest::column;
 pub use error::ShardError;
 pub use partitioner::Partitioner;
 pub use crowdnet_serve::ServiceConfig as RouterConfig;

@@ -154,6 +154,7 @@ pub struct RemoteShard {
     reuse_hits: Counter,
     stale_retries: Counter,
     degraded_flips: Counter,
+    malformed: Counter,
 }
 
 impl RemoteShard {
@@ -208,6 +209,7 @@ impl RemoteShard {
             reuse_hits: telemetry.counter("shardnet.pool.reuse_hits"),
             stale_retries: telemetry.counter("shardnet.pool.stale_retries"),
             degraded_flips: telemetry.counter("shardnet.degraded_flips"),
+            malformed: telemetry.counter("shardnet.frames.malformed"),
             cfg,
         })
     }
@@ -239,9 +241,28 @@ impl RemoteShard {
 
     // ---- exchange machinery -------------------------------------------
 
-    /// Run one leg with the full failure discipline; records latency and
-    /// feeds the breaker with the outcome.
+    /// Run one control leg: its reply is the envelope frame and nothing
+    /// else.
     fn call(&self, leg: &'static str, params: Value, idempotent: bool) -> Result<Value, ShardError> {
+        let (result, tail) = self.call_bulk(leg, params, idempotent)?;
+        if !tail.is_empty() {
+            return Err(ShardError::Protocol(format!(
+                "{leg} reply carries {} byte(s) after its envelope",
+                tail.len()
+            )));
+        }
+        Ok(result)
+    }
+
+    /// Run one leg with the full failure discipline; records latency and
+    /// feeds the breaker with the outcome. Returns the envelope's result
+    /// and whatever followed the envelope frame (a bulk leg's payload).
+    fn call_bulk(
+        &self,
+        leg: &'static str,
+        params: Value,
+        idempotent: bool,
+    ) -> Result<(Value, Vec<u8>), ShardError> {
         self.legs.inc();
         let started = self.telemetry.now_ms();
         let result = self.call_with_retries(leg, &params, idempotent);
@@ -263,7 +284,7 @@ impl RemoteShard {
         leg: &str,
         params: &Value,
         idempotent: bool,
-    ) -> Result<Value, ShardError> {
+    ) -> Result<(Value, Vec<u8>), ShardError> {
         let attempts = if idempotent {
             self.cfg.retries.saturating_add(1)
         } else {
@@ -300,7 +321,9 @@ impl RemoteShard {
                 // errors must not be retried into double execution, and
                 // retrying a frame the server called malformed cannot
                 // change the answer.
-                Ok(envelope) => return wire::open_envelope(envelope),
+                Ok((envelope, tail)) => {
+                    return wire::open_envelope(envelope).map(|result| (result, tail))
+                }
                 Err(reason) => last = reason,
             }
         }
@@ -319,8 +342,9 @@ impl RemoteShard {
     }
 
     /// One transport attempt: pooled connection first (with a free
-    /// stale-retry on a fresh one), then decode the reply frame.
-    fn exchange_envelope(&self, leg: &str, params: &Value) -> Result<Value, String> {
+    /// stale-retry on a fresh one), then decode the reply's envelope
+    /// frame and hand back the bytes behind it.
+    fn exchange_envelope(&self, leg: &str, params: &Value) -> Result<(Value, Vec<u8>), String> {
         let frame = wire::encode_frame(params);
         // Pop as its own statement: an `if let` on `self.pool.lock().pop()`
         // would hold the pool guard across the exchange — and deadlock
@@ -395,8 +419,13 @@ impl RemoteShard {
     }
 
     /// Pool the connection if the server kept it open, then unwrap the
-    /// HTTP layer down to the reply frame.
-    fn finish(&self, conn: Box<dyn Conn>, resp: WireResponse) -> Result<Value, String> {
+    /// HTTP layer down to the reply's envelope frame and the bytes that
+    /// follow it.
+    fn finish(
+        &self,
+        conn: Box<dyn Conn>,
+        resp: WireResponse,
+    ) -> Result<(Value, Vec<u8>), String> {
         if resp.status != 200 {
             return Err(format!("shard server answered http {}", resp.status));
         }
@@ -406,7 +435,10 @@ impl RemoteShard {
                 pool.push(conn);
             }
         }
-        wire::decode_frame(&resp.body)
+        let mut body = resp.body;
+        let (envelope, tail) = wire::split_frame(&body)?;
+        let tail_at = body.len() - tail.len();
+        Ok((envelope, body.split_off(tail_at)))
     }
 
     // ---- health accounting --------------------------------------------
@@ -498,12 +530,17 @@ impl ShardBackend for RemoteShard {
         ns: &str,
         snapshot: SnapshotId,
     ) -> Result<Vec<Vec<crowdnet_store::Document>>, ShardError> {
-        let v = self.call(
+        let (result, runs) = self.call_bulk(
             "scan_partitions",
             obj! {"ns" => ns, "snapshot" => u64::from(snapshot.0)},
             true,
         )?;
-        wire::partitions_from_value(&v).map_err(ShardError::Protocol)
+        // Runs → documents here, on the leg's own thread: the router
+        // receives exactly what a `LocalShard` would have handed it.
+        wire::decode_scan_reply(&result, &runs).map_err(|reason| {
+            self.malformed.inc();
+            ShardError::Protocol(reason)
+        })
     }
 
     fn entity_docs(&self, keys: &[String]) -> Result<Vec<Option<Value>>, ShardError> {
@@ -632,13 +669,27 @@ mod tests {
 
     #[test]
     fn logical_errors_propagate_without_degrading() {
+        use crowdnet_store::StoreError;
         let t = Telemetry::new();
-        let (handle, _shard) = serve_shard(&t);
+        let (handle, shard) = serve_shard(&t);
         let remote = client(handle.addr(), &t);
         match remote.scan_partitions("ghost", SnapshotId(0)) {
-            Err(e) => assert!(!e.is_transport(), "logical error degraded the shard: {e}"),
-            Ok(v) => panic!("missing namespace scanned: {v:?}"),
+            Err(ShardError::Store(StoreError::NamespaceNotFound(ns))) => assert_eq!(ns, "ghost"),
+            other => panic!("missing namespace answered {other:?}"),
         }
+        match remote.scan_partitions("angellist/users", SnapshotId(5)) {
+            Err(ShardError::Store(StoreError::SnapshotNotFound { snapshot: 5, .. })) => {}
+            other => panic!("missing snapshot answered {other:?}"),
+        }
+        // A snapshot that exists but holds nothing is an answer, not an
+        // error: every partition present and empty.
+        shard
+            .submit(&WriteOp::NewSnapshot { ns: "angellist/users".into() })
+            .unwrap();
+        assert_eq!(
+            remote.scan_partitions("angellist/users", SnapshotId(1)).unwrap(),
+            vec![Vec::new(); 4]
+        );
         assert_eq!(remote.health(), ShardHealth::Healthy);
         assert_eq!(remote.breaker_state(), BreakerState::Closed);
         handle.shutdown();

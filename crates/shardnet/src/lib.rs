@@ -10,7 +10,9 @@
 //! * [`wire`] — the leg wire protocol: 4-byte length-prefixed JSON
 //!   frames, an `{"ok":…}` reply envelope whose logical errors
 //!   (`namespace_not_found`, `snapshot_not_found`) round-trip with
-//!   structure, and a defensive client-side HTTP response parser.
+//!   structure, the bulk scan reply (envelope, then each partition's
+//!   sealed column runs as CRC-framed `.col` bytes), and a defensive
+//!   client-side HTTP response parser.
 //! * [`ShardServer`] — a `RequestHandler` serving a [`LocalShard`]'s
 //!   legs as `POST /shard/<leg>` through the crowdnet-serve front end,
 //!   inheriting its admission control and bounded keep-alive.

@@ -5,7 +5,9 @@
 //! single-store `Service`, so the out-of-process tier inherits the front
 //! end's admission control, deadlines, read timeouts and bounded
 //! keep-alive for free. Every leg is `POST /shard/<leg>` with a wire
-//! frame (see [`wire`](crate::wire)) in both directions.
+//! frame (see [`wire`](crate::wire)) in both directions; the bulk
+//! `scan_partitions` reply carries the epoch's sealed column runs behind
+//! its frame instead of documents inside it.
 //!
 //! Leg calls always answer HTTP 200 — logical failures travel inside the
 //! `{"ok":false,…}` envelope so the client can tell "the shard ran the
@@ -51,42 +53,48 @@ impl ShardServer {
         &self.shard
     }
 
-    /// Decode the request frame, run the leg, wrap the outcome. All
+    /// Decode the request frame, run the leg, build the reply body. All
     /// failure routes produce an envelope; nothing here may panic.
-    fn run_leg(&self, leg: &str, body: &[u8]) -> Value {
+    fn run_leg(&self, leg: &str, body: &[u8]) -> Vec<u8> {
         let params = match wire::decode_frame(body) {
             Ok(v) => v,
             Err(e) => {
                 self.malformed.inc();
                 self.errors.inc();
-                return wire::err_envelope(&ShardError::Protocol(format!(
+                return wire::encode_frame(&wire::err_envelope(&ShardError::Protocol(format!(
                     "malformed request frame: {e}"
-                )));
+                ))));
             }
         };
-        match self.dispatch(leg, &params) {
-            Ok(result) => wire::ok_envelope(result),
-            Err(e) => {
-                self.errors.inc();
-                if matches!(e, ShardError::Protocol(_)) {
-                    self.malformed.inc();
-                }
-                wire::err_envelope(&e)
+        let reply = match leg {
+            "scan_partitions" => self.scan_reply(&params),
+            _ => self
+                .dispatch(leg, &params)
+                .map(|result| wire::encode_frame(&wire::ok_envelope(result))),
+        };
+        reply.unwrap_or_else(|e| {
+            self.errors.inc();
+            if matches!(e, ShardError::Protocol(_)) {
+                self.malformed.inc();
             }
-        }
+            wire::encode_frame(&wire::err_envelope(&e))
+        })
     }
 
-    /// Route one leg name to the backend call it names.
+    /// The bulk leg: the current epoch's sealed runs for the snapshot,
+    /// shipped as they are — no document is decoded on this side.
+    fn scan_reply(&self, params: &Value) -> Result<Vec<u8>, ShardError> {
+        let ns = str_param(params, "ns")?;
+        let snapshot = u64_param(params, "snapshot")? as u32;
+        let epoch = self.shard.epoch()?;
+        Ok(wire::encode_scan_reply(epoch.scan_runs(ns, SnapshotId(snapshot))?))
+    }
+
+    /// Route one control leg name to the backend call it names.
     fn dispatch(&self, leg: &str, params: &Value) -> Result<Value, ShardError> {
         let backend: &dyn ShardBackend = self.shard.as_ref();
         match leg {
             "epoch_meta" => Ok(wire::meta_to_value(&backend.epoch_meta()?)),
-            "scan_partitions" => {
-                let ns = str_param(params, "ns")?;
-                let snapshot = u64_param(params, "snapshot")? as u32;
-                let parts = backend.scan_partitions(ns, SnapshotId(snapshot))?;
-                Ok(wire::partitions_to_value(&parts))
-            }
             "entity_docs" => {
                 let keys = params
                     .get("keys")
@@ -165,11 +173,10 @@ impl RequestHandler for ShardServer {
             self.errors.inc();
             return Response::error(405, "legs are POST-only");
         }
-        let envelope = self.run_leg(leg, &req.body);
         Response {
             status: 200,
             headers: Vec::new(),
-            body: wire::encode_frame(&envelope),
+            body: self.run_leg(leg, &req.body),
         }
     }
 }
@@ -194,13 +201,18 @@ mod tests {
         server
     }
 
-    fn leg(server: &ShardServer, leg: &str, params: Value) -> Value {
+    /// Raw reply body of one leg call.
+    fn leg_body(server: &ShardServer, leg: &str, params: Value) -> Vec<u8> {
         let mut req = Request::get(&format!("/shard/{leg}"));
         req.method = "POST".into();
         req.body = wire::encode_frame(&params);
         let resp = server.handle(&req);
         assert_eq!(resp.status, 200, "leg {leg} answered {}", resp.status);
-        wire::decode_frame(&resp.body).unwrap()
+        resp.body
+    }
+
+    fn leg(server: &ShardServer, leg: &str, params: Value) -> Value {
+        wire::decode_frame(&leg_body(server, leg, params)).unwrap()
     }
 
     #[test]
@@ -210,14 +222,20 @@ mod tests {
         let meta = wire::meta_from_value(&meta).unwrap();
         assert_eq!(meta.index, 1);
 
-        let parts = wire::open_envelope(leg(
+        // The bulk leg: envelope frame first, column runs behind it.
+        let body = leg_body(
             &s,
             "scan_partitions",
             obj! {"ns" => "angellist/users", "snapshot" => 0u64},
-        ))
-        .unwrap();
-        let parts = wire::partitions_from_value(&parts).unwrap();
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1);
+        );
+        let (envelope, tail) = wire::split_frame(&body).unwrap();
+        assert!(!tail.is_empty(), "scan reply carries no column bytes");
+        let parts =
+            wire::decode_scan_reply(&wire::open_envelope(envelope).unwrap(), tail).unwrap();
+        assert_eq!(
+            parts,
+            s.shard().store().scan_partitions("angellist/users", SnapshotId(0)).unwrap()
+        );
 
         let docs = wire::open_envelope(leg(
             &s,
@@ -237,6 +255,31 @@ mod tests {
             Err(e) => assert!(!e.is_transport(), "namespace miss became transport: {e}"),
             Ok(v) => panic!("missing namespace answered ok: {v:?}"),
         }
+    }
+
+    #[test]
+    fn scan_errors_keep_their_variant_and_empty_snapshots_answer_ok() {
+        use crowdnet_store::StoreError;
+        let s = server();
+        let scan = |ns: &str, snapshot: u64| {
+            let body = leg_body(&s, "scan_partitions", obj! {"ns" => ns, "snapshot" => snapshot});
+            let (envelope, tail) = wire::split_frame(&body).unwrap();
+            wire::open_envelope(envelope)
+                .map(|result| wire::decode_scan_reply(&result, tail).unwrap())
+        };
+        match scan("ghost", 0) {
+            Err(ShardError::Store(StoreError::NamespaceNotFound(ns))) => assert_eq!(ns, "ghost"),
+            other => panic!("unknown namespace answered {other:?}"),
+        }
+        match scan("angellist/users", 3) {
+            Err(ShardError::Store(StoreError::SnapshotNotFound { snapshot: 3, .. })) => {}
+            other => panic!("unknown snapshot answered {other:?}"),
+        }
+        // Rolled but never written: present, empty, and not an error.
+        s.shard()
+            .submit(&WriteOp::NewSnapshot { ns: "angellist/users".into() })
+            .unwrap();
+        assert_eq!(scan("angellist/users", 1).unwrap(), vec![Vec::new(); 4]);
     }
 
     #[test]

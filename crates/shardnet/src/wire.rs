@@ -1,12 +1,28 @@
-//! The leg wire format: length-prefixed JSON frames inside HTTP bodies.
+//! The leg wire format: length-prefixed JSON frames inside HTTP bodies,
+//! and — for the one bulk leg — sealed column runs behind them.
 //!
 //! Every [`ShardBackend`](crowdnet_shard::ShardBackend) leg crosses the
 //! wire as one `POST /shard/<leg>` exchange. Both the request body and
-//! the response body are a **frame**: a 4-byte big-endian length prefix
-//! followed by exactly that many bytes of UTF-8 JSON. The prefix makes
-//! truncation detectable (a frame shorter than its header claims is
-//! malformed, not silently partial) and leaves room to grow the envelope
-//! without renegotiating HTTP framing.
+//! the response body start with a **frame**: a 4-byte big-endian length
+//! prefix followed by exactly that many bytes of UTF-8 JSON. The prefix
+//! makes truncation detectable (a frame shorter than its header claims
+//! is malformed, not silently partial) and leaves room to grow the
+//! envelope without renegotiating HTTP framing.
+//!
+//! For the control legs (`epoch_meta`, `entity_docs`, the edge and top-k
+//! legs, `shard_stats`, `submit`, `recover`) that frame is the whole
+//! body. A successful `scan_partitions` reply continues after it: the
+//! envelope's result lists one byte length per partition, and the rest
+//! of the body is each partition's sealed runs as CRC-framed `.col`
+//! bytes — [`encode_partition`]'s output, byte for byte what
+//! `crowdnet_column::save` writes to `part-NNN.col` — which the client
+//! decodes and merges back into documents ([`encode_scan_reply`] /
+//! [`decode_scan_reply`]). Documents are never re-encoded as JSON for a
+//! scan; a failed scan is an ordinary error envelope with nothing after
+//! it. ([`partitions_to_value`] / [`partitions_from_value`], the JSON
+//! document payload this replaced, no longer have a caller on the
+//! request path; they stay because the `perf-report` wire probes compile
+//! against them.)
 //!
 //! Reply JSON is an envelope: `{"ok":true,"result":…}` on success,
 //! `{"ok":false,"error":{"kind":…}}` on failure. Logical errors round-trip
@@ -16,7 +32,8 @@
 //! ("a namespace exists on every shard or none") detects absence through
 //! that exact variant. Everything that fails *before* a well-formed
 //! envelope arrives (TCP reset, timeout, short frame, bad JSON, bad
-//! envelope shape) is a transport error: the client degrades the shard
+//! envelope shape) is a transport error, and so is a bulk payload whose
+//! lengths, CRCs or runs do not check out: the client degrades the shard
 //! and never surfaces a 5xx.
 //!
 //! Decoding is defensive end to end — arbitrary byte splits, truncations
@@ -24,15 +41,18 @@
 //! (property-tested in `tests/proptest_wire.rs`).
 
 use crowdnet_json::{obj, Value};
+use crowdnet_shard::column::{decode_partition, encode_partition, merge_runs, ColumnRun};
 use crowdnet_shard::{EpochMeta, ShardError, WriteAck, WriteOp};
 use crowdnet_store::store::NamespaceStats;
 use crowdnet_store::{Document, StoreError};
+use std::sync::Arc;
 
 /// Frame length prefix, bytes.
 pub const FRAME_HEADER_BYTES: usize = 4;
 
-/// Hard cap on one frame's JSON payload. Scan legs ship a shard's slice
-/// of a namespace, so this is generous; anything larger is a protocol
+/// Hard cap on one frame's JSON payload, and on the column bytes behind
+/// a bulk reply's envelope. Scan legs ship a shard's slice of a
+/// namespace, so this is generous; anything larger is a protocol
 /// violation, not a bigger buffer.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
@@ -51,6 +71,15 @@ pub fn encode_frame(value: &Value) -> Vec<u8> {
 /// Decode one complete frame. The buffer must contain exactly the frame:
 /// header, payload, nothing else. Every failure is a message, no panics.
 pub fn decode_frame(bytes: &[u8]) -> Result<Value, String> {
+    match split_frame(bytes)? {
+        (value, []) => Ok(value),
+        (_, tail) => Err(format!("{} byte(s) after the frame's declared payload", tail.len())),
+    }
+}
+
+/// Decode the frame `bytes` starts with and return what follows it: the
+/// read side of a bulk reply, whose payload sits behind its envelope.
+pub fn split_frame(bytes: &[u8]) -> Result<(Value, &[u8]), String> {
     let header: [u8; FRAME_HEADER_BYTES] = bytes
         .get(..FRAME_HEADER_BYTES)
         .and_then(|h| h.try_into().ok())
@@ -59,17 +88,13 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Value, String> {
     if declared > MAX_FRAME_BYTES {
         return Err(format!("frame declares {declared} bytes (cap {MAX_FRAME_BYTES})"));
     }
-    let payload = bytes
-        .get(FRAME_HEADER_BYTES..)
-        .ok_or_else(|| "frame missing payload".to_string())?;
-    if payload.len() != declared {
-        return Err(format!(
-            "frame declares {declared} payload bytes but carries {}",
-            payload.len()
-        ));
-    }
+    let rest = bytes.get(FRAME_HEADER_BYTES..).unwrap_or_default();
+    let (payload, tail) = rest.split_at_checked(declared).ok_or_else(|| {
+        format!("frame declares {declared} payload bytes but carries {}", rest.len())
+    })?;
     let text = std::str::from_utf8(payload).map_err(|_| "frame payload is not utf-8".to_string())?;
-    Value::parse(text).map_err(|e| format!("frame payload is not json: {e}"))
+    let value = Value::parse(text).map_err(|e| format!("frame payload is not json: {e}"))?;
+    Ok((value, tail))
 }
 
 // ---- reply envelope ---------------------------------------------------
@@ -178,6 +203,54 @@ pub fn document_from_value(v: &Value) -> Result<Document, String> {
         .ok_or("document without key")?;
     let body = v.get("body").ok_or("document without body")?;
     Ok(Document::new(key, body.clone()))
+}
+
+/// The whole body of a successful `scan_partitions` reply: an ok envelope
+/// whose result lists each partition's byte length, then the partitions
+/// themselves, each as [`encode_partition`] of its runs (an empty
+/// partition is zero bytes). `parts` is `[partition][run]` in seal order.
+pub fn encode_scan_reply(parts: &[Vec<Arc<ColumnRun>>]) -> Vec<u8> {
+    let payloads: Vec<Vec<u8>> = parts.iter().map(|runs| encode_partition(runs)).collect();
+    let lengths = Value::Arr(payloads.iter().map(|p| Value::from(p.len())).collect());
+    let mut body = encode_frame(&ok_envelope(obj! {"partition_bytes" => lengths}));
+    for payload in &payloads {
+        body.extend_from_slice(payload);
+    }
+    body
+}
+
+/// Inverse of [`encode_scan_reply`], from the opened envelope's `result`
+/// and the bytes that followed the envelope frame: slice the tail by the
+/// declared lengths (which must account for every byte), check each
+/// partition's frames and runs, and merge its runs by `(key, run index)`
+/// into the partition's canonical document order. Any mismatch is a
+/// message for [`ShardError::Protocol`]; there is no partial result.
+pub fn decode_scan_reply(result: &Value, tail: &[u8]) -> Result<Vec<Vec<Document>>, String> {
+    let lengths = result
+        .get("partition_bytes")
+        .and_then(Value::as_arr)
+        .ok_or("scan reply without partition_bytes")?;
+    let mut parts = Vec::with_capacity(lengths.len());
+    let mut rest = tail;
+    for (p, length) in lengths.iter().enumerate() {
+        let length = length
+            .as_u64()
+            .ok_or_else(|| format!("partition {p} length is not a number"))?;
+        let length = usize::try_from(length)
+            .ok()
+            .filter(|n| *n <= MAX_FRAME_BYTES)
+            .ok_or_else(|| format!("partition {p} declares {length} bytes (cap {MAX_FRAME_BYTES})"))?;
+        let (payload, after) = rest.split_at_checked(length).ok_or_else(|| {
+            format!("partition {p} declares {length} bytes but {} remain", rest.len())
+        })?;
+        let runs = decode_partition(payload).map_err(|e| format!("partition {p}: {e}"))?;
+        parts.push(merge_runs(&runs).map_err(|e| format!("partition {p}: {e}"))?);
+        rest = after;
+    }
+    if !rest.is_empty() {
+        return Err(format!("{} byte(s) after the last declared partition", rest.len()));
+    }
+    Ok(parts)
 }
 
 /// Partition-ordered document slices → `[[doc, …], …]`.

@@ -6,6 +6,12 @@
 //! byte-identically at the same seed, including the backoff jitter
 //! sleeps the retry loop drew along the way.
 //!
+//! The bulk `scan_partitions` leg gets its own property, one level up:
+//! whatever breaks that exchange — a FaultNet fate on the request, or
+//! column runs that arrive with a flipped byte or cut short — a
+//! [`Router`] over the fleet answers a flagged partial, never a 5xx, and
+//! answers whole again once the link is clean.
+//!
 //! The telemetry clock is left at its frozen default on purpose: leg
 //! budgets then never expire mid-retry, so the attempt/backoff sequence
 //! is a pure function of the fault schedule and the seeds — which is
@@ -13,16 +19,19 @@
 
 use crowdnet_chaos::{FaultNet, NetFaultPlan, Partition};
 use crowdnet_json::obj;
-use crowdnet_serve::server::{bind, Server, ServerConfig, TcpHandle};
-use crowdnet_shard::{LocalShard, ShardBackend, ShardHealth, WriteOp};
-use crowdnet_shardnet::{
-    BreakerConfig, BreakerState, RemoteShard, RemoteShardConfig, ShardServer,
+use crowdnet_serve::http::{Request, Response};
+use crowdnet_serve::server::{bind, RequestHandler, Server, ServerConfig, TcpHandle};
+use crowdnet_shard::{
+    LocalShard, Router, RouterConfig, ShardBackend, ShardError, ShardHealth, ShardSet, WriteOp,
 };
-use crowdnet_store::Document;
+use crowdnet_shardnet::{
+    wire, BreakerConfig, BreakerState, RemoteShard, RemoteShardConfig, ShardServer,
+};
+use crowdnet_store::{Document, SnapshotId};
 use crowdnet_telemetry::Telemetry;
 use proptest::prelude::*;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The idempotent legs a schedule may exercise.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,6 +176,217 @@ fn run_schedule(client_seed: u64, plan: NetFaultPlan, legs: &[Leg]) -> String {
     let _ = writeln!(transcript, "injected: {}", net.injected().summary());
     handle.shutdown();
     transcript
+}
+
+const NS_USERS: &str = "angellist/users";
+
+/// An ad-hoc scan no earlier request can have cached.
+fn scan_request(nonce: usize) -> Request {
+    Request::get(&format!(
+        "/sql?ns=angellist%2Fusers&q=SELECT+COUNT(*)+AS+n+FROM+docs&nonce={nonce}"
+    ))
+}
+
+/// One way to break a bulk exchange.
+#[derive(Debug, Clone, Copy)]
+enum BulkFault {
+    /// FaultNet fate: the link resets partway through the request.
+    ResetRequest,
+    /// FaultNet fate: the request is silently truncated.
+    TruncateRequest,
+    /// The reply's column payload arrives with the byte at this relative
+    /// position flipped.
+    FlipReply(f64),
+    /// The reply's column payload is cut at this relative position.
+    CutReply(f64),
+}
+
+fn bulk_fault_strategy() -> impl Strategy<Value = BulkFault> {
+    prop_oneof![
+        Just(BulkFault::ResetRequest),
+        Just(BulkFault::TruncateRequest),
+        (0.0f64..1.0).prop_map(BulkFault::FlipReply),
+        (0.0f64..1.0).prop_map(BulkFault::CutReply),
+    ]
+}
+
+/// A shard server whose `scan_partitions` replies can be damaged behind
+/// the envelope frame — what a corrupting link does to the column runs
+/// (FaultNet's own fates all act on the request half of an exchange).
+struct DamagedScans {
+    inner: ShardServer,
+    damage: Mutex<Option<BulkFault>>,
+}
+
+impl RequestHandler for DamagedScans {
+    fn handle(&self, req: &Request) -> Response {
+        let mut resp = self.inner.handle(req);
+        if req.path() != "/shard/scan_partitions" {
+            return resp;
+        }
+        let damage = *self.damage.lock().expect("damage lock");
+        let payload_len = wire::split_frame(&resp.body).map_or(0, |(_, tail)| tail.len());
+        let at = |unit: f64| {
+            let offset = ((payload_len as f64 * unit) as usize).min(payload_len - 1);
+            resp.body.len() - payload_len + offset
+        };
+        match damage {
+            Some(BulkFault::FlipReply(unit)) if payload_len > 0 => {
+                let pos = at(unit);
+                resp.body[pos] ^= 0x5a;
+            }
+            Some(BulkFault::CutReply(unit)) if payload_len > 0 => {
+                let pos = at(unit);
+                resp.body.truncate(pos);
+            }
+            _ => {}
+        }
+        resp
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Break the victim's bulk exchange any of four ways: the router
+    /// answers 200 with `"partial": true` (the healthy shard's slice),
+    /// damaged runs are a counted `Protocol` error on the client, and
+    /// with the link clean again the answer is whole and unflagged.
+    #[test]
+    fn bulk_leg_faults_degrade_to_partials_never_5xx(
+        client_seed in any::<u64>(),
+        net_seed in any::<u64>(),
+        fault in bulk_fault_strategy(),
+    ) {
+        let telemetry = Telemetry::new();
+        let server_cfg = || ServerConfig {
+            workers: 2,
+            read_timeout_ms: 50,
+            idle_timeout_ms: 2_000,
+            ..ServerConfig::default()
+        };
+        let client_cfg = RemoteShardConfig {
+            connect_timeout_ms: 100,
+            leg_timeout_ms: 250,
+            retries: 1,
+            backoff_base_ms: 1,
+            seed: client_seed,
+            pool_capacity: 2,
+            probe_interval_ms: 0,
+            breaker: BreakerConfig { consecutive_failures: 2, ..BreakerConfig::default() },
+        };
+
+        // Shard 0: clean. Shard 1: the victim, behind a FaultNet and a
+        // reply-damaging handler, both switched off for now.
+        let shard0 = Arc::new(LocalShard::open_memory(0, 4, &telemetry).expect("shard 0"));
+        let handle0 = bind(
+            Arc::new(Server::with_handler(
+                Arc::new(ShardServer::new(shard0, &telemetry)),
+                telemetry.clone(),
+                server_cfg(),
+            )),
+            0,
+        )
+        .expect("bind 0");
+        let shard1 = Arc::new(LocalShard::open_memory(1, 4, &telemetry).expect("shard 1"));
+        let victim_handler = Arc::new(DamagedScans {
+            inner: ShardServer::new(shard1, &telemetry),
+            damage: Mutex::new(None),
+        });
+        let handle1 = bind(
+            Arc::new(Server::with_handler(
+                Arc::clone(&victim_handler) as Arc<dyn RequestHandler>,
+                telemetry.clone(),
+                server_cfg(),
+            )),
+            0,
+        )
+        .expect("bind 1");
+        let net = Arc::new(FaultNet::over_real(NetFaultPlan::none(net_seed), &telemetry));
+        let remote0 = Arc::new(
+            RemoteShard::new(0, handle0.addr(), client_cfg.clone(), &telemetry).expect("client 0"),
+        );
+        let victim = Arc::new(
+            RemoteShard::with_transport(
+                1,
+                handle1.addr(),
+                client_cfg,
+                Arc::clone(&net) as Arc<dyn crowdnet_chaos::Transport>,
+                &telemetry,
+            )
+            .expect("client 1"),
+        );
+        let set = Arc::new(ShardSet::from_backends(
+            vec![
+                Arc::clone(&remote0) as Arc<dyn ShardBackend>,
+                Arc::clone(&victim) as Arc<dyn ShardBackend>,
+            ],
+            &telemetry,
+        ));
+        for id in 0..24u64 {
+            set.put(NS_USERS, Document::new(format!("user:{id}"), obj! {"id" => id}))
+                .expect("put");
+        }
+        prop_assert!(
+            !victim.scan_partitions(NS_USERS, SnapshotId(0)).expect("clean scan").concat().is_empty(),
+            "the victim holds none of the corpus"
+        );
+        let router = Router::new(Arc::clone(&set), RouterConfig::default(), telemetry.clone());
+        let clean = router.handle(&scan_request(0));
+        prop_assert_eq!(clean.status, 200);
+        prop_assert!(!String::from_utf8_lossy(&clean.body).contains("\"partial\":true"));
+
+        // Break the bulk exchange.
+        let malformed_before = telemetry.counter("shardnet.frames.malformed").value();
+        match fault {
+            BulkFault::ResetRequest => {
+                net.set_plan(NetFaultPlan { reset: 1.0, ..NetFaultPlan::none(net_seed) })
+            }
+            BulkFault::TruncateRequest => {
+                net.set_plan(NetFaultPlan { truncate_write: 1.0, ..NetFaultPlan::none(net_seed) })
+            }
+            damage => *victim_handler.damage.lock().expect("damage lock") = Some(damage),
+        }
+        if matches!(fault, BulkFault::FlipReply(_) | BulkFault::CutReply(_)) {
+            // Damaged runs: a counted protocol error, transport class.
+            match victim.scan_partitions(NS_USERS, SnapshotId(0)) {
+                Err(e @ ShardError::Protocol(_)) => prop_assert!(e.is_transport()),
+                other => prop_assert!(false, "damaged runs answered {other:?}"),
+            }
+            prop_assert_eq!(
+                telemetry.counter("shardnet.frames.malformed").value(),
+                malformed_before + 1
+            );
+        }
+        for nonce in 1..4 {
+            let degraded = router.handle(&scan_request(nonce));
+            prop_assert!(degraded.status == 200, "{fault:?} answered {}", degraded.status);
+            prop_assert!(
+                String::from_utf8_lossy(&degraded.body).contains("\"partial\":true"),
+                "{fault:?} was not flagged partial: {}",
+                String::from_utf8_lossy(&degraded.body)
+            );
+        }
+
+        // Clean link again: the victim is readmitted and answers whole.
+        net.heal();
+        *victim_handler.damage.lock().expect("damage lock") = None;
+        let mut probes = 0;
+        while victim.health() != ShardHealth::Healthy {
+            probes += 1;
+            prop_assert!(probes <= 50, "victim never readmitted");
+        }
+        let healed = router.handle(&scan_request(4));
+        prop_assert_eq!(healed.status, 200);
+        prop_assert_eq!(healed.body, clean.body);
+
+        drop(router);
+        drop(set);
+        drop(remote0);
+        drop(victim);
+        handle0.shutdown();
+        handle1.shutdown();
+    }
 }
 
 proptest! {

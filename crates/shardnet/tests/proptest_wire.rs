@@ -8,12 +8,20 @@
 //! mutations of valid frames (which may still decode — the assertion is
 //! "no panic and no misparse of the length discipline", not "always an
 //! error").
+//!
+//! The bulk `scan_partitions` reply — an envelope frame followed by each
+//! partition's CRC-framed column runs — gets the same treatment with a
+//! stronger bar: the payload is checksummed, so a truncated or mutated
+//! reply must be an error or decode to exactly the documents that were
+//! sent, never to different ones.
 
 use crowdnet_json::{obj, Value};
 use crowdnet_serve::http::Request;
 use crowdnet_serve::server::RequestHandler;
+use crowdnet_shard::column::{merge_runs, ColumnRun};
 use crowdnet_shard::LocalShard;
 use crowdnet_shardnet::{wire, ShardServer};
+use crowdnet_store::Document;
 use crowdnet_telemetry::Telemetry;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -30,6 +38,131 @@ fn payload_strategy() -> impl Strategy<Value = Value> {
         ("[a-z]{1,8}", "[a-z0-9]{0,16}")
             .prop_map(|(k, v)| obj! {k.as_str() => v.as_str(), "n" => 7u64}),
     ]
+}
+
+/// One sealed run: a handful of documents over a small key pool (so runs
+/// of one partition overlap in keys), in the canonical key order a seal
+/// produces, duplicates within the run included.
+fn run_strategy() -> impl Strategy<Value = Arc<ColumnRun>> {
+    proptest::collection::vec((0u32..12, payload_strategy()), 1..8).prop_map(|rows| {
+        let mut docs: Vec<Document> = rows
+            .into_iter()
+            .map(|(k, body)| Document::new(format!("user:{k:02}"), body))
+            .collect();
+        docs.sort_by(|a, b| a.key.cmp(&b.key));
+        Arc::new(ColumnRun::from_docs(&docs, false))
+    })
+}
+
+/// A scan leg's payload: `[partition][run]`, empty partitions included.
+fn scan_strategy() -> impl Strategy<Value = Vec<Vec<Arc<ColumnRun>>>> {
+    proptest::collection::vec(proptest::collection::vec(run_strategy(), 0..4), 0..5)
+}
+
+/// What the far side must reconstruct: each partition's runs merged.
+fn merged(parts: &[Vec<Arc<ColumnRun>>]) -> Vec<Vec<Document>> {
+    parts
+        .iter()
+        .map(|runs| merge_runs(runs).expect("sealed runs merge"))
+        .collect()
+}
+
+/// The client's whole read of a bulk reply body.
+fn decode_scan_body(body: &[u8]) -> Result<Vec<Vec<Document>>, String> {
+    let (envelope, tail) = wire::split_frame(body)?;
+    let result = wire::open_envelope(envelope).map_err(|e| e.to_string())?;
+    wire::decode_scan_reply(&result, tail)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Runs survive the wire: what decodes is each partition's runs
+    /// merged by `(key, run index)`, duplicates in append order.
+    #[test]
+    fn scan_replies_round_trip(parts in scan_strategy()) {
+        let body = wire::encode_scan_reply(&parts);
+        prop_assert_eq!(decode_scan_body(&body).expect("valid reply decodes"), merged(&parts));
+    }
+
+    /// Every strict truncation of a bulk reply is an error: the declared
+    /// partition lengths and the run frames leave no cut that still
+    /// parses, not even one that lands between two runs.
+    #[test]
+    fn scan_reply_truncations_are_errors(parts in scan_strategy()) {
+        let body = wire::encode_scan_reply(&parts);
+        for keep in 0..body.len() {
+            prop_assert!(decode_scan_body(&body[..keep]).is_err(), "cut at {keep} decoded");
+        }
+    }
+
+    /// A flipped byte anywhere in a bulk reply is caught (length
+    /// discipline, envelope shape, frame header or CRC) or harmless —
+    /// it never yields different documents.
+    #[test]
+    fn scan_reply_mutations_never_change_the_documents(
+        parts in scan_strategy(),
+        flip in 1u64..256,
+    ) {
+        let body = wire::encode_scan_reply(&parts);
+        let want = merged(&parts);
+        for pos in 0..body.len() {
+            let mut mutated = body.clone();
+            mutated[pos] ^= flip as u8;
+            if let Ok(got) = decode_scan_body(&mutated) {
+                prop_assert!(got == want, "flip at {pos} changed the documents");
+            }
+        }
+    }
+
+    /// A bulk reply reads the same off the socket however the bytes are
+    /// split across reads.
+    #[test]
+    fn scan_reply_parsing_is_split_invariant(
+        parts in scan_strategy(),
+        chunk in 1usize..48,
+    ) {
+        let body = wire::encode_scan_reply(&parts);
+        let mut stream = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        stream.extend_from_slice(&body);
+        let mut parser = wire::ResponseParser::new();
+        let mut parsed = None;
+        for piece in stream.chunks(chunk) {
+            parser.feed(piece);
+            if let Some(r) = parser.poll().expect("parse") {
+                parsed = Some(r);
+                break;
+            }
+        }
+        let parsed = parsed.expect("split parse completed");
+        prop_assert_eq!(&parsed.body, &body);
+        prop_assert_eq!(decode_scan_body(&parsed.body).expect("decodes"), merged(&parts));
+    }
+
+    /// Nothing past the frame cap is accepted: not as a declared
+    /// partition length, not as a response body.
+    #[test]
+    fn oversized_bulk_replies_are_refused(over in 1usize..1 << 20, at in 0usize..4) {
+        let mut lengths = vec![Value::from(0u64); 4];
+        lengths[at] = Value::from(wire::MAX_FRAME_BYTES + over);
+        let result = obj! {"partition_bytes" => Value::Arr(lengths)};
+        let refused = wire::decode_scan_reply(&result, &[]).expect_err("oversized partition decoded");
+        prop_assert!(refused.contains("cap"), "{refused}");
+
+        let mut parser = wire::ResponseParser::new();
+        parser.feed(
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+                wire::MAX_FRAME_BYTES + wire::FRAME_HEADER_BYTES + over
+            )
+            .as_bytes(),
+        );
+        prop_assert!(parser.poll().is_err(), "oversized body accepted");
+    }
 }
 
 proptest! {

@@ -7,6 +7,12 @@
 //! company appends, journal appends and snapshot rotations.
 //! (`/healthz` reports live per-shard state by design and is skipped.)
 //!
+//! A second test interleaves writes with scans — write, scan, write,
+//! scan — so every shard seals several column runs per partition with
+//! the same keys re-appended across them, and checks the scan leg itself:
+//! merged across shards it must equal the unsharded store's scan,
+//! same-key documents in append order.
+//!
 //! Version lockstep is asserted directly: the remote set's logical
 //! version must mirror both the local set's and the unsharded store's
 //! for the same op sequence — every write went over the wire through
@@ -17,7 +23,7 @@ use crowdnet_serve::artifacts::{NS_COMPANIES, NS_USERS};
 use crowdnet_serve::{bind, Request, Server, ServerConfig, Service, ServiceConfig, TcpHandle};
 use crowdnet_shard::{LocalShard, Router, RouterConfig, ShardBackend, ShardSet};
 use crowdnet_shardnet::{RemoteShard, RemoteShardConfig, ShardServer};
-use crowdnet_store::{Document, Store};
+use crowdnet_store::{Document, SnapshotId, Store};
 use crowdnet_telemetry::Telemetry;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -242,6 +248,118 @@ proptest! {
                 "remote diverged from the in-process shard tier on {} with {} shards",
                 target, shards
             );
+        }
+    }
+}
+
+/// The router's merge of one scan leg per shard: per partition, shard
+/// slices concatenated in shard order and stable-sorted by key.
+fn merged_scan(set: &ShardSet, ns: &str, snap: u32) -> Vec<Vec<Document>> {
+    let mut merged: Vec<Vec<Document>> = Vec::new();
+    for shard in set.shards() {
+        let parts = shard
+            .scan_partitions(ns, SnapshotId(snap))
+            .expect("scan leg");
+        merged.resize_with(merged.len().max(parts.len()), Vec::new);
+        for (slot, docs) in merged.iter_mut().zip(parts) {
+            slot.extend(docs);
+        }
+    }
+    for part in &mut merged {
+        part.sort_by(|a, b| a.key.cmp(&b.key));
+    }
+    merged
+}
+
+#[test]
+fn interleaved_writes_and_scans_keep_append_order_across_runs() {
+    for shards in [1usize, 2, 4] {
+        let store = Arc::new(Store::memory(4));
+        let local_telemetry = Telemetry::new();
+        let local_set = Arc::new(
+            ShardSet::memory(shards, store.partitions(), &local_telemetry).expect("local set"),
+        );
+        let remote_telemetry = Telemetry::new();
+        let (remote_set, _handles) = remote_deployment(shards, &remote_telemetry);
+        let service = Service::new(
+            Arc::clone(&store),
+            ServiceConfig::default(),
+            Telemetry::new(),
+        );
+        let local_router = Router::new(
+            Arc::clone(&local_set),
+            RouterConfig::default(),
+            local_telemetry,
+        );
+        let remote_router = Router::new(
+            Arc::clone(&remote_set),
+            RouterConfig::default(),
+            remote_telemetry,
+        );
+
+        let mut journal_snaps = 0u32;
+        for round in 0u32..5 {
+            // Each round re-appends keys earlier rounds wrote (a new run
+            // on top of the old ones), writes one key twice (duplicates
+            // inside one run) and adds fresh keys.
+            let mut ops = vec![
+                Op::Company(3),
+                Op::Company(10 + round),
+                Op::Investor { id: 100, portfolio: vec![round, round + 1] },
+                Op::Investor { id: 100, portfolio: vec![3] },
+                Op::Investor { id: 101 + round, portfolio: (0..round).collect() },
+                Op::Journal(1),
+                Op::Journal(round),
+            ];
+            if round == 2 {
+                ops.push(Op::JournalSnapshot);
+                ops.push(Op::Journal(1));
+                journal_snaps += 1;
+            }
+            for op in &ops {
+                apply_store(&store, op);
+                apply_set(&local_set, op);
+                apply_set(&remote_set, op);
+            }
+
+            // Scan between writes: this is what seals a run per touched
+            // partition on every shard, local and remote.
+            let mut snapshots = vec![(NS_USERS, 0), (NS_COMPANIES, 0)];
+            snapshots.extend((0..=journal_snaps).map(|snap| (NS_JOURNAL, snap)));
+            for (ns, snap) in snapshots {
+                let want = store
+                    .scan_partitions(ns, SnapshotId(snap))
+                    .expect("store scan");
+                assert_eq!(
+                    merged_scan(&remote_set, ns, snap),
+                    want,
+                    "remote scan of {ns}[{snap}] diverged in round {round} at {shards} shard(s)"
+                );
+                assert_eq!(
+                    merged_scan(&local_set, ns, snap),
+                    want,
+                    "local scan of {ns}[{snap}] diverged in round {round} at {shards} shard(s)"
+                );
+            }
+            for target in probe_targets(&service) {
+                if target == "/healthz" {
+                    continue;
+                }
+                let req = Request::get(&target);
+                let direct = service.handle(&req);
+                let local = local_router.handle(&req);
+                let remote = remote_router.handle(&req);
+                assert_eq!(
+                    (direct.status, &direct.body),
+                    (remote.status, &remote.body),
+                    "remote diverged from unsharded on {target} in round {round} at {shards} shard(s)"
+                );
+                assert_eq!(
+                    (local.status, &local.body),
+                    (remote.status, &remote.body),
+                    "remote diverged from local on {target} in round {round} at {shards} shard(s)"
+                );
+            }
         }
     }
 }
