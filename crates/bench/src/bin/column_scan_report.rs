@@ -14,6 +14,10 @@
 //!   with every decoded document re-encoded and compared byte-for-byte.
 //!   Reported, not gated on speed — materializing whole `Value` trees is
 //!   the floor both paths share.
+//! - **Projected scan** (`/sql`'s read path): `project_runs` rows holding
+//!   one and three top-level fields versus the full column decode versus
+//!   the JSON scan, in documents per second. Each projected row must hold
+//!   exactly what the JSON-scanned document holds under those fields.
 //! - **Edge extraction**: the serving tier's investor→company edge walk
 //!   versus the sealed delta-encoded edge segments; identical pairs
 //!   required.
@@ -26,7 +30,7 @@
 //! cargo run --release -p crowdnet-bench --bin column-scan-report [-- OUT.json]
 //! ```
 
-use crowdnet_column::{ColumnConfig, ColumnSet};
+use crowdnet_column::{project_runs, ColumnConfig, ColumnSet};
 use crowdnet_core::pipeline::{Pipeline, PipelineConfig};
 use crowdnet_crawl::augment::NS_CRUNCHBASE;
 use crowdnet_crawl::bfs::{NS_COMPANIES, NS_USERS};
@@ -176,6 +180,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "full decode: JSON {json_docs_us:.0}us vs columnar {col_docs_us:.0}us ({doc_speedup:.1}x)"
     );
 
+    // Projected scan: rows of one and three fields straight off the runs.
+    let docs = col_docs.iter().map(Vec::len).sum::<usize>();
+    let runs = catalog.scan_runs(NS_USERS, SnapshotId(0))?;
+    let one_field = ["follow_count"];
+    let three_fields = ["follow_count", "id", "role"];
+    let (one_rows, one_us) = timed(|| Ok(project_runs(runs, &one_field)?))?;
+    let (three_rows, three_us) = timed(|| Ok(project_runs(runs, &three_fields)?))?;
+    for (rows, fields) in [(&one_rows, &one_field[..]), (&three_rows, &three_fields[..])] {
+        let exact = rows.iter().flatten().zip(json_docs.iter().flatten()).all(|(row, doc)| {
+            fields.iter().all(|f| row.get(f) == doc.body.get(f))
+        });
+        if !exact || rows.iter().map(Vec::len).sum::<usize>() != docs {
+            return Err(format!("projected rows over {fields:?} differ from the JSON scan").into());
+        }
+    }
+    let docs_per_s = |us: f64| docs as f64 / (us / 1e6);
+    eprintln!(
+        "projected scan: 1 field {:.0} docs/s, 3 fields {:.0} docs/s, full decode {:.0} docs/s, \
+         JSON {:.0} docs/s",
+        docs_per_s(one_us),
+        docs_per_s(three_us),
+        docs_per_s(col_docs_us),
+        docs_per_s(json_docs_us),
+    );
+
     // Edge extraction: sealed segments versus the document walk.
     let (json_edges, edges_json_us) = timed(|| edges_json(&store))?;
     let (col_edges, edges_col_us) =
@@ -236,6 +265,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "bench" => "column_scan",
         "world" => obj! { "seed" => SEED, "scale" => "tiny" },
         "reps" => REPS as u64,
+        "host_cores" => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u64,
         "feature_path" => obj! {
             "investors" => col_rows.len() as u64,
             "json_reparse_us" => json_us,
@@ -245,11 +275,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "outputs_identical" => true,
         },
         "full_decode" => obj! {
-            "docs" => col_docs.iter().map(Vec::len).sum::<usize>() as u64,
+            "docs" => docs as u64,
             "json_reparse_us" => json_docs_us,
             "columnar_us" => col_docs_us,
             "speedup" => doc_speedup,
             "byte_identical" => true,
+        },
+        "projected_scan" => obj! {
+            "docs" => docs as u64,
+            "one_field_docs_per_s" => docs_per_s(one_us),
+            "three_field_docs_per_s" => docs_per_s(three_us),
+            "full_decode_docs_per_s" => docs_per_s(col_docs_us),
+            "json_scan_docs_per_s" => docs_per_s(json_docs_us),
+            "rows_identical" => true,
         },
         "edges" => obj! {
             "pairs" => col_edges.len() as u64,

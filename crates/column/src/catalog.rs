@@ -22,9 +22,9 @@
 
 use crate::error::ColumnError;
 use crate::run::{ColumnRun, Cursor, FieldReader};
-use crowdnet_json::Value;
+use crowdnet_json::{Object, Value};
 use crowdnet_store::{
-    frame, partition_of, ChangeEvent, ChangePayload, Document, SnapshotId, Store,
+    frame, partition_of, ChangeEvent, ChangePayload, Document, SnapshotId, Store, StoreError,
 };
 use crowdnet_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::BTreeMap;
@@ -473,6 +473,28 @@ impl ColumnCatalog {
             })
     }
 
+    /// [`ColumnCatalog::partition_runs`] for a serving tier's scan source:
+    /// absence fails with the store's own variants, exactly as
+    /// [`Store::scan_partitions`] would — the endpoint table's 404 and the
+    /// router's lockstep rule both read a missing namespace off
+    /// `NamespaceNotFound`.
+    pub fn scan_runs(
+        &self,
+        ns: &str,
+        snap: SnapshotId,
+    ) -> Result<&[Vec<Arc<ColumnRun>>], StoreError> {
+        self.partition_runs(ns, snap).map_err(|_| {
+            if self.snapshots(ns).is_empty() {
+                StoreError::NamespaceNotFound(ns.to_string())
+            } else {
+                StoreError::SnapshotNotFound {
+                    namespace: ns.to_string(),
+                    snapshot: snap.0,
+                }
+            }
+        })
+    }
+
     /// True when `(ns, snap)` is present in the projection.
     pub fn has(&self, ns: &str, snap: SnapshotId) -> bool {
         self.partition_runs(ns, snap).is_ok()
@@ -544,7 +566,7 @@ impl ColumnCatalog {
         let parts = self.partition_runs(ns, snap)?;
         let mut rows = 0u64;
         for runs in parts {
-            rows += merge_partition_fields(runs, fields, &mut f)?;
+            rows += merge_partition_fields(runs, fields, &mut |key, vals| f(key, vals))?;
         }
         if let Some(c) = &self.scan_docs {
             c.add(rows);
@@ -625,6 +647,44 @@ pub fn merge_runs(runs: &[Arc<ColumnRun>]) -> Result<Vec<Document>, ColumnError>
     Ok(out)
 }
 
+/// The projected scan: `parts` is `[partition][run]`, and the result is
+/// `[partition][row]` in each partition's `(key, run index)` merge order —
+/// the order of [`merge_runs`], hence of [`Store::scan_partitions`] — where
+/// a row is an object holding only those of the top-level `fields` the
+/// document carries (`Null` when it carries none, or is not an object).
+/// Any `doc.path(..)` whose first segment is in `fields` reads the same
+/// from a row as from the whole document, so a query evaluated over the
+/// rows answers exactly what it would over the documents, with one field
+/// decoded per reference instead of one document parsed per row. A
+/// partition's runs may come from several catalogs (shards), concatenated
+/// in a fixed order, as long as no key spans two of them.
+pub fn project_runs(
+    parts: &[Vec<Arc<ColumnRun>>],
+    fields: &[&str],
+) -> Result<Vec<Vec<Value>>, ColumnError> {
+    parts
+        .iter()
+        .map(|runs| {
+            let mut rows = Vec::with_capacity(runs.iter().map(|r| r.rows()).sum());
+            merge_partition_fields(runs, fields, &mut |_key, values| {
+                let present = values.iter().filter(|v| v.is_some()).count();
+                if present == 0 {
+                    rows.push(Value::Null);
+                    return;
+                }
+                let mut row = Object::with_capacity(present);
+                for (name, value) in fields.iter().zip(values.iter_mut()) {
+                    if let Some(v) = value.take() {
+                        row.insert(*name, v);
+                    }
+                }
+                rows.push(Value::Obj(row));
+            })?;
+            Ok(rows)
+        })
+        .collect()
+}
+
 fn merge_partition_edges(
     runs: &[Arc<ColumnRun>],
     out: &mut Vec<(u32, u32)>,
@@ -661,13 +721,16 @@ fn merge_partition_edges(
     Ok(())
 }
 
+/// Walk one partition's runs in merge order, decoding only `fields`: `f`
+/// sees each row's key and `values[i]`, `Some` iff the row's shape carries
+/// `fields[i]` (it may take them — every slot is rewritten per row).
 fn merge_partition_fields<F>(
     runs: &[Arc<ColumnRun>],
     fields: &[&str],
     f: &mut F,
 ) -> Result<u64, ColumnError>
 where
-    F: FnMut(&str, &[Option<Value>]),
+    F: FnMut(&str, &mut [Option<Value>]),
 {
     let mut rows: Vec<usize> = vec![0; runs.len()];
     let mut readers: Vec<Vec<Option<FieldReader<'_>>>> = runs
@@ -693,7 +756,7 @@ where
                 *cell = v;
             }
         }
-        f(key, &row_buf);
+        f(key, &mut row_buf);
         seen += 1;
         if let Some(r) = rows.get_mut(b) {
             *r += 1;
@@ -842,6 +905,60 @@ mod tests {
             }
         }
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn projected_rows_hold_only_the_named_fields_in_merge_order() {
+        let store = seeded_store();
+        let mut set = ColumnSet::build_from_store(&store, ColumnConfig::default(), None).unwrap();
+        let sub = store.subscribe(64);
+        // A second run per touched partition: a re-appended key, a new
+        // one, and a body that is not an object.
+        store.put(EDGE_NAMESPACE, investor(5, &[6])).unwrap();
+        store.put(EDGE_NAMESPACE, investor(77, &[1])).unwrap();
+        store.put(EDGE_NAMESPACE, Document::new("user:9", Value::from("scalar"))).unwrap();
+        while let crowdnet_store::FeedPoll::Event(ev) = sub.poll() {
+            set.apply_event(&ev);
+        }
+        let cat = set.seal();
+        let runs = cat.scan_runs(EDGE_NAMESPACE, SnapshotId(0)).unwrap();
+        let fields = ["follow_count", "role", "nope"];
+        let got = project_runs(runs, &fields).unwrap();
+        let want: Vec<Vec<Value>> = store
+            .scan_partitions(EDGE_NAMESPACE, SnapshotId(0))
+            .unwrap()
+            .into_iter()
+            .map(|docs| {
+                docs.into_iter()
+                    .map(|doc| {
+                        let mut row = Object::new();
+                        for f in fields {
+                            if let Some(v) = doc.body.get(f) {
+                                row.insert(f, v.clone());
+                            }
+                        }
+                        if row.is_empty() { Value::Null } else { Value::Obj(row) }
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(got, want);
+        // No field named: one `Null` per document, still in order.
+        let bare = project_runs(runs, &[]).unwrap();
+        assert_eq!(
+            bare.iter().map(Vec::len).collect::<Vec<_>>(),
+            want.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+        assert!(bare.iter().flatten().all(Value::is_null));
+        // Absence is the store's own error.
+        assert!(matches!(
+            cat.scan_runs("ghost", SnapshotId(0)),
+            Err(StoreError::NamespaceNotFound(_))
+        ));
+        assert!(matches!(
+            cat.scan_runs(EDGE_NAMESPACE, SnapshotId(3)),
+            Err(StoreError::SnapshotNotFound { snapshot: 3, .. })
+        ));
     }
 
     #[test]

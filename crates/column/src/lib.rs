@@ -37,7 +37,7 @@ pub mod run;
 mod varint;
 
 pub use catalog::{
-    merge_runs, ColumnCatalog, ColumnConfig, ColumnSet, ColumnStats, EDGE_NAMESPACE,
+    merge_runs, project_runs, ColumnCatalog, ColumnConfig, ColumnSet, ColumnStats, EDGE_NAMESPACE,
 };
 pub use dict::Dict;
 pub use disk::{decode_partition, encode_partition, load, open_or_rebuild, save, COLUMNS_DIR};

@@ -8,7 +8,7 @@
 //!                                │
 //!                 Lagged{..} ────┘ overflow → catch_up() full rescan
 //!
-//! publish() ──▶ Artifacts::assemble(parts, warm CoDA) ──▶ Service::install_artifacts
+//! publish() ──▶ Artifacts::assemble(parts, warm CoDA) ──▶ Service::install_epoch
 //! ```
 //!
 //! [`IngestEngine::new`] subscribes **before** its initial catch-up scan, so
@@ -47,12 +47,6 @@ pub struct IngestConfig {
     /// CoDA gradient iterations for warm-started epoch refits (the first,
     /// cold epoch uses `artifacts.iterations`).
     pub refit_iterations: usize,
-    /// Maintain a columnar projection of the store alongside the
-    /// artifact maintainers: appends accumulate per epoch and each
-    /// [`IngestEngine::publish`] seals them into runs, installs the
-    /// catalog into the service (same atomic swap as the artifacts) and
-    /// persists it next to the JSON log for disk stores.
-    pub columns: bool,
 }
 
 impl Default for IngestConfig {
@@ -62,7 +56,6 @@ impl Default for IngestConfig {
             artifacts: ArtifactsConfig::default(),
             pagerank: DynRankConfig::default(),
             refit_iterations: 5,
-            columns: true,
         }
     }
 }
@@ -94,9 +87,12 @@ pub struct IngestEngine {
     graph: GraphMaintainer,
     entities: EntityMaintainer,
     stats: StatsMaintainer,
-    /// Columnar projection maintained from the same feed (when
-    /// `cfg.columns`); sealed and published at every epoch.
-    columns: Option<ColumnSet>,
+    /// Columnar projection maintained from the same feed: appends
+    /// accumulate per epoch and each [`IngestEngine::publish`] seals them
+    /// into runs, installs the catalog into the service in the same swap
+    /// as the artifacts and persists it next to the JSON log for disk
+    /// stores.
+    columns: ColumnSet,
     /// Previous epoch's CoDA model + the epoch holding the filtered graph
     /// it was fitted on, for warm-starting the next refit.
     warm: Option<(Coda, Arc<Artifacts>)>,
@@ -131,9 +127,8 @@ impl IngestEngine {
         telemetry: Telemetry,
     ) -> Result<IngestEngine, IngestError> {
         let sub = store.subscribe(cfg.feed_capacity);
-        let columns = cfg.columns.then(|| {
-            ColumnSet::new(store.partitions(), ColumnConfig::default()).with_telemetry(&telemetry)
-        });
+        let columns =
+            ColumnSet::new(store.partitions(), ColumnConfig::default()).with_telemetry(&telemetry);
         let mut engine = IngestEngine {
             sub,
             columns,
@@ -197,25 +192,24 @@ impl IngestEngine {
         &self.stats
     }
 
-    /// The maintained columnar projection, when enabled.
-    pub fn columns(&self) -> Option<&ColumnSet> {
-        self.columns.as_ref()
+    /// The maintained columnar projection.
+    pub fn columns(&self) -> &ColumnSet {
+        &self.columns
     }
 
     /// An immutable catalog over the sealed columnar state (pending
-    /// appends not yet sealed by a publish are excluded), when enabled.
-    pub fn columns_catalog(&self) -> Option<Arc<ColumnCatalog>> {
-        self.columns.as_ref().map(ColumnSet::catalog)
+    /// appends not yet sealed by a publish are excluded).
+    pub fn columns_catalog(&self) -> Arc<ColumnCatalog> {
+        self.columns.catalog()
     }
 
     /// Seal the pending column appends into runs and return the catalog
-    /// over everything sealed so far, when the projection is enabled —
-    /// the one place an engine's pending buffers empty. Every consumer
-    /// that freezes the engine's state into an epoch calls it:
-    /// [`IngestEngine::publish`] here, a shard's epoch refresh in
-    /// `crowdnet-shard`.
-    pub fn seal_columns(&mut self) -> Option<Arc<ColumnCatalog>> {
-        self.columns.as_mut().map(ColumnSet::seal)
+    /// over everything sealed so far — the one place an engine's pending
+    /// buffers empty. Every consumer that freezes the engine's state into
+    /// an epoch calls it: [`IngestEngine::publish`] here, a shard's epoch
+    /// refresh in `crowdnet-shard`.
+    pub fn seal_columns(&mut self) -> Arc<ColumnCatalog> {
+        self.columns.seal()
     }
 
     /// Rebuild every maintainer from a full store scan at the current
@@ -233,9 +227,7 @@ impl IngestEngine {
         );
         let mut entities = EntityMaintainer::default();
         let mut stats = StatsMaintainer::default();
-        if let Some(cols) = &mut self.columns {
-            cols.begin_rebuild();
-        }
+        self.columns.begin_rebuild();
         // One scan per `(namespace, snapshot)`: `scan_partitions` orders
         // each partition once at the scan boundary and every consumer —
         // graph, entities, stats, columns — reuses that canonical output.
@@ -263,16 +255,12 @@ impl IngestEngine {
                     }
                     stats.absorb_scan(&ns, snap, docs);
                 }
-                if let Some(cols) = &mut self.columns {
-                    cols.absorb_scan(&ns, snap, parts);
-                }
+                self.columns.absorb_scan(&ns, snap, parts);
             }
         }
-        if let Some(cols) = &mut self.columns {
-            // Stamped with the pre-scan version: a racing write leaves the
-            // projection conservatively old and consumers re-derive.
-            cols.set_version(version);
-        }
+        // Stamped with the pre-scan version: a racing write leaves the
+        // projection conservatively old and consumers re-derive.
+        self.columns.set_version(version);
         self.graph = graph;
         self.entities = entities;
         self.stats = stats;
@@ -421,10 +409,8 @@ impl IngestEngine {
             .map_err(|_| IngestError::Thread("maintainer scope".into()))??;
         }
 
-        if let Some(cols) = &mut self.columns {
-            for ev in events {
-                cols.apply_event(ev);
-            }
+        for ev in events {
+            self.columns.apply_event(ev);
         }
 
         let docs = events
@@ -486,15 +472,10 @@ impl IngestEngine {
         // fails the publish: the projection is derived and rebuildable.
         let catalog = self.seal_columns();
         if let Some(svc) = service {
-            if let Some(catalog) = &catalog {
-                svc.install_columns(Arc::clone(catalog));
-            }
-            svc.install_artifacts(Arc::clone(&artifacts));
+            svc.install_epoch(catalog, Arc::clone(&artifacts));
         }
-        if let Some(cols) = &self.columns {
-            if crowdnet_column::save(&self.store, cols).is_err() {
-                self.column_save_errors.inc();
-            }
+        if crowdnet_column::save(&self.store, &self.columns).is_err() {
+            self.column_save_errors.inc();
         }
         self.epochs += 1;
         self.epochs_ctr.inc();
@@ -649,11 +630,70 @@ mod tests {
                 .unwrap();
         let epoch = engine.publish(Some(&service));
         assert_eq!(epoch.version, store.version());
-        let pinned = service.pinned_artifacts().unwrap();
-        assert!(Arc::ptr_eq(&pinned, &epoch));
+        let pinned = service.pinned_epoch().unwrap();
+        assert!(Arc::ptr_eq(&pinned.artifacts, &epoch));
         assert_eq!(telemetry.counter("ingest.epochs").value(), 1);
         // Stats are frozen into the epoch.
         assert_eq!(epoch.stats.as_deref().unwrap(), store.stats().unwrap().as_slice());
+    }
+
+    #[test]
+    fn sql_answers_from_the_pinned_epoch_like_every_other_endpoint() {
+        use crowdnet_serve::Request;
+
+        let store = Arc::new(Store::memory(2));
+        put_company(&store, 0);
+        for id in 0..5u32 {
+            put_investor(&store, 10 + id, &[0, 1, 2, 3]);
+        }
+        let telemetry = Telemetry::new();
+        let service = Service::new(Arc::clone(&store), ServiceConfig::default(), telemetry.clone());
+        let mut engine =
+            IngestEngine::new(Arc::clone(&store), IngestConfig::default(), telemetry).unwrap();
+        // `(users /sql counts, users /stats counts, can investor `id` be looked up)`.
+        let observe = |id: u32| {
+            let body = |target: &str| {
+                let resp = service.handle(&Request::get(target));
+                assert_eq!(resp.status, 200, "{target}");
+                Value::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap()
+            };
+            let sql = body("/sql?ns=angellist%2Fusers&q=SELECT+COUNT(*)+AS+n+FROM+docs");
+            let counted = sql.path("rows[0][0]").and_then(Value::as_u64).unwrap();
+            let stats = body("/stats");
+            let documents = stats
+                .get("namespaces")
+                .and_then(Value::as_arr)
+                .unwrap()
+                .iter()
+                .find(|n| n.get("namespace").and_then(Value::as_str) == Some(NS_USERS))
+                .and_then(|n| n.get("documents"))
+                .and_then(Value::as_u64)
+                .unwrap();
+            let found = service.handle(&Request::get(&format!("/entity/user/{id}"))).status == 200;
+            (counted, documents, found)
+        };
+
+        engine.publish(Some(&service));
+        assert_eq!(observe(99), (5, 5, false));
+        // More users than one publish cycle of the live tier writes, none
+        // of them drained or published yet: the store has moved, the
+        // epoch has not, and every endpoint — `/sql` included — agrees
+        // with the epoch, whenever the first request arrives.
+        for id in 0..64u32 {
+            put_investor(&store, 100 + id, &[0]);
+        }
+        put_investor(&store, 99, &[1]);
+        let pinned = service.pinned_epoch().unwrap();
+        assert!(pinned.artifacts.version < store.version());
+        assert_eq!(pinned.columns.version(), pinned.artifacts.version);
+        assert_eq!(observe(99), (5, 5, false));
+        // The next publish moves all of them together.
+        engine.drain().unwrap();
+        engine.publish(Some(&service));
+        assert_eq!(observe(99), (70, 70, true));
+        let pinned = service.pinned_epoch().unwrap();
+        assert_eq!(pinned.columns.version(), store.version());
+        assert_eq!(pinned.artifacts.version, store.version());
     }
 
     #[test]
@@ -675,8 +715,8 @@ mod tests {
 
         assert!(!service.is_degraded(), "recover must clear the degraded flag");
         assert_eq!(epoch.version, store.version());
-        let pinned = service.pinned_artifacts().unwrap();
-        assert!(Arc::ptr_eq(&pinned, &epoch));
+        let pinned = service.pinned_epoch().unwrap();
+        assert!(Arc::ptr_eq(&pinned.artifacts, &epoch));
         assert_eq!(epoch.graph.investor_count(), 2);
         assert_eq!(telemetry.counter("ingest.recoveries").value(), 1);
     }
@@ -693,7 +733,7 @@ mod tests {
             IngestEngine::new(Arc::clone(&store), IngestConfig::default(), telemetry.clone())
                 .unwrap();
         // Bootstrap projection covers the pre-subscription writes.
-        let catalog = engine.columns_catalog().unwrap();
+        let catalog = engine.columns_catalog();
         assert_eq!(catalog.version(), store.version());
         assert_eq!(
             catalog.docs_sorted(NS_USERS, SnapshotId(0)).unwrap(),
@@ -704,7 +744,7 @@ mod tests {
         put_investor(&store, 11, &[0]);
         engine.drain().unwrap();
         engine.publish(Some(&service));
-        let catalog = service.columns().unwrap();
+        let catalog = Arc::clone(&service.pinned_epoch().unwrap().columns);
         assert_eq!(catalog.version(), store.version());
         for ns in [NS_USERS, NS_COMPANIES] {
             assert_eq!(

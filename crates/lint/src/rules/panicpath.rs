@@ -11,6 +11,10 @@
 //! over `<S: DataSource>` in `serve::router` — are reached from
 //! `Service::handle` / `Router::handle` through `router::respond`; their
 //! `s.method()` calls fan out to every impl of the bound, in any crate.
+//! `/sql`'s column reader is on that path the same way: `sql_endpoint`
+//! calls `crowdnet_column::project_runs`, whose per-row closure and the
+//! merge walk under it (`merge_partition_fields`, `merge_pick`) are
+//! swept like any other callee.
 //! From those roots the workspace call graph is swept, and inside every
 //! reachable function (any crate) the rule flags:
 //!
@@ -197,6 +201,48 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         let chain = "Service::handle → respond → LiveView::scan";
         assert!(d[0].message.contains(chain), "{}", d[0].message);
+    }
+
+    #[test]
+    fn the_projected_column_reader_is_on_the_request_path() {
+        // `/sql`'s read path: generic endpoint body → a free function
+        // imported from another crate → a per-row closure handed to the
+        // merge walk → the merge's run picker.
+        let a = analysis(&[
+            (
+                "crates/serve/src/service.rs",
+                "impl Service { pub fn handle(&self) { router::respond(self); } }\n",
+            ),
+            (
+                "crates/serve/src/router.rs",
+                "use crowdnet_column::project_runs;\n\
+                 pub fn respond<S: DataSource>(s: &S) { sql_endpoint(s); }\n\
+                 fn sql_endpoint<S: DataSource>(s: &S) { project_runs(&s.scan_runs(), &fields); }\n",
+            ),
+            (
+                "crates/column/src/catalog.rs",
+                "pub fn project_runs(parts: &[Runs], fields: &[&str]) {\n\
+                 merge_partition_fields(parts, fields, &mut |_key, values| {\n\
+                 rows.push(values.first().unwrap());\n\
+                 });\n\
+                 }\n\
+                 fn merge_partition_fields<F>(runs: &Runs, fields: &[&str], f: &mut F) {\n\
+                 while let Some(b) = merge_pick(runs, &rows) { f(key, &mut row_buf); }\n\
+                 }\n\
+                 fn merge_pick(runs: &Runs, rows: &[usize]) -> Option<usize> {\n\
+                 rows.first().unwrap();\n\
+                 }\n",
+            ),
+        ]);
+        let d = check(&a);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().all(|d| d.file == "crates/column/src/catalog.rs"));
+        let row_closure = d.iter().find(|d| d.line == 3).expect("unwrap in the row closure");
+        let chain = "Service::handle → respond → sql_endpoint → project_runs";
+        assert!(row_closure.message.contains(chain), "{}", row_closure.message);
+        let picker = d.iter().find(|d| d.line == 10).expect("unwrap in merge_pick");
+        let chain = "project_runs → merge_partition_fields → merge_pick";
+        assert!(picker.message.contains(chain), "{}", picker.message);
     }
 
     #[test]

@@ -13,9 +13,11 @@ use crowdnet_store::StoreError;
 pub enum ServeError {
     /// The underlying store failed (missing namespace, corrupt doc, I/O).
     Store(StoreError),
-    /// The column projection failed underneath an artifact build. Reads
-    /// fall back to the JSON path on `needs_rebuild` errors, so this only
-    /// surfaces for real I/O trouble.
+    /// The column projection — the serving tiers' only scan source —
+    /// failed: a run that does not decode under `/sql` or an artifact
+    /// build, or the store failing underneath the rebuild from the log.
+    /// There is no other source to fall back to, so it is served as a
+    /// status, never swallowed.
     Column(ColumnError),
     /// The ad-hoc SQL query failed to parse or execute.
     Sql(SqlError),
@@ -49,10 +51,13 @@ impl ServeError {
     /// The HTTP status code this error is served as.
     pub fn status(&self) -> u16 {
         match self {
-            ServeError::Store(StoreError::NamespaceNotFound(_))
-            | ServeError::Store(StoreError::SnapshotNotFound { .. })
-            | ServeError::NotFound(_) => 404,
-            ServeError::Store(_) | ServeError::Column(_) | ServeError::Io(_) => 500,
+            // A store failure keeps its status through a column rebuild.
+            ServeError::Store(e) | ServeError::Column(ColumnError::Store(e)) => match e {
+                StoreError::NamespaceNotFound(_) | StoreError::SnapshotNotFound { .. } => 404,
+                _ => 500,
+            },
+            ServeError::NotFound(_) => 404,
+            ServeError::Column(_) | ServeError::Io(_) => 500,
             ServeError::Sql(_) | ServeError::BadRequest(_) => 400,
             ServeError::MethodNotAllowed(_) => 405,
             ServeError::Shed { .. } | ServeError::DeadlineExceeded { .. } => 503,
@@ -131,6 +136,9 @@ mod tests {
             404
         );
         assert_eq!(ServeError::BadRequest("x".into()).status(), 400);
+        assert_eq!(ServeError::Column(ColumnError::Corrupt("run".into())).status(), 500);
+        let under_rebuild = ColumnError::Store(StoreError::NamespaceNotFound("ns".into()));
+        assert_eq!(ServeError::Column(under_rebuild).status(), 404);
         assert_eq!(ServeError::Shed { retry_after_secs: 1 }.status(), 503);
         assert_eq!(
             ServeError::DeadlineExceeded {

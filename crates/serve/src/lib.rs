@@ -43,4 +43,4 @@ pub use error::ServeError;
 pub use http::{Request, RequestParser, Response};
 pub use pool::WorkerPool;
 pub use server::{bind, RequestHandler, Server, ServerConfig, TcpHandle};
-pub use service::{Service, ServiceConfig};
+pub use service::{Epoch, Service, ServiceConfig};

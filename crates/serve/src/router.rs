@@ -13,7 +13,7 @@
 //! | `GET /communities` | cover summary with both strength metrics |
 //! | `GET /communities/{id}` | one community, members + metrics |
 //! | `GET /top/investors?by=degree\|pagerank&k=N` | ranked investors |
-//! | `GET\|POST /sql?ns=…&q=…` | ad-hoc SQL via `dataflow::sql::query` |
+//! | `GET\|POST /sql?ns=…&q=…` | ad-hoc SQL over the projected column runs |
 //!
 //! Every endpoint is a free function generic over [`DataSource`], the
 //! handful of data accesses that differ between an unsharded
@@ -34,11 +34,11 @@ use crate::cache::ResultCache;
 use crate::error::ServeError;
 use crate::http::{parse_query, Request, Response};
 use crate::service::ServiceConfig;
+use crowdnet_column::{project_runs, ColumnRun};
 use crowdnet_dataflow::{sql, Dataset, ExecCtx};
 use crowdnet_graph::BipartiteGraph;
 use crowdnet_json::{obj, Value};
 use crowdnet_store::store::NamespaceStats;
-use crowdnet_store::Document;
 use crowdnet_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -92,17 +92,18 @@ pub trait DataSource {
     ) -> Result<Option<Vec<u32>>, ServeError>;
     /// The `k` highest-degree investors, ranked like [`rank_investors`].
     fn top_by_degree(&self, ctx: &mut QueryCtx, k: usize) -> Result<Vec<(u32, f64)>, ServeError>;
-    /// The canonical partition scan of `ns` at snapshot 0.
-    fn scan_partitions(
+    /// The sealed column runs of `ns` at snapshot 0, `[partition][run]`:
+    /// merging each partition's runs by `(key, run index)` yields the
+    /// canonical partition scan.
+    fn scan_runs(
         &self,
         ctx: &mut QueryCtx,
         ns: &str,
-    ) -> Result<Vec<Vec<Document>>, ServeError>;
+    ) -> Result<Vec<Vec<Arc<ColumnRun>>>, ServeError>;
 }
 
 /// What a serving tier owns around its data source: the knobs, the
-/// dataflow context SQL runs on, the result cache and the request
-/// metrics.
+/// result cache and the request metrics.
 pub struct Surface {
     cfg: ServiceConfig,
     telemetry: Telemetry,
@@ -134,11 +135,6 @@ impl Surface {
     /// The serving knobs.
     pub fn cfg(&self) -> &ServiceConfig {
         &self.cfg
-    }
-
-    /// The dataflow context scans and SQL run on.
-    pub fn ctx(&self) -> ExecCtx {
-        ExecCtx::new(self.cfg.threads)
     }
 
     /// The telemetry handle every request reports into.
@@ -531,14 +527,25 @@ fn sql_endpoint<S: DataSource>(
 ) -> Result<Value, ServeError> {
     let ns = param(req, "ns")
         .ok_or_else(|| ServeError::BadRequest("missing ?ns= namespace".into()))?;
-    let query_text = if req.method == "POST" && !req.body.is_empty() {
-        String::from_utf8(req.body.clone())
+    // Parse first: a bad query costs no scan, and the parsed query names
+    // the only top-level fields execution can read, so the scan decodes
+    // just those columns instead of whole documents.
+    let from_param;
+    let text = if req.method == "POST" && !req.body.is_empty() {
+        std::str::from_utf8(&req.body)
             .map_err(|_| ServeError::BadRequest("sql body is not utf-8".into()))?
     } else {
-        param(req, "q").ok_or_else(|| ServeError::BadRequest("missing ?q= query".into()))?
+        from_param = param(req, "q")
+            .ok_or_else(|| ServeError::BadRequest("missing ?q= query".into()))?;
+        &from_param
     };
-    let docs = Dataset::from_partitions(s.scan_partitions(ctx, &ns)?, surface.ctx());
-    let table = sql::query(&query_text, docs.map(|d| d.body))?;
+    let query = sql::parse_query(text)?;
+    let rows = project_runs(&s.scan_runs(ctx, &ns)?, &query.referenced_fields())?;
+    // On this worker's own thread: the server's worker pool is the serving
+    // tier's parallelism, and a scan of a few milliseconds that fanned
+    // every stage out again would only take cores from the lookups
+    // running beside it.
+    let table = sql::execute(&query, Dataset::from_partitions(rows, ExecCtx::serial()))?;
     let total = table.rows.len();
     let limit = surface.cfg.sql_row_limit;
     let rows = table

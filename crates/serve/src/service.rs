@@ -1,4 +1,4 @@
-//! The service core: one opened store + lazily-built artifacts, the
+//! The service core: one opened store + one lazily-built epoch, the
 //! unsharded [`DataSource`] behind the endpoint table in [`router`].
 //!
 //! [`Service::handle`] is the whole request path, shared verbatim by the
@@ -6,22 +6,28 @@
 //! TCP server — so "everything is also callable without sockets" is a
 //! structural property, not a test shim. It is one call into
 //! [`router::respond`]; what lives here is where the data comes from:
-//! the pinned or lazily rebuilt [`Artifacts`] and the store itself.
+//! the [`Epoch`] — sealed column runs plus the [`Artifacts`] derived from
+//! them, at one store version — that every endpoint reads.
 //!
-//! Artifacts are rebuilt whenever [`Store::version`] moves past the stamp
-//! on the cached build; the result cache uses the same version as its
+//! The epoch sits in a single slot. Either the ingest tier owns it
+//! ([`Service::install_epoch`], pinned: requests read the installed pair
+//! as-is) or it is rebuilt whenever [`Store::version`] moves past its
+//! stamp: columns first, from one scan of the JSON log, then artifacts
+//! from those columns. The result cache uses the same version as its
 //! invalidation epoch, so a re-crawl invalidates both in one counter bump.
+//! The JSON log is read by that rebuild and nothing else — no request
+//! re-parses a stored document.
 
 use crate::artifacts::{Artifacts, ArtifactsConfig};
 use crate::cache::CacheConfig;
 use crate::error::ServeError;
 use crate::http::{Request, Response};
 use crate::router::{self, DataSource, QueryCtx, Surface};
-use crowdnet_column::ColumnCatalog;
+use crowdnet_column::{ColumnCatalog, ColumnConfig, ColumnRun, ColumnSet};
 use crowdnet_json::Value;
 use crowdnet_store::store::NamespaceStats;
-use crowdnet_store::{Document, SnapshotId, Store};
-use crowdnet_telemetry::Telemetry;
+use crowdnet_store::{SnapshotId, Store};
+use crowdnet_telemetry::{Counter, Telemetry};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,8 +43,6 @@ pub struct ServiceConfig {
     /// Maximum rows an ad-hoc SQL response returns (the rest is reported
     /// as `truncated`).
     pub sql_row_limit: usize,
-    /// Dataflow threads for scans and SQL execution.
-    pub threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -47,43 +51,56 @@ impl Default for ServiceConfig {
             artifacts: ArtifactsConfig::default(),
             cache: CacheConfig::default(),
             sql_row_limit: 1000,
-            threads: 2,
         }
     }
+}
+
+/// One consistent view of the store: what every endpoint of one request
+/// answers from. `artifacts` were derived from (or maintained in step
+/// with) `columns`, and both reflect store version `artifacts.version`.
+pub struct Epoch {
+    /// Sealed column runs of every namespace — the `/sql` scan source.
+    pub columns: Arc<ColumnCatalog>,
+    /// Graph, communities, rankings and the entity index.
+    pub artifacts: Arc<Artifacts>,
+}
+
+/// The one slot behind [`Service::epoch`].
+#[derive(Default)]
+struct EpochSlot {
+    /// The pair requests read; swapped whole, never patched.
+    epoch: Option<Arc<Epoch>>,
+    /// Pinned: an external publisher owns freshness through
+    /// [`Service::install_epoch`] and requests never rebuild inline.
+    pinned: bool,
+    /// A catalog handed in by [`Service::install_columns`] for the next
+    /// rebuild to start from instead of scanning the log.
+    offered: Option<Arc<ColumnCatalog>>,
 }
 
 /// The query-serving core.
 pub struct Service {
     surface: Surface,
     store: Arc<Store>,
-    artifacts_slot: RwLock<Option<Arc<Artifacts>>>,
-    /// Columnar projection of the store, when the owning tier maintains
-    /// one. Lazy rebuilds prefer it over re-parsing the JSON log whenever
-    /// its version matches the store; any column error falls back to the
-    /// JSON path — the projection is derived data and never trusted.
-    columns_slot: RwLock<Option<Arc<ColumnCatalog>>>,
-    /// Pinned-epoch mode: an external publisher (the ingest tier) owns
-    /// artifact freshness via [`Service::install_artifacts`]; requests
-    /// read the installed epoch as-is and never rebuild inline.
-    pinned: AtomicBool,
+    slot: RwLock<EpochSlot>,
     /// Degraded mode: the owning tier is recovering from a crash; requests
     /// keep being answered from the last committed epoch, flagged so
     /// clients can tell the data may trail the store. Surfaced by
     /// `/healthz` and `/stats`.
     degraded: AtomicBool,
+    column_rebuilds: Counter,
 }
 
 impl Service {
-    /// Wrap an opened store. Nothing is scanned yet — artifacts build on
-    /// the first request that needs them.
+    /// Wrap an opened store. Nothing is scanned yet — the epoch builds on
+    /// the first request that needs it.
     pub fn new(store: Arc<Store>, cfg: ServiceConfig, telemetry: Telemetry) -> Service {
         let requests = telemetry.counter("serve.requests");
         Service {
+            column_rebuilds: telemetry.counter("column.rebuilds"),
             surface: Surface::new(cfg, telemetry, requests, "serve"),
             store,
-            artifacts_slot: RwLock::new(None),
-            columns_slot: RwLock::new(None),
-            pinned: AtomicBool::new(false),
+            slot: RwLock::new(EpochSlot::default()),
             degraded: AtomicBool::new(false),
         }
     }
@@ -101,36 +118,36 @@ impl Service {
         self.degraded.load(Ordering::Acquire)
     }
 
-    /// Atomically install an externally assembled epoch and switch the
-    /// service to pinned-epoch mode: every subsequent request answers
-    /// from this snapshot (zero rebuild on the request path) until the
-    /// next install swaps it out. The result cache keys by the epoch's
+    /// Install an externally assembled epoch — one slot write — and
+    /// switch the service to pinned-epoch mode: every subsequent request
+    /// answers from this pair (zero rebuild on the request path) until the
+    /// next install swaps it out. No reader can pair one install's columns
+    /// with another's artifacts, and the result cache keys by the epoch's
     /// version stamp, so entries from older epochs become unreachable at
     /// the same instant the swap lands.
-    pub fn install_artifacts(&self, artifacts: Arc<Artifacts>) {
-        *self.artifacts_slot.write() = Some(artifacts);
-        self.pinned.store(true, Ordering::Release);
+    pub fn install_epoch(&self, columns: Arc<ColumnCatalog>, artifacts: Arc<Artifacts>) {
+        let mut slot = self.slot.write();
+        slot.epoch = Some(Arc::new(Epoch { columns, artifacts }));
+        slot.pinned = true;
+        slot.offered = None;
     }
 
-    /// Publish a columnar projection for lazy rebuilds to answer from.
-    /// Unlike [`Service::install_artifacts`] this does not pin anything:
-    /// the next stale-version rebuild simply decodes columns instead of
-    /// re-parsing JSON, and a catalog that trails the store is ignored.
+    /// Offer a columnar projection for the next lazy rebuild to start
+    /// from. Unlike [`Service::install_epoch`] this neither pins nor
+    /// publishes anything: a catalog at exactly the store's version saves
+    /// the rebuild its scan of the JSON log, any other is ignored.
     pub fn install_columns(&self, catalog: Arc<ColumnCatalog>) {
-        *self.columns_slot.write() = Some(catalog);
-    }
-
-    /// The installed columnar projection, if any.
-    pub fn columns(&self) -> Option<Arc<ColumnCatalog>> {
-        self.columns_slot.read().clone()
+        self.slot.write().offered = Some(catalog);
     }
 
     /// The installed epoch, when the service is in pinned-epoch mode.
-    pub fn pinned_artifacts(&self) -> Option<Arc<Artifacts>> {
-        if !self.pinned.load(Ordering::Acquire) {
-            return None;
+    pub fn pinned_epoch(&self) -> Option<Arc<Epoch>> {
+        let slot = self.slot.read();
+        if slot.pinned {
+            slot.epoch.clone()
+        } else {
+            None
         }
-        self.artifacts_slot.read().clone()
     }
 
     /// The underlying store.
@@ -143,53 +160,69 @@ impl Service {
         self.surface.telemetry()
     }
 
-    /// The artifacts requests answer from. In pinned-epoch mode this is
-    /// the installed epoch, untouched by store writes; otherwise the
-    /// artifacts for the store's *current* version, building (or
-    /// rebuilding, after a write) if the cached build is stale.
+    /// The artifacts requests answer from ([`Service::epoch`]'s).
     pub fn artifacts(&self) -> Result<Arc<Artifacts>, ServeError> {
-        if let Some(pinned) = self.pinned_artifacts() {
-            return Ok(pinned);
-        }
+        Ok(Arc::clone(&self.epoch()?.artifacts))
+    }
+
+    /// The epoch requests answer from. In pinned-epoch mode this is the
+    /// installed pair, untouched by store writes; otherwise the epoch of
+    /// the store's *current* version, building (or rebuilding, after a
+    /// write) if the cached one is stale.
+    pub fn epoch(&self) -> Result<Arc<Epoch>, ServeError> {
         let version = self.store.version();
-        {
-            let slot = self.artifacts_slot.read();
-            if let Some(a) = &*slot {
-                if a.version == version {
-                    return Ok(Arc::clone(a));
+        let offered = {
+            let slot = self.slot.read();
+            if let Some(epoch) = &slot.epoch {
+                if slot.pinned || epoch.artifacts.version == version {
+                    return Ok(Arc::clone(epoch));
                 }
             }
-        }
-        // Build outside any lock — scans and CoDA take real time and the
-        // read path above must stay contention-free meanwhile. Prefer the
-        // columnar projection when one is installed at exactly this
-        // version; any column error (corrupt run, stale manifest) drops
-        // to the JSON scan, which is always authoritative.
-        let telemetry = self.surface.telemetry();
-        let cfg = &self.surface.cfg().artifacts;
-        let columnar = self
-            .columns()
-            .filter(|c| c.version() == version)
-            .and_then(|c| Artifacts::from_columns(&c, telemetry, cfg).ok());
-        let built = match columnar {
-            Some(a) => Arc::new(a),
-            None => Arc::new(Artifacts::build(
-                &self.store,
-                self.surface.ctx(),
-                telemetry,
-                cfg,
-            )?),
+            slot.offered.clone().filter(|c| c.version() == version)
         };
-        let mut slot = self.artifacts_slot.write();
-        match &*slot {
-            // A racing builder won with an equal-or-newer stamp; use its
-            // build so every caller converges on one Arc.
-            Some(a) if a.version >= built.version => Ok(Arc::clone(a)),
+        // Build outside any lock — the scan and CoDA take real time and
+        // the read path above must stay contention-free meanwhile.
+        let built = Arc::new(self.build_epoch(offered)?);
+        let mut slot = self.slot.write();
+        match &slot.epoch {
+            // An install, or a racing builder with an equal-or-newer
+            // stamp, won; use its epoch so every caller converges on one.
+            Some(e) if slot.pinned || e.artifacts.version >= built.artifacts.version => {
+                Ok(Arc::clone(e))
+            }
             _ => {
-                *slot = Some(Arc::clone(&built));
+                slot.epoch = Some(Arc::clone(&built));
+                slot.offered = None;
                 Ok(built)
             }
         }
+    }
+
+    /// Columns, then artifacts from those columns. The projection is
+    /// derived data and never trusted: if an offered catalog fails to
+    /// decode, the columns are rebuilt from the JSON log once (counted in
+    /// `column.rebuilds`); a failure after that is the caller's error,
+    /// never a different source.
+    fn build_epoch(&self, offered: Option<Arc<ColumnCatalog>>) -> Result<Epoch, ServeError> {
+        let telemetry = self.surface.telemetry();
+        let cfg = &self.surface.cfg().artifacts;
+        if let Some(columns) = offered {
+            if let Ok(artifacts) = Artifacts::from_columns(&columns, telemetry, cfg) {
+                return Ok(Epoch { columns, artifacts: Arc::new(artifacts) });
+            }
+            self.column_rebuilds.inc();
+        }
+        let columns = self.rebuild_columns()?;
+        let artifacts = Arc::new(Artifacts::from_columns(&columns, telemetry, cfg)?);
+        Ok(Epoch { columns, artifacts })
+    }
+
+    /// Project the whole store into sealed runs: the serving tier's one
+    /// reader of the JSON log (`scripts/check.sh` holds it to that).
+    fn rebuild_columns(&self) -> Result<Arc<ColumnCatalog>, ServeError> {
+        let telemetry = self.surface.telemetry();
+        let set = ColumnSet::build_from_store(&self.store, ColumnConfig::default(), Some(telemetry))?;
+        Ok(set.catalog())
     }
 
     /// Serve one request end to end: admission-independent core shared by
@@ -206,16 +239,16 @@ impl Service {
     }
 }
 
-/// The unsharded data source: every access reads the one store or the
-/// artifacts built from it, so no shard is ever missing and `ctx` stays
+/// The unsharded data source: every access reads the one epoch (or, for
+/// live stats, the store), so no shard is ever missing and `ctx` stays
 /// untouched.
 impl DataSource for Service {
     fn cache_scope(&self) -> Option<(u64, &'static str)> {
         // Cache epoch: the installed epoch's stamp when pinned (entries
         // survive raw store writes until the next publish), the live
         // store version otherwise.
-        let epoch = match self.pinned_artifacts() {
-            Some(a) => a.version,
+        let epoch = match self.pinned_epoch() {
+            Some(e) => e.artifacts.version,
             None => self.store.version(),
         };
         // Degraded responses carry a flag in their bodies, so they must not
@@ -251,9 +284,9 @@ impl DataSource for Service {
         // Pinned-epoch mode: answer from the stats frozen into the epoch, at
         // the epoch's version — consistent with every other endpoint even
         // while the store takes writes. Otherwise read the store live.
-        if let Some(epoch) = self.pinned_artifacts() {
-            if let Some(stats) = &epoch.stats {
-                return Ok((stats.clone(), epoch.version));
+        if let Some(epoch) = self.pinned_epoch() {
+            if let Some(stats) = &epoch.artifacts.stats {
+                return Ok((stats.clone(), epoch.artifacts.version));
             }
         }
         Ok((self.store.stats()?, self.store.version()))
@@ -290,12 +323,12 @@ impl DataSource for Service {
         Ok(router::rank_investors(&a.graph, degrees, k))
     }
 
-    fn scan_partitions(
+    fn scan_runs(
         &self,
         _ctx: &mut QueryCtx,
         ns: &str,
-    ) -> Result<Vec<Vec<Document>>, ServeError> {
-        Ok(self.store.scan_partitions(ns, SnapshotId(0))?)
+    ) -> Result<Vec<Vec<Arc<ColumnRun>>>, ServeError> {
+        Ok(self.epoch()?.columns.scan_runs(ns, SnapshotId(0))?.to_vec())
     }
 }
 
@@ -304,6 +337,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::artifacts::{NS_COMPANIES, NS_USERS};
     use crowdnet_json::obj;
+    use crowdnet_store::Document;
 
     pub(crate) fn seeded_service() -> Service {
         let store = Store::memory(4);
@@ -434,57 +468,128 @@ pub(crate) mod tests {
         assert_eq!(healthy.body, again.body);
     }
 
-    #[test]
-    fn columnar_rebuild_is_used_and_byte_identical_to_json_path() {
-        let run = |columnar: bool| {
-            let svc = seeded_service();
-            if columnar {
-                let set = crowdnet_column::ColumnSet::build_from_store(
-                    svc.store(),
-                    crowdnet_column::ColumnConfig::default(),
-                    Some(svc.telemetry()),
-                )
-                .unwrap();
-                svc.install_columns(set.catalog());
+    /// The JSON-scan oracle: [`Artifacts::build`] re-parses the log; the
+    /// service derives the same artifacts from sealed columns.
+    fn assert_matches_json_oracle(svc: &Service) {
+        let got = svc.artifacts().unwrap();
+        let want = Artifacts::build(
+            svc.store(),
+            crowdnet_dataflow::ExecCtx::new(2),
+            &Telemetry::new(),
+            &ArtifactsConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(got.version, want.version);
+        assert_eq!(got.pagerank, want.pagerank);
+        assert_eq!(got.cover, want.cover);
+        assert_eq!(got.graph.investor_count(), want.graph.investor_count());
+        for i in 0..want.graph.investor_count() as u32 {
+            let id = want.graph.investor_id(i);
+            assert_eq!(got.graph.investor_id(i), id);
+            assert_eq!(got.graph.company_ids_of(id), want.graph.company_ids_of(id));
+        }
+        for ns in [NS_COMPANIES, NS_USERS] {
+            for doc in svc.store().scan(ns).unwrap() {
+                let (kind, id) = doc.key.split_once(':').unwrap();
+                let id = id.parse().unwrap();
+                assert_eq!(got.entity(kind, id), want.entity(kind, id), "{}", doc.key);
             }
-            let mut bytes = Vec::new();
-            for target in svc.example_targets().unwrap() {
-                if target == "/healthz" {
-                    continue;
-                }
-                bytes.extend_from_slice(&svc.handle(&Request::get(&target)).body);
-            }
-            if columnar {
-                // The rebuild really decoded columns: the catalog's scan
-                // counter moved. (The JSON fallback never touches it.)
-                assert!(
-                    svc.telemetry().counter("column.scan.docs").value() > 0,
-                    "columnar path was installed but not used"
-                );
-            }
-            bytes
-        };
-        assert_eq!(run(false), run(true));
+        }
     }
 
     #[test]
-    fn stale_columns_fall_back_to_the_json_scan() {
+    fn lazy_epoch_is_built_from_columns_and_matches_the_json_oracle() {
         let svc = seeded_service();
-        let set = crowdnet_column::ColumnSet::build_from_store(
-            svc.store(),
-            crowdnet_column::ColumnConfig::default(),
-            Some(svc.telemetry()),
-        )
-        .unwrap();
-        svc.install_columns(set.catalog());
-        // A write moves the store past the catalog; the rebuild must not
-        // answer from the stale projection.
+        assert_matches_json_oracle(&svc);
+        let t = svc.telemetry();
+        // One projection of the log, decoded once for the artifacts.
+        assert_eq!(t.counter("column.builds").value(), 1);
+        assert!(t.counter("column.scan.docs").value() > 0);
+        let epoch = svc.epoch().unwrap();
+        assert_eq!(epoch.columns.version(), epoch.artifacts.version);
+        assert!(Arc::ptr_eq(&epoch.artifacts, &svc.artifacts().unwrap()));
+    }
+
+    #[test]
+    fn offered_columns_at_the_store_version_spare_the_log_scan() {
+        let svc = seeded_service();
+        let offered = ColumnSet::build_from_store(svc.store(), ColumnConfig::default(), None)
+            .unwrap()
+            .catalog();
+        svc.install_columns(Arc::clone(&offered));
+        assert_matches_json_oracle(&svc);
+        assert!(Arc::ptr_eq(&svc.epoch().unwrap().columns, &offered));
+        assert_eq!(svc.telemetry().counter("column.builds").value(), 0);
+        assert!(svc.pinned_epoch().is_none(), "an offer must not pin");
+    }
+
+    #[test]
+    fn offered_columns_that_cannot_answer_cost_one_counted_rebuild() {
+        let svc = seeded_service();
+        // A projection sealed without the users' edge segments: at the
+        // right version, but the artifacts cannot be derived from it.
+        let cfg = ColumnConfig { edge_namespace: "elsewhere".to_string() };
+        let broken = ColumnSet::build_from_store(svc.store(), cfg, None).unwrap().catalog();
+        svc.install_columns(Arc::clone(&broken));
+        assert_matches_json_oracle(&svc);
+        assert!(!Arc::ptr_eq(&svc.epoch().unwrap().columns, &broken));
+        assert_eq!(svc.telemetry().counter("column.rebuilds").value(), 1);
+    }
+
+    #[test]
+    fn stale_columns_are_rebuilt_never_served() {
+        let svc = seeded_service();
+        let stale = ColumnSet::build_from_store(svc.store(), ColumnConfig::default(), None)
+            .unwrap()
+            .catalog();
+        svc.install_columns(Arc::clone(&stale));
+        // A write moves the store past the offered catalog.
         svc.store()
             .put(NS_COMPANIES, Document::new("company:88", obj! {"id" => 88u64}))
             .unwrap();
-        let a = svc.artifacts().unwrap();
-        assert_eq!(a.version, svc.store().version());
-        assert!(a.entity("company", 88).is_some(), "stale columnar epoch served");
+        let epoch = svc.epoch().unwrap();
+        assert_eq!(epoch.artifacts.version, svc.store().version());
+        assert_eq!(epoch.columns.version(), svc.store().version());
+        assert!(!Arc::ptr_eq(&epoch.columns, &stale), "stale columns served");
+        assert!(epoch.artifacts.entity("company", 88).is_some());
+        let count = svc.handle(&Request::get(
+            "/sql?ns=angellist%2Fcompanies&q=SELECT+COUNT(*)+AS+n+FROM+docs",
+        ));
+        assert!(String::from_utf8_lossy(&count.body).contains("[[5]]"), "{count:?}");
+        assert_matches_json_oracle(&svc);
+    }
+
+    #[test]
+    fn an_installed_epoch_is_read_as_one_pair_until_the_next_install() {
+        let svc = seeded_service();
+        let install = |svc: &Service| {
+            let set =
+                ColumnSet::build_from_store(svc.store(), ColumnConfig::default(), None).unwrap();
+            let columns = set.catalog();
+            let artifacts = Artifacts::from_columns(
+                &columns,
+                &Telemetry::new(),
+                &ArtifactsConfig::default(),
+            )
+            .unwrap();
+            svc.install_epoch(columns, Arc::new(artifacts));
+        };
+        let sql = "/sql?ns=angellist%2Fcompanies&q=SELECT+COUNT(*)+AS+n+FROM+docs";
+        install(&svc);
+        let before = svc.handle(&Request::get(sql));
+        svc.store()
+            .put(NS_COMPANIES, Document::new("company:88", obj! {"id" => 88u64}))
+            .unwrap();
+        // Pinned: neither half moves with the store …
+        let pinned = svc.pinned_epoch().unwrap();
+        assert_eq!(pinned.columns.version(), pinned.artifacts.version);
+        assert!(pinned.artifacts.version < svc.store().version());
+        assert_eq!(svc.handle(&Request::get(sql)).body, before.body);
+        assert_eq!(svc.handle(&Request::get("/entity/company/88")).status, 404);
+        // … and both move with the next install.
+        install(&svc);
+        assert_ne!(svc.handle(&Request::get(sql)).body, before.body);
+        assert_eq!(svc.handle(&Request::get("/entity/company/88")).status, 200);
     }
 
     #[test]

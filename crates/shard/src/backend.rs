@@ -3,7 +3,7 @@
 //!
 //! [`ShardBackend`] is the seam between the [`Router`](crate::Router) and
 //! a shard's physical home. The trait surface is a set of **serializable
-//! leg methods** — `epoch_meta`, `scan_partitions`, `entity_docs`,
+//! leg methods** — `epoch_meta`, `scan_runs`, `entity_docs`,
 //! `investor_edges`, `company_edges`, `top_k_prefix`, `shard_stats`,
 //! `submit`, `recover` — every one a plain request/response exchange over
 //! owned data, so the same seam is implemented by the in-process
@@ -109,33 +109,13 @@ pub struct ShardEpoch {
     /// `"company:{id}"` / `"user:{id}"` → document body.
     pub entities: FxHashMap<String, Value>,
     /// Every `(namespace, snapshot)` of the shard's store as sealed
-    /// column runs at `version` — the source of the `scan_partitions`
-    /// leg, in process and on the wire.
+    /// column runs at `version` — the source of the `scan_runs` leg, in
+    /// process and on the wire ([`ColumnCatalog::scan_runs`]: merging a
+    /// partition's runs by `(key, run index)` is [`Store::scan_partitions`]
+    /// at `version`, and absence fails with the store's own variants —
+    /// the router's lockstep rule reads a missing namespace off
+    /// `NamespaceNotFound`).
     pub columns: Arc<ColumnCatalog>,
-}
-
-impl ShardEpoch {
-    /// The sealed runs behind a `scan_partitions` leg, `[partition][run]`
-    /// in seal order; merging each partition's runs by `(key, run index)`
-    /// is [`Store::scan_partitions`] at the epoch's version, and absence
-    /// fails with the store's own variants — the router's lockstep rule
-    /// reads a missing namespace off `NamespaceNotFound`.
-    pub fn scan_runs(
-        &self,
-        ns: &str,
-        snapshot: SnapshotId,
-    ) -> Result<&[Vec<Arc<ColumnRun>>], ShardError> {
-        self.columns.partition_runs(ns, snapshot).map_err(|_| {
-            ShardError::Store(if self.columns.snapshots(ns).is_empty() {
-                StoreError::NamespaceNotFound(ns.to_string())
-            } else {
-                StoreError::SnapshotNotFound {
-                    namespace: ns.to_string(),
-                    snapshot: snapshot.0,
-                }
-            })
-        })
-    }
 }
 
 /// Summary of a shard's current epoch: the `epoch_meta` leg's reply, and
@@ -201,13 +181,36 @@ pub trait ShardBackend: Send + Sync {
     fn set_health(&self, health: ShardHealth);
     /// Leg: current epoch summary. Doubles as the health probe.
     fn epoch_meta(&self) -> Result<EpochMeta, ShardError>;
-    /// Leg: the shard's slice of every partition of `ns` at `snapshot`,
-    /// in partition order with per-partition append order preserved.
+    /// Leg: the shard's slice of every partition of `ns` at `snapshot` as
+    /// sealed column runs, `[partition][run]` in seal order — the bulk
+    /// leg. The router concatenates a partition's run lists in shard
+    /// order; one `(key, run index)` merge over that list is the
+    /// unsharded partition scan.
+    fn scan_runs(
+        &self,
+        ns: &str,
+        snapshot: SnapshotId,
+    ) -> Result<Vec<Vec<Arc<ColumnRun>>>, ShardError>;
+    /// [`ShardBackend::scan_runs`] merged into documents, in partition
+    /// order with per-partition append order preserved. No request path
+    /// calls it; `perf-report`'s leg probes time it (ROADMAP 3d).
     fn scan_partitions(
         &self,
         ns: &str,
         snapshot: SnapshotId,
-    ) -> Result<Vec<Vec<Document>>, ShardError>;
+    ) -> Result<Vec<Vec<Document>>, ShardError> {
+        self.scan_runs(ns, snapshot)?
+            .iter()
+            .map(|runs| {
+                merge_runs(runs).map_err(|e| {
+                    ShardError::Store(StoreError::Io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("column projection: {e}"),
+                    )))
+                })
+            })
+            .collect()
+    }
     /// Leg: entity bodies for `keys`, positionally (`None` = not here).
     fn entity_docs(&self, keys: &[String]) -> Result<Vec<Option<Value>>, ShardError>;
     /// Leg: company ids investor `id` holds, in edge order (`None` = the
@@ -282,7 +285,7 @@ impl LocalShard {
             IngestConfig::default(),
             telemetry.clone(),
         )?;
-        let epoch = Arc::new(snapshot_epoch(&mut engine)?);
+        let epoch = Arc::new(snapshot_epoch(&mut engine));
         let (tx, rx) = sync_channel::<Job>(EXEC_QUEUE);
         let thread = std::thread::Builder::new()
             .name(format!("shard-exec-{index}"))
@@ -325,7 +328,7 @@ impl LocalShard {
         // concurrent readers without blocking them on the drain.
         let mut engine = self.engine.lock();
         engine.drain()?;
-        let fresh = Arc::new(snapshot_epoch(&mut engine)?);
+        let fresh = Arc::new(snapshot_epoch(&mut engine));
         *self.epoch.write() = Arc::clone(&fresh);
         self.refreshes.inc();
         Ok(fresh)
@@ -334,25 +337,13 @@ impl LocalShard {
 
 /// Freeze the engine's maintained state into an immutable epoch, sealing
 /// the column appends that arrived since the last one.
-fn snapshot_epoch(engine: &mut IngestEngine) -> Result<ShardEpoch, ShardError> {
-    let columns = engine
-        .seal_columns()
-        .ok_or_else(|| projection_error("the shard's ingest engine keeps no column projection"))?;
-    Ok(ShardEpoch {
+fn snapshot_epoch(engine: &mut IngestEngine) -> ShardEpoch {
+    ShardEpoch {
         version: engine.applied_version(),
         graph: engine.graph().graph().clone(),
         entities: engine.entities().clone_map(),
-        columns,
-    })
-}
-
-/// The shard's own projection failed it — a local data fault like a
-/// corrupt log line, so a store error, not a transport one.
-fn projection_error(what: impl std::fmt::Display) -> ShardError {
-    ShardError::Store(StoreError::Io(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("column projection: {what}"),
-    )))
+        columns: engine.seal_columns(),
+    }
 }
 
 impl ShardBackend for LocalShard {
@@ -380,16 +371,12 @@ impl ShardBackend for LocalShard {
         })
     }
 
-    fn scan_partitions(
+    fn scan_runs(
         &self,
         ns: &str,
         snapshot: SnapshotId,
-    ) -> Result<Vec<Vec<Document>>, ShardError> {
-        self.epoch()?
-            .scan_runs(ns, snapshot)?
-            .iter()
-            .map(|runs| merge_runs(runs).map_err(projection_error))
-            .collect()
+    ) -> Result<Vec<Vec<Arc<ColumnRun>>>, ShardError> {
+        Ok(self.epoch()?.columns.scan_runs(ns, snapshot)?.to_vec())
     }
 
     fn entity_docs(&self, keys: &[String]) -> Result<Vec<Option<Value>>, ShardError> {
@@ -469,7 +456,7 @@ impl ShardBackend for LocalShard {
         self.store.recover()?;
         let mut engine = self.engine.lock();
         engine.catch_up()?;
-        let fresh = Arc::new(snapshot_epoch(&mut engine)?);
+        let fresh = Arc::new(snapshot_epoch(&mut engine));
         *self.epoch.write() = fresh;
         drop(engine);
         self.set_health(ShardHealth::Healthy);
@@ -581,9 +568,9 @@ mod tests {
         // refresh seals them — and no longer than that.
         shard.epoch().unwrap();
         let pending = |shard: &LocalShard| {
-            shard.engine.lock().columns().map(|c| c.pending_docs())
+            shard.engine.lock().columns().pending_docs()
         };
-        assert_eq!(pending(&shard), Some(0));
+        assert_eq!(pending(&shard), 0);
         let check = |snap: u32| {
             assert_eq!(
                 shard.scan_partitions(ns, SnapshotId(snap)).unwrap(),
@@ -596,14 +583,14 @@ mod tests {
         // both versions in append order.
         put(&shard, ns, "day:3", obj! {"day" => 3u64, "rev" => 1u64});
         check(0);
-        assert_eq!(pending(&shard), Some(0));
+        assert_eq!(pending(&shard), 0);
         // A rolled snapshot scans on its own, and snapshot 0 stays put.
         assert_eq!(shard.submit(&WriteOp::NewSnapshot { ns: ns.into() }).unwrap().snapshot, 1);
         put(&shard, ns, "day:3", obj! {"day" => 3u64, "rev" => 2u64});
         put(&shard, ns, "day:9", obj! {"day" => 9u64, "rev" => 0u64});
         check(1);
         check(0);
-        assert_eq!(pending(&shard), Some(0));
+        assert_eq!(pending(&shard), 0);
         // The scan leg answers from the same epoch as every other leg.
         assert_eq!(shard.epoch().unwrap().columns.version(), shard.store().version());
     }

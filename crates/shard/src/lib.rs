@@ -25,9 +25,10 @@
 //! * [`Router`] — scatter-gather serving: the sharded data source behind
 //!   `crowdnet_serve::router`'s one endpoint table, answering each access
 //!   by merging per-shard results (bounded-heap top-k, associative stats,
-//!   canonical re-sorted scans for SQL and artifacts) under a per-request
-//!   deadline budget. A dead or recovering shard is reported as a gap,
-//!   which the table turns into a flagged partial instead of a failure.
+//!   sealed column runs merged by `(key, run index)` for SQL and
+//!   artifacts) under a per-request deadline budget. A dead or recovering
+//!   shard is reported as a gap, which the table turns into a flagged
+//!   partial instead of a failure.
 //!
 //! The whole surface is proptest-gated against the unsharded service:
 //! for any op sequence, 1-, 2- and 4-shard deployments answer every

@@ -20,12 +20,14 @@
 //!   broken by ascending id exactly like the unsharded ranking.
 //! * **namespace stats** — associative merge of per-shard `shard_stats`
 //!   legs.
-//! * **partition scans / artifacts** — per-shard `scan_partitions` legs
-//!   are concatenated in shard order and stable-sorted by key, which
-//!   reconstructs the unsharded store's canonical partition scans
-//!   byte-for-byte (same-key documents never span shards); communities
-//!   and PageRank come from global [`Artifacts`] assembled from that
-//!   canonical merge and cached per logical version.
+//! * **partition scans / artifacts** — per-shard `scan_runs` legs hand
+//!   over sealed column runs; a partition's run lists concatenate in
+//!   shard order, and the one `(key, run index)` merge over that list is
+//!   the unsharded store's canonical partition scan (same-key documents
+//!   never span shards). `/sql` projects the referenced fields straight
+//!   off the gathered runs; communities and PageRank come from global
+//!   [`Artifacts`] assembled from the merged documents and cached per
+//!   logical version.
 //!
 //! Fan-outs run on the shards' executor threads under the request's
 //! deadline budget: a shard that is down, mid-recovery, past the budget,
@@ -38,6 +40,7 @@
 use crate::backend::{Job, ShardBackend, ShardHealth};
 use crate::error::ShardError;
 use crate::set::{merge_stats, ShardSet};
+use crowdnet_ingest::column::{merge_runs, ColumnRun};
 use crowdnet_json::{obj, Value};
 use crowdnet_serve::artifacts::{Artifacts, NS_COMPANIES, NS_USERS};
 use crowdnet_serve::http::{Request, Response};
@@ -178,19 +181,20 @@ impl Router {
         Ok(gathered)
     }
 
-    /// Canonical partition scans of `ns` at snapshot 0, merged across the
-    /// healthy shards: per partition, shard slices concatenate in shard
-    /// order and stable-sort by key. Because a key's documents live on
-    /// exactly one shard and each shard preserves append order, this
-    /// reconstructs the unsharded store's `scan_partitions` output
-    /// exactly. `Ok(None)` means the namespace does not exist.
-    fn merged_partitions(
+    /// The sealed runs of `ns` at snapshot 0 across the healthy shards:
+    /// per partition, the shards' run lists concatenated in shard order.
+    /// A key's documents live on exactly one shard and each shard seals in
+    /// append order, so one `(key, run index)` merge over a partition's
+    /// list reconstructs the unsharded store's `scan_partitions` output
+    /// exactly — no document is materialised or re-sorted to get there.
+    /// `Ok(None)` means the namespace does not exist.
+    fn gathered_runs(
         &self,
         ctx: &mut QueryCtx,
         ns: &str,
-    ) -> Result<Option<Vec<Vec<Document>>>, ServeError> {
+    ) -> Result<Option<Vec<Vec<Arc<ColumnRun>>>>, ServeError> {
         let owned = ns.to_string();
-        let legs = match self.scatter_leg(ctx, move |s| s.scan_partitions(&owned, SnapshotId(0))) {
+        let legs = match self.scatter_leg(ctx, move |s| s.scan_runs(&owned, SnapshotId(0))) {
             Ok(legs) => legs,
             // Snapshot lockstep: a namespace exists on all shards or
             // none, so any miss means the namespace is absent.
@@ -200,21 +204,16 @@ impl Router {
         if legs.is_empty() && ctx.degraded.is_empty() {
             return Ok(None);
         }
-        let mut merged: Vec<Vec<Document>> = Vec::new();
+        let mut gathered: Vec<Vec<Arc<ColumnRun>>> = Vec::new();
         for (_, parts) in legs {
-            if merged.len() < parts.len() {
-                merged.resize_with(parts.len(), Vec::new);
+            if gathered.len() < parts.len() {
+                gathered.resize_with(parts.len(), Vec::new);
             }
-            for (slot, docs) in merged.iter_mut().zip(parts) {
-                slot.extend(docs);
+            for (slot, runs) in gathered.iter_mut().zip(parts) {
+                slot.extend(runs);
             }
         }
-        for part in &mut merged {
-            // Stable: same-key documents are single-shard, so their
-            // append order survives the concat.
-            part.sort_by(|a, b| a.key.cmp(&b.key));
-        }
-        Ok(Some(merged))
+        Ok(Some(gathered))
     }
 }
 
@@ -278,8 +277,14 @@ impl DataSource for Router {
         }
         let mut scans: Vec<(&str, Vec<Document>)> = Vec::new();
         for ns in [NS_COMPANIES, NS_USERS] {
-            if let Some(parts) = self.merged_partitions(ctx, ns)? {
-                scans.push((ns, parts.into_iter().flatten().collect()));
+            if let Some(parts) = self.gathered_runs(ctx, ns)? {
+                // By value: a partition's remote runs are freed as soon as
+                // its documents exist, not held beside the whole corpus.
+                let mut docs = Vec::new();
+                for runs in parts {
+                    docs.extend(merge_runs(&runs)?);
+                }
+                scans.push((ns, docs));
             }
         }
         let built = Arc::new(Artifacts::from_documents(
@@ -367,12 +372,12 @@ impl DataSource for Router {
         Ok(merge_top_k(per_shard, k))
     }
 
-    fn scan_partitions(
+    fn scan_runs(
         &self,
         ctx: &mut QueryCtx,
         ns: &str,
-    ) -> Result<Vec<Vec<Document>>, ServeError> {
-        self.merged_partitions(ctx, ns)?
+    ) -> Result<Vec<Vec<Arc<ColumnRun>>>, ServeError> {
+        self.gathered_runs(ctx, ns)?
             .ok_or_else(|| ServeError::Store(StoreError::NamespaceNotFound(ns.to_string())))
     }
 }
@@ -687,11 +692,11 @@ mod tests {
             fn epoch_meta(&self) -> Result<EpochMeta, ShardError> {
                 Err(self.gone())
             }
-            fn scan_partitions(
+            fn scan_runs(
                 &self,
                 _ns: &str,
                 _snapshot: SnapshotId,
-            ) -> Result<Vec<Vec<Document>>, ShardError> {
+            ) -> Result<Vec<Vec<Arc<ColumnRun>>>, ShardError> {
                 Err(self.gone())
             }
             fn entity_docs(&self, _keys: &[String]) -> Result<Vec<Option<Value>>, ShardError> {

@@ -52,6 +52,7 @@ use std::time::Duration;
 
 use crowdnet_chaos::{Conn, RealTcp, Transport};
 use crowdnet_json::{obj, Value};
+use crowdnet_shard::column::ColumnRun;
 use crowdnet_shard::{
     EpochMeta, Job, ShardBackend, ShardError, ShardHealth, WriteAck, WriteOp,
 };
@@ -525,18 +526,18 @@ impl ShardBackend for RemoteShard {
         wire::meta_from_value(&v).map_err(ShardError::Protocol)
     }
 
-    fn scan_partitions(
+    fn scan_runs(
         &self,
         ns: &str,
         snapshot: SnapshotId,
-    ) -> Result<Vec<Vec<crowdnet_store::Document>>, ShardError> {
+    ) -> Result<Vec<Vec<Arc<ColumnRun>>>, ShardError> {
         let (result, runs) = self.call_bulk(
             "scan_partitions",
             obj! {"ns" => ns, "snapshot" => u64::from(snapshot.0)},
             true,
         )?;
-        // Runs → documents here, on the leg's own thread: the router
-        // receives exactly what a `LocalShard` would have handed it.
+        // Frames and CRCs are checked here, on the leg's own thread; the
+        // router receives exactly the runs a `LocalShard` would hand it.
         wire::decode_scan_reply(&result, &runs).map_err(|reason| {
             self.malformed.inc();
             ShardError::Protocol(reason)

@@ -87,7 +87,7 @@ impl ShardServer {
         let ns = str_param(params, "ns")?;
         let snapshot = u64_param(params, "snapshot")? as u32;
         let epoch = self.shard.epoch()?;
-        Ok(wire::encode_scan_reply(epoch.scan_runs(ns, SnapshotId(snapshot))?))
+        Ok(wire::encode_scan_reply(epoch.columns.scan_runs(ns, SnapshotId(snapshot))?))
     }
 
     /// Route one control leg name to the backend call it names.
@@ -184,6 +184,7 @@ impl RequestHandler for ShardServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdnet_shard::column::merge_runs;
     use crowdnet_shard::WriteOp;
     use crowdnet_store::Document;
 
@@ -230,8 +231,12 @@ mod tests {
         );
         let (envelope, tail) = wire::split_frame(&body).unwrap();
         assert!(!tail.is_empty(), "scan reply carries no column bytes");
-        let parts =
-            wire::decode_scan_reply(&wire::open_envelope(envelope).unwrap(), tail).unwrap();
+        let parts: Vec<_> =
+            wire::decode_scan_reply(&wire::open_envelope(envelope).unwrap(), tail)
+                .unwrap()
+                .iter()
+                .map(|runs| merge_runs(runs).unwrap())
+                .collect();
         assert_eq!(
             parts,
             s.shard().store().scan_partitions("angellist/users", SnapshotId(0)).unwrap()
@@ -279,7 +284,9 @@ mod tests {
         s.shard()
             .submit(&WriteOp::NewSnapshot { ns: "angellist/users".into() })
             .unwrap();
-        assert_eq!(scan("angellist/users", 1).unwrap(), vec![Vec::new(); 4]);
+        let empty = scan("angellist/users", 1).unwrap();
+        assert_eq!(empty.len(), 4);
+        assert!(empty.iter().all(Vec::is_empty), "{empty:?}");
     }
 
     #[test]

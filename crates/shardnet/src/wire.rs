@@ -16,10 +16,11 @@
 //! of the body is each partition's sealed runs as CRC-framed `.col`
 //! bytes — [`encode_partition`]'s output, byte for byte what
 //! `crowdnet_column::save` writes to `part-NNN.col` — which the client
-//! decodes and merges back into documents ([`encode_scan_reply`] /
-//! [`decode_scan_reply`]). Documents are never re-encoded as JSON for a
-//! scan; a failed scan is an ordinary error envelope with nothing after
-//! it. ([`partitions_to_value`] / [`partitions_from_value`], the JSON
+//! decodes back into runs and hands to the router unmerged
+//! ([`encode_scan_reply`] / [`decode_scan_reply`]). Documents are never
+//! re-encoded as JSON for a scan, nor materialised on the client; a
+//! failed scan is an ordinary error envelope with nothing after it.
+//! ([`partitions_to_value`] / [`partitions_from_value`], the JSON
 //! document payload this replaced, no longer have a caller on the
 //! request path; they stay because the `perf-report` wire probes compile
 //! against them.)
@@ -41,7 +42,7 @@
 //! (property-tested in `tests/proptest_wire.rs`).
 
 use crowdnet_json::{obj, Value};
-use crowdnet_shard::column::{decode_partition, encode_partition, merge_runs, ColumnRun};
+use crowdnet_shard::column::{decode_partition, encode_partition, ColumnRun};
 use crowdnet_shard::{EpochMeta, ShardError, WriteAck, WriteOp};
 use crowdnet_store::store::NamespaceStats;
 use crowdnet_store::{Document, StoreError};
@@ -221,11 +222,15 @@ pub fn encode_scan_reply(parts: &[Vec<Arc<ColumnRun>>]) -> Vec<u8> {
 
 /// Inverse of [`encode_scan_reply`], from the opened envelope's `result`
 /// and the bytes that followed the envelope frame: slice the tail by the
-/// declared lengths (which must account for every byte), check each
-/// partition's frames and runs, and merge its runs by `(key, run index)`
-/// into the partition's canonical document order. Any mismatch is a
-/// message for [`ShardError::Protocol`]; there is no partial result.
-pub fn decode_scan_reply(result: &Value, tail: &[u8]) -> Result<Vec<Vec<Document>>, String> {
+/// declared lengths (which must account for every byte) and check each
+/// partition's frames and runs. The runs come back as they were sealed,
+/// `[partition][run]`; merging them is the router's business. Any
+/// mismatch is a message for [`ShardError::Protocol`]; there is no
+/// partial result.
+pub fn decode_scan_reply(
+    result: &Value,
+    tail: &[u8],
+) -> Result<Vec<Vec<Arc<ColumnRun>>>, String> {
     let lengths = result
         .get("partition_bytes")
         .and_then(Value::as_arr)
@@ -243,8 +248,7 @@ pub fn decode_scan_reply(result: &Value, tail: &[u8]) -> Result<Vec<Vec<Document
         let (payload, after) = rest.split_at_checked(length).ok_or_else(|| {
             format!("partition {p} declares {length} bytes but {} remain", rest.len())
         })?;
-        let runs = decode_partition(payload).map_err(|e| format!("partition {p}: {e}"))?;
-        parts.push(merge_runs(&runs).map_err(|e| format!("partition {p}: {e}"))?);
+        parts.push(decode_partition(payload).map_err(|e| format!("partition {p}: {e}"))?);
         rest = after;
     }
     if !rest.is_empty() {

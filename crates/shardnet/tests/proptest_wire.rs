@@ -67,11 +67,15 @@ fn merged(parts: &[Vec<Arc<ColumnRun>>]) -> Vec<Vec<Document>> {
         .collect()
 }
 
-/// The client's whole read of a bulk reply body.
+/// The whole read of a bulk reply body: the client's decode into runs,
+/// then the router's merge into documents.
 fn decode_scan_body(body: &[u8]) -> Result<Vec<Vec<Document>>, String> {
     let (envelope, tail) = wire::split_frame(body)?;
     let result = wire::open_envelope(envelope).map_err(|e| e.to_string())?;
-    wire::decode_scan_reply(&result, tail)
+    wire::decode_scan_reply(&result, tail)?
+        .iter()
+        .map(|runs| merge_runs(runs).map_err(|e| e.to_string()))
+        .collect()
 }
 
 proptest! {

@@ -155,10 +155,15 @@ impl Telemetry {
     /// Open a span; it closes (and records its end time) when the returned
     /// guard drops. Spans are meant for stage-level orchestration points —
     /// guards opened concurrently from worker threads are recorded but may
-    /// attribute parents arbitrarily.
+    /// attribute parents arbitrarily. The log holds the first
+    /// [`spans::SPAN_CAPACITY`] spans; later ones are counted in
+    /// `telemetry.spans.dropped` and otherwise ignored.
     pub fn span(&self, name: &str) -> SpanGuard {
         let start = self.now_ms();
         let idx = self.inner.spans.start(name, start);
+        if idx.is_none() {
+            self.counter("telemetry.spans.dropped").inc();
+        }
         SpanGuard::new(self.clone(), idx)
     }
 

@@ -137,6 +137,7 @@ pub const DECLARED_METRICS: &[&str] = &[
     "store.recovery.writer_invalidations",
     "store.scan.calls",
     "store.scan.docs",
+    "telemetry.spans.dropped",
 ];
 
 /// Serialize `telemetry` into the run-report [`Value`].

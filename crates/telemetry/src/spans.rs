@@ -13,6 +13,13 @@
 use crate::Telemetry;
 use parking_lot::Mutex;
 
+/// Spans one log keeps. The serving tier opens a span per uncached
+/// request, so an unbounded log grows with traffic; past this many the
+/// log keeps what it has — the oldest, so a short seeded run reports
+/// exactly the spans it always did — and further spans are only counted
+/// (`telemetry.spans.dropped`).
+pub const SPAN_CAPACITY: usize = 16_384;
+
 /// One timed span. `end_ms` is `None` while the guard is still alive
 /// (e.g. when a report is taken mid-run).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,7 +40,8 @@ struct SpanState {
     stack: Vec<usize>,
 }
 
-/// The append-only span log shared by all clones of a [`Telemetry`].
+/// The append-only span log shared by all clones of a [`Telemetry`],
+/// bounded at [`SPAN_CAPACITY`] records.
 #[derive(Default)]
 pub struct SpanLog {
     state: Mutex<SpanState>,
@@ -44,10 +52,14 @@ impl SpanLog {
         SpanLog::default()
     }
 
-    /// Open a span; returns its index for [`SpanLog::end`].
-    pub fn start(&self, name: &str, start_ms: u64) -> usize {
+    /// Open a span; returns its index for [`SpanLog::end`], or `None`
+    /// when the log is full and the span goes unrecorded.
+    pub fn start(&self, name: &str, start_ms: u64) -> Option<usize> {
         let mut state = self.state.lock();
         let idx = state.records.len();
+        if idx >= SPAN_CAPACITY {
+            return None;
+        }
         let record = SpanRecord {
             name: name.to_string(),
             start_ms,
@@ -57,7 +69,7 @@ impl SpanLog {
         };
         state.records.push(record);
         state.stack.push(idx);
-        idx
+        Some(idx)
     }
 
     /// Close the span at `idx`. Out-of-order closes (guards dropped in a
@@ -83,18 +95,21 @@ impl SpanLog {
 #[must_use = "a span closes when its guard drops; binding it to _ closes it immediately"]
 pub struct SpanGuard {
     telemetry: Telemetry,
-    idx: usize,
+    /// `None` for a span the full log did not record.
+    idx: Option<usize>,
 }
 
 impl SpanGuard {
-    pub(crate) fn new(telemetry: Telemetry, idx: usize) -> SpanGuard {
+    pub(crate) fn new(telemetry: Telemetry, idx: Option<usize>) -> SpanGuard {
         SpanGuard { telemetry, idx }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.telemetry.end_span(self.idx);
+        if let Some(idx) = self.idx {
+            self.telemetry.end_span(idx);
+        }
     }
 }
 
@@ -111,11 +126,11 @@ mod tests {
     #[test]
     fn nesting_tracks_depth_and_parent() {
         let log = SpanLog::new();
-        let a = log.start("outer", 0);
-        let b = log.start("inner", 1);
+        let a = log.start("outer", 0).unwrap();
+        let b = log.start("inner", 1).unwrap();
         log.end(b, 2);
         log.end(a, 3);
-        let c = log.start("after", 4);
+        let c = log.start("after", 4).unwrap();
         log.end(c, 5);
         let records = log.records();
         assert_eq!(records.len(), 3);
@@ -131,17 +146,39 @@ mod tests {
     #[test]
     fn out_of_order_end_is_tolerated() {
         let log = SpanLog::new();
-        let a = log.start("a", 0);
-        let b = log.start("b", 1);
+        let a = log.start("a", 0).unwrap();
+        let b = log.start("b", 1).unwrap();
         log.end(a, 2); // outer closes first
         log.end(b, 3);
         let records = log.records();
         assert_eq!(records[0].end_ms, Some(2));
         assert_eq!(records[1].end_ms, Some(3));
         // Stack drained: a new span is a root again.
-        let c = log.start("c", 4);
+        let c = log.start("c", 4).unwrap();
         log.end(c, 5);
         assert_eq!(log.records()[2].depth, 0);
+    }
+
+    #[test]
+    fn a_full_log_keeps_its_oldest_spans_and_counts_the_rest() {
+        let t = Telemetry::new();
+        for i in 0..SPAN_CAPACITY {
+            drop(t.span(if i == 0 { "first" } else { "early" }));
+        }
+        // Short runs never touch the counter: it is not even registered.
+        assert!(!t
+            .registry()
+            .counter_values()
+            .iter()
+            .any(|(name, _)| name == "telemetry.spans.dropped"));
+        for _ in 0..3 {
+            drop(t.span("late"));
+        }
+        let records = t.span_records();
+        assert_eq!(records.len(), SPAN_CAPACITY);
+        assert_eq!(records[0].name, "first");
+        assert!(records.iter().all(|r| r.name != "late" && r.end_ms.is_some()));
+        assert_eq!(t.counter("telemetry.spans.dropped").value(), 3);
     }
 
     #[test]

@@ -36,6 +36,30 @@ cargo run -q --offline -p crowdnet-lint -- --workspace
 # a fixture regression is named here rather than buried in the test sweep).
 cargo test -q --offline -p crowdnet-lint --test golden >/dev/null
 
+echo "==> JSON-scan gate (serve and shard answer from sealed column runs; the log is re-parsed only to rebuild them, and by the test oracle)"
+# Outside #[cfg(test)] modules, crates/serve/src and crates/shard/src may
+# scan the JSON log in exactly two functions: Service::rebuild_columns
+# (the rebuild path: ColumnSet::build_from_store) and Artifacts::build
+# (the oracle the column-derived artifacts are tested against, which
+# perf-report also times). Anything else is a request re-parsing
+# documents again.
+json_scans="$(awk '
+  FNR == 1 { in_test = 0; fn_name = "" }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+  in_test || /^[[:space:]]*\/\// { next }
+  match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+  /\.scan_partitions\(|scan_store\(|build_from_store\(|rebuild_from_store\(/ {
+    allowed = (FILENAME == "crates/serve/src/artifacts.rs" && fn_name == "build") \
+           || (FILENAME == "crates/serve/src/service.rs" && fn_name == "rebuild_columns")
+    if (!allowed) print FILENAME ":" FNR ": in fn " fn_name ": " $0
+  }
+' crates/serve/src/*.rs crates/shard/src/*.rs)"
+if [ -n "$json_scans" ]; then
+  echo "JSON-scan gate: the log is scanned outside the rebuild path and the oracle:" >&2
+  echo "$json_scans" >&2
+  exit 1
+fi
+
 echo "==> telemetry smoke (tiny pipeline -> report parses, mandatory counters present)"
 smoke_dir="$(mktemp -d)"
 # `|| true` keeps an empty pid list (the happy path: every server already

@@ -237,7 +237,7 @@ proptest! {
         }
         engine.drain().expect("final drain");
         engine.publish(None);
-        let catalog = engine.columns_catalog().expect("engine maintains columns");
+        let catalog = engine.columns_catalog();
         prop_assert_eq!(catalog.version(), store.version());
         assert_projection_exact(&store, &catalog)?;
     }

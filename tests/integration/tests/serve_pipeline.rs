@@ -273,8 +273,11 @@ fn live_append_swaps_epochs_without_serving_stale_responses() {
     let epoch1 = engine.publish(Some(&svc));
     assert!(epoch1.version > epoch0.version);
     assert_eq!(epoch1.version, store.version());
-    let pinned = svc.pinned_artifacts().expect("service is pinned");
-    assert!(Arc::ptr_eq(&pinned, &epoch1), "service serves the new epoch");
+    let pinned = svc.pinned_epoch().expect("service is pinned");
+    assert!(
+        Arc::ptr_eq(&pinned.artifacts, &epoch1),
+        "service serves the new epoch"
+    );
 
     // The cached pre-append portfolio must not be served: the response
     // now reflects the extra edge.

@@ -13,6 +13,11 @@
 //! merged across shards it must equal the unsharded store's scan,
 //! same-key documents in append order.
 //!
+//! A third runs the `/sql` projection panel (random corpora × random
+//! queries, `tests/sql_panel`) through remote shards against the
+//! JSON-scan oracle, then takes a shard server down: every query must
+//! still answer, flagged `partial`, never 5xx.
+//!
 //! Version lockstep is asserted directly: the remote set's logical
 //! version must mirror both the local set's and the unsharded store's
 //! for the same op sequence — every write went over the wire through
@@ -21,12 +26,18 @@
 use crowdnet_json::{obj, Value};
 use crowdnet_serve::artifacts::{NS_COMPANIES, NS_USERS};
 use crowdnet_serve::{bind, Request, Server, ServerConfig, Service, ServiceConfig, TcpHandle};
+use crowdnet_shard::column::{merge_runs, ColumnRun};
 use crowdnet_shard::{LocalShard, Router, RouterConfig, ShardBackend, ShardSet};
 use crowdnet_shardnet::{RemoteShard, RemoteShardConfig, ShardServer};
 use crowdnet_store::{Document, SnapshotId, Store};
 use crowdnet_telemetry::Telemetry;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
+
+#[path = "../../sql_panel/mod.rs"]
+mod sql_panel;
 
 const NS_JOURNAL: &str = "journal/daily";
 
@@ -252,23 +263,22 @@ proptest! {
     }
 }
 
-/// The router's merge of one scan leg per shard: per partition, shard
-/// slices concatenated in shard order and stable-sorted by key.
+/// The router's merge of one scan leg per shard: per partition, the
+/// shards' run lists concatenated in shard order, then one
+/// `(key, run index)` merge over the lot.
 fn merged_scan(set: &ShardSet, ns: &str, snap: u32) -> Vec<Vec<Document>> {
-    let mut merged: Vec<Vec<Document>> = Vec::new();
+    let mut gathered: Vec<Vec<Arc<ColumnRun>>> = Vec::new();
     for shard in set.shards() {
-        let parts = shard
-            .scan_partitions(ns, SnapshotId(snap))
-            .expect("scan leg");
-        merged.resize_with(merged.len().max(parts.len()), Vec::new);
-        for (slot, docs) in merged.iter_mut().zip(parts) {
-            slot.extend(docs);
+        let parts = shard.scan_runs(ns, SnapshotId(snap)).expect("scan leg");
+        gathered.resize_with(gathered.len().max(parts.len()), Vec::new);
+        for (slot, runs) in gathered.iter_mut().zip(parts) {
+            slot.extend(runs);
         }
     }
-    for part in &mut merged {
-        part.sort_by(|a, b| a.key.cmp(&b.key));
-    }
-    merged
+    gathered
+        .iter()
+        .map(|runs| merge_runs(runs).expect("sealed runs merge"))
+        .collect()
 }
 
 #[test]
@@ -358,6 +368,54 @@ fn interleaved_writes_and_scans_keep_append_order_across_runs() {
                     (local.status, &local.body),
                     (remote.status, &remote.body),
                     "remote diverged from local on {target} in round {round} at {shards} shard(s)"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sql_panel_over_remote_shards_matches_the_oracle_and_degrades_when_a_shard_dies() {
+    for (seed, shards) in [(1u64, 1usize), (2, 2), (3, 4), (4, 2)] {
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7 ^ seed);
+        let store = Store::memory(4);
+        let telemetry = Telemetry::new();
+        let (set, handles) = remote_deployment(shards, &telemetry);
+        let router = Router::new(Arc::clone(&set), RouterConfig::default(), telemetry);
+        let count = sql_panel::request("SELECT COUNT(*) AS n FROM docs");
+        for batch in sql_panel::corpus(&mut rng) {
+            for doc in batch {
+                store.put(sql_panel::NS, doc.clone()).expect("store put");
+                set.put(sql_panel::NS, doc).expect("set put");
+            }
+            // A scan between batches seals one run per touched partition
+            // on every shard server.
+            assert_eq!(router.handle(&count).status, 200);
+        }
+        let queries: Vec<String> = (0..16).map(|_| sql_panel::query(&mut rng)).collect();
+        for sql in &queries {
+            let got = router.handle(&sql_panel::request(sql));
+            let want = sql_panel::oracle(&store, sql);
+            let tier = format!("seed {seed}, {shards} remote shard(s)");
+            sql_panel::assert_answers_like(&tier, sql, &got, &want);
+        }
+
+        // One shard server gone: whatever answers is flagged partial, and
+        // nothing is a server error.
+        let mut handles = handles;
+        handles.pop().expect("a shard server").shutdown();
+        for sql in &queries {
+            let want = sql_panel::oracle(&store, sql);
+            let got = router.handle(&sql_panel::request(sql));
+            assert!(got.status < 500, "5xx with a dead shard server: {sql}");
+            if want.status == 200 {
+                assert_eq!(got.status, 200, "dead shard failed a valid query: {sql}");
+                let body = Value::parse(std::str::from_utf8(&got.body).expect("utf-8"))
+                    .expect("json body");
+                assert_eq!(
+                    body.get("partial").and_then(Value::as_bool),
+                    Some(true),
+                    "dead shard not flagged: {sql}"
                 );
             }
         }

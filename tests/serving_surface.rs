@@ -3,14 +3,21 @@
 //! seeded with the same corpus must answer every endpoint — happy paths,
 //! every validation error, a wrong method and a POST-body query — with
 //! the same status and the same bytes, and a dead shard must degrade to
-//! flagged partials without a single 5xx.
+//! flagged partials without a single 5xx. `/sql` additionally answers a
+//! seeded panel of random queries over random corpora from projected
+//! column runs, on every tier, exactly as the JSON-scan oracle does.
+
+mod sql_panel;
 
 use crowdnet_json::{obj, Value};
 use crowdnet_serve::artifacts::{NS_COMPANIES, NS_USERS};
 use crowdnet_serve::{Request, Service, ServiceConfig};
+use crowdnet_shard::column::{ColumnConfig, ColumnSet};
 use crowdnet_shard::{Router, RouterConfig, ShardSet};
-use crowdnet_store::{Document, Store};
+use crowdnet_store::{Document, FeedPoll, Store};
 use crowdnet_telemetry::Telemetry;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 const COMPANIES: u32 = 6;
@@ -163,4 +170,77 @@ fn a_dead_shard_degrades_to_flagged_partials_never_5xx() {
     assert_eq!(v.get("degraded").and_then(Value::as_bool), Some(true));
     let degraded = v.get("degraded_shards").and_then(Value::as_arr);
     assert_eq!(degraded.map(|a| a.len()), Some(1));
+}
+
+/// The projection is exact: for random corpora (missing fields, explicit
+/// nulls, dotted paths into nested objects, non-object bodies, mixed
+/// number types, keys re-appended across sealed runs) and random queries
+/// (filters, `IS [NOT] NULL`, GROUP BY with order-sensitive float SUM/AVG,
+/// ORDER BY, LIMIT), every tier's `/sql` — rows holding only the
+/// referenced fields, merged from runs — answers with the bytes of the
+/// oracle that re-parses whole documents.
+#[test]
+fn sql_over_projected_runs_matches_the_json_scan_oracle_on_every_tier() {
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7 ^ seed);
+        let batches = sql_panel::corpus(&mut rng);
+
+        // Unsharded, lazy: the service projects the log itself (one run
+        // per partition). Doubles as the oracle's store.
+        let store = Arc::new(Store::memory(4));
+        // Unsharded, offered: a maintainer's catalog with one run per
+        // batch and partition, the way an ingest tier would hand it over.
+        let offered_store = Arc::new(Store::memory(4));
+        let feed = offered_store.subscribe(4096);
+        let mut maintained = ColumnSet::new(4, ColumnConfig::default());
+        // Local shards seal one run per refresh; a request between
+        // batches forces the refresh.
+        let routers: Vec<Router> = [1, 2, 4]
+            .into_iter()
+            .map(|shards| {
+                let t = Telemetry::new();
+                let set = ShardSet::memory(shards, 4, &t).expect("shard set");
+                Router::new(Arc::new(set), RouterConfig::default(), t)
+            })
+            .collect();
+        let count = sql_panel::request("SELECT COUNT(*) AS n FROM docs");
+        for batch in &batches {
+            for doc in batch {
+                store.put(sql_panel::NS, doc.clone()).expect("put");
+                offered_store.put(sql_panel::NS, doc.clone()).expect("put");
+                for router in &routers {
+                    router.set().put(sql_panel::NS, doc.clone()).expect("put");
+                }
+            }
+            while let FeedPoll::Event(ev) = feed.poll() {
+                maintained.apply_event(&ev);
+            }
+            maintained.seal();
+            for router in &routers {
+                assert_eq!(router.handle(&count).status, 200);
+            }
+        }
+        let lazy = Service::new(Arc::clone(&store), ServiceConfig::default(), Telemetry::new());
+        let offered = Service::new(offered_store, ServiceConfig::default(), Telemetry::new());
+        let catalog = maintained.catalog();
+        offered.install_columns(Arc::clone(&catalog));
+        let served = offered.epoch().expect("epoch");
+        assert!(Arc::ptr_eq(&served.columns, &catalog), "offered runs not served");
+        let runs = catalog.stats().runs;
+        assert!(runs > 4, "seed {seed}: corpus sealed only {runs} runs over 4 partitions");
+
+        for _ in 0..16 {
+            let sql = sql_panel::query(&mut rng);
+            let req = sql_panel::request(&sql);
+            let want = sql_panel::oracle(&store, &sql);
+            let mut answers = vec![("lazy service", lazy.handle(&req))];
+            answers.push(("offered multi-run service", offered.handle(&req)));
+            for (router, shards) in routers.iter().zip(["1 shard", "2 shards", "4 shards"]) {
+                answers.push((shards, router.handle(&req)));
+            }
+            for (tier, got) in answers {
+                sql_panel::assert_answers_like(&format!("seed {seed}, {tier}"), &sql, &got, &want);
+            }
+        }
+    }
 }
