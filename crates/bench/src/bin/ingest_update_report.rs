@@ -147,7 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "publish_mean_ms" => publish_mean_ms,
             "publishes" => publish_ms.len() as u64,
             "speedup_vs_rebuild" => speedup,
-            "pagerank_pushes" => telemetry.counter("ingest.pagerank.pushes").value(),
+            "pagerank_sweeps" => telemetry.counter("ingest.pagerank.sweeps").value(),
             "pagerank_recomputes" => telemetry.counter("ingest.pagerank.recomputes").value(),
         });
     }

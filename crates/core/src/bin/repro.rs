@@ -727,8 +727,8 @@ fn ingest_live(
     let days = run_live(world, &store, &mut engine, Some(&service), &live_cfg)?;
     for d in &days {
         println!(
-            "  day {:>3}: {:>4} events {:>4} docs {:>3} new edges -> epoch v{} (pagerank bound {:.2e}, {} funded)",
-            d.day, d.events, d.docs, d.edges, d.epoch_version, d.pagerank_error_bound, d.funded_count
+            "  day {:>3}: {:>4} events {:>4} docs {:>3} new edges -> epoch v{} ({} funded)",
+            d.day, d.events, d.docs, d.edges, d.epoch_version, d.funded_count
         );
     }
     if args.smoke {
@@ -739,12 +739,12 @@ fn ingest_live(
     }
     println!(
         "ingest counters: ingest.events={} ingest.docs={} ingest.edges={} ingest.epochs={} \
-         ingest.pagerank.pushes={} ingest.pagerank.recomputes={} ingest.feed.dropped={} ingest.catchup.scans={}",
+         ingest.pagerank.sweeps={} ingest.pagerank.recomputes={} ingest.feed.dropped={} ingest.catchup.scans={}",
         telemetry.counter("ingest.events").value(),
         telemetry.counter("ingest.docs").value(),
         telemetry.counter("ingest.edges").value(),
         telemetry.counter("ingest.epochs").value(),
-        telemetry.counter("ingest.pagerank.pushes").value(),
+        telemetry.counter("ingest.pagerank.sweeps").value(),
         telemetry.counter("ingest.pagerank.recomputes").value(),
         telemetry.counter("ingest.feed.dropped").value(),
         telemetry.counter("ingest.catchup.scans").value(),

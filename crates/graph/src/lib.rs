@@ -28,7 +28,6 @@ pub mod bigclam;
 pub mod bipartite;
 pub mod coda;
 pub mod dynamic;
-pub mod dynrank;
 pub mod eval;
 pub mod fxhash;
 pub mod labelprop;
@@ -55,6 +54,6 @@ pub(crate) fn sample_indices<R: rand::Rng + ?Sized>(rng: &mut R, n: usize, k: us
 }
 
 pub use bipartite::{BipartiteGraph, EdgeInsert};
-pub use dynrank::{DynRankConfig, DynamicPageRank, DynamicProjection};
+pub use projection::DynamicProjection;
 pub use coda::{Coda, CodaConfig};
 pub use metrics::Cover;

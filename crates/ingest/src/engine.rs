@@ -26,7 +26,7 @@
 use crate::error::IngestError;
 use crate::maintain::{EntityMaintainer, GraphMaintainer, StatsMaintainer};
 use crowdnet_column::{ColumnCatalog, ColumnConfig, ColumnSet};
-use crowdnet_graph::{Coda, DynRankConfig};
+use crowdnet_graph::Coda;
 use crowdnet_serve::artifacts::{ArtifactParts, NS_COMPANIES, NS_USERS};
 use crowdnet_serve::{Artifacts, ArtifactsConfig, Service};
 use crowdnet_store::{ChangeEvent, ChangePayload, FeedPoll, SnapshotId, Store, Subscription};
@@ -42,8 +42,6 @@ pub struct IngestConfig {
     /// Artifact knobs — must match the serving tier's so published epochs
     /// agree with what a rebuild would produce.
     pub artifacts: ArtifactsConfig,
-    /// Dynamic PageRank knobs (residual target, recompute threshold).
-    pub pagerank: DynRankConfig,
     /// CoDA gradient iterations for warm-started epoch refits (the first,
     /// cold epoch uses `artifacts.iterations`).
     pub refit_iterations: usize,
@@ -54,7 +52,6 @@ impl Default for IngestConfig {
         IngestConfig {
             feed_capacity: 65_536,
             artifacts: ArtifactsConfig::default(),
-            pagerank: DynRankConfig::default(),
             refit_iterations: 5,
         }
     }
@@ -106,14 +103,14 @@ pub struct IngestEngine {
     dropped_ctr: Counter,
     lag_gauge: Gauge,
     epoch_gauge: Gauge,
-    pushes_ctr: Counter,
+    sweeps_ctr: Counter,
     recomputes_ctr: Counter,
     apply_graph_ms: Histogram,
     apply_entities_ms: Histogram,
     apply_stats_ms: Histogram,
     column_save_errors: Counter,
     publish_ms: Histogram,
-    pushes_seen: u64,
+    sweeps_seen: u64,
     recomputes_seen: u64,
 }
 
@@ -135,7 +132,6 @@ impl IngestEngine {
             graph: GraphMaintainer::new(
                 cfg.artifacts.min_investments,
                 cfg.artifacts.max_company_degree,
-                cfg.pagerank.clone(),
             ),
             entities: EntityMaintainer::default(),
             stats: StatsMaintainer::default(),
@@ -150,14 +146,14 @@ impl IngestEngine {
             dropped_ctr: telemetry.counter("ingest.feed.dropped"),
             lag_gauge: telemetry.gauge("ingest.feed.lag"),
             epoch_gauge: telemetry.gauge("ingest.epoch.version"),
-            pushes_ctr: telemetry.counter("ingest.pagerank.pushes"),
+            sweeps_ctr: telemetry.counter("ingest.pagerank.sweeps"),
             recomputes_ctr: telemetry.counter("ingest.pagerank.recomputes"),
             apply_graph_ms: telemetry.histogram("ingest.apply_ms.graph"),
             apply_entities_ms: telemetry.histogram("ingest.apply_ms.entities"),
             apply_stats_ms: telemetry.histogram("ingest.apply_ms.stats"),
             column_save_errors: telemetry.counter("ingest.column.save_errors"),
             publish_ms: telemetry.histogram("ingest.publish_ms"),
-            pushes_seen: 0,
+            sweeps_seen: 0,
             recomputes_seen: 0,
             store,
             cfg,
@@ -223,7 +219,6 @@ impl IngestEngine {
         let mut graph = GraphMaintainer::new(
             self.cfg.artifacts.min_investments,
             self.cfg.artifacts.max_company_degree,
-            self.cfg.pagerank.clone(),
         );
         let mut entities = EntityMaintainer::default();
         let mut stats = StatsMaintainer::default();
@@ -261,7 +256,10 @@ impl IngestEngine {
         // Stamped with the pre-scan version: a racing write leaves the
         // projection conservatively old and consumers re-derive.
         self.columns.set_version(version);
+        // The fresh maintainer's PageRank tallies start at zero.
         self.graph = graph;
+        self.sweeps_seen = 0;
+        self.recomputes_seen = 0;
         self.entities = entities;
         self.stats = stats;
         self.applied_version = version;
@@ -278,7 +276,7 @@ impl IngestEngine {
     }
 
     /// [`IngestEngine::drain`] with the maintainers sharded across up to
-    /// `threads` scoped worker threads (graph+PageRank / entities / stats
+    /// `threads` scoped worker threads (graph / entities / stats
     /// are independent units). `threads <= 1` applies sequentially.
     pub fn drain_with_threads(&mut self, threads: usize) -> Result<DrainReport, IngestError> {
         self.lag_gauge.set(self.sub.lag() as u64);
@@ -440,12 +438,12 @@ impl IngestEngine {
     pub fn publish(&mut self, service: Option<&Service>) -> Arc<Artifacts> {
         let _span = self.telemetry.span("ingest.publish");
         let t0 = self.telemetry.now_ms();
-        let (pagerank, _bound) = self.graph.refresh_pagerank();
-        let pushes = self.graph.pagerank_pushes();
+        let pagerank = self.graph.refresh_pagerank();
+        let sweeps = self.graph.pagerank_sweeps();
         let recomputes = self.graph.pagerank_recomputes();
-        self.pushes_ctr.add(pushes - self.pushes_seen);
+        self.sweeps_ctr.add(sweeps - self.sweeps_seen);
         self.recomputes_ctr.add(recomputes - self.recomputes_seen);
-        self.pushes_seen = pushes;
+        self.sweeps_seen = sweeps;
         self.recomputes_seen = recomputes;
 
         let mut art_cfg = self.cfg.artifacts.clone();
@@ -455,7 +453,7 @@ impl IngestEngine {
         let parts = ArtifactParts {
             version: self.applied_version,
             graph: self.graph.graph().clone(),
-            entities: self.entities.clone_map(),
+            entities: self.entities.snapshot(),
             pagerank,
             stats: Some(self.stats.to_stats()),
         };

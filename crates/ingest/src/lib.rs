@@ -8,11 +8,12 @@
 //! artifacts **in place**:
 //!
 //! - [`maintain::GraphMaintainer`] — bipartite edge/node insertion, degree
-//!   and filtered-degree tables, and dynamic PageRank via localized
-//!   Gauss–Southwell residual pushes with a tracked error bound (full
-//!   recompute triggers past a threshold; see
-//!   [`crowdnet_graph::dynrank`]).
-//! - [`maintain::EntityMaintainer`] — the id → document index.
+//!   and filtered-degree tables, the co-investment projection
+//!   ([`crowdnet_graph::DynamicProjection`]), and per-epoch PageRank by
+//!   power iteration warm-started from the previous epoch's scores.
+//! - [`maintain::EntityMaintainer`] — the id → document index, a
+//!   copy-on-write [`EntityIndex`](crowdnet_serve::EntityIndex) whose
+//!   epoch snapshots share every shard the next writes do not touch.
 //! - [`maintain::StatsMaintainer`] — per-namespace stats identical to
 //!   [`Store::stats`](crowdnet_store::Store::stats), with no scan.
 //! - CoDA community refits stay epoch-level but warm-start from the

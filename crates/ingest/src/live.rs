@@ -71,8 +71,6 @@ pub struct DayOutcome {
     pub edges: u64,
     /// Store version of the epoch published at end of day.
     pub epoch_version: u64,
-    /// Post-publish PageRank ‖x−x*‖₁ guarantee.
-    pub pagerank_error_bound: f64,
 }
 
 /// Run the study with the ingest tier in the loop. `store` must be the
@@ -150,7 +148,6 @@ pub fn run_live(
             docs: report.docs,
             edges: report.edges,
             epoch_version: epoch.version,
-            pagerank_error_bound: engine.graph().pagerank_error_bound(),
         });
     }
     Ok(out)

@@ -17,16 +17,17 @@
 
 use crowdnet_column::investor_edges;
 use crowdnet_graph::fxhash::FxHashMap;
-use crowdnet_graph::{BipartiteGraph, DynRankConfig, DynamicPageRank, DynamicProjection};
-use crowdnet_json::Value;
-use crowdnet_serve::artifacts::{NS_COMPANIES, NS_USERS};
+use crowdnet_graph::pagerank::{pagerank_from, PageRankConfig};
+use crowdnet_graph::{BipartiteGraph, DynamicProjection};
+use crowdnet_serve::artifacts::{EntityIndex, NS_COMPANIES, NS_USERS};
 use crowdnet_store::{ChangeEvent, ChangePayload, Document, SnapshotId};
 use crowdnet_store::store::NamespaceStats;
 use std::collections::BTreeMap;
 
 /// The bipartite investment graph plus everything derived edge-by-edge
-/// from it: degree tables, the filtered-investor count, the dynamic
-/// co-investment projection and localized-push PageRank.
+/// from it: degree tables, the filtered-investor count and the dynamic
+/// co-investment projection — and, once per epoch, PageRank over that
+/// projection, warm-started from the previous epoch's scores.
 pub struct GraphMaintainer {
     graph: BipartiteGraph,
     /// Investor out-degree, index-aligned with `graph`'s investors.
@@ -38,7 +39,11 @@ pub struct GraphMaintainer {
     filtered_investors: usize,
     min_investments: usize,
     proj: DynamicProjection,
-    rank: DynamicPageRank,
+    /// The last [`GraphMaintainer::refresh_pagerank`]'s scores (empty
+    /// before the first: that solve starts cold).
+    rank: Vec<f64>,
+    sweeps: u64,
+    cold_solves: u64,
     edges_applied: u64,
 }
 
@@ -46,11 +51,7 @@ impl GraphMaintainer {
     /// Empty maintainer; `min_investments` and `max_company_degree` must
     /// match the serving tier's [`ArtifactsConfig`](crowdnet_serve::ArtifactsConfig)
     /// for published epochs to agree with rebuilds.
-    pub fn new(
-        min_investments: usize,
-        max_company_degree: usize,
-        rank_cfg: DynRankConfig,
-    ) -> GraphMaintainer {
+    pub fn new(min_investments: usize, max_company_degree: usize) -> GraphMaintainer {
         GraphMaintainer {
             graph: BipartiteGraph::from_edges([]),
             degrees: Vec::new(),
@@ -58,7 +59,9 @@ impl GraphMaintainer {
             filtered_investors: 0,
             min_investments,
             proj: DynamicProjection::new(max_company_degree),
-            rank: DynamicPageRank::new(rank_cfg),
+            rank: Vec::new(),
+            sweeps: 0,
+            cold_solves: 0,
             edges_applied: 0,
         }
     }
@@ -99,22 +102,26 @@ impl GraphMaintainer {
                 self.filtered_investors += 1;
             }
             self.company_degrees[ins.company_index as usize] += 1;
-            // Patch the co-investment projection, then repair PageRank
-            // residuals exactly on the perturbed neighborhood.
-            let changed = self.proj.apply_insert(&self.graph, &ins);
-            self.rank.apply_projection_change(&self.proj, &changed);
+            self.proj.apply_insert(&self.graph, &ins);
         }
         self.edges_applied += added;
         added
     }
 
-    /// Converge PageRank to the configured residual target (or trigger the
-    /// threshold full recompute) and export normalized ranks aligned with
-    /// the graph's investors. Returns `(ranks, error_bound)` where the
-    /// bound is the post-refresh ‖x−x*‖₁ guarantee.
-    pub fn refresh_pagerank(&mut self) -> (Vec<f64>, f64) {
-        let bound = self.rank.refresh(&self.proj);
-        (self.rank.ranks(), bound)
+    /// PageRank over the current projection, aligned with the graph's
+    /// investors: the power iteration of [`pagerank_from`], started from
+    /// the previous call's scores (investors added since enter at the
+    /// uniform share), so an epoch that changed little converges in a few
+    /// sweeps. The first call solves cold.
+    pub fn refresh_pagerank(&mut self) -> Vec<f64> {
+        if self.rank.is_empty() && self.proj.node_count() > 0 {
+            self.cold_solves += 1;
+        }
+        let start = std::mem::take(&mut self.rank);
+        let run = pagerank_from(&self.proj.to_projection(), &PageRankConfig::default(), start);
+        self.sweeps += run.sweeps as u64;
+        self.rank = run.ranks;
+        self.rank.clone()
     }
 
     /// The maintained graph.
@@ -137,19 +144,15 @@ impl GraphMaintainer {
         self.filtered_investors
     }
 
-    /// Current ‖x−x*‖₁ guarantee on the unnormalized PageRank solution.
-    pub fn pagerank_error_bound(&self) -> f64 {
-        self.rank.error_bound()
+    /// Power-iteration sweeps over the maintainer's lifetime.
+    pub fn pagerank_sweeps(&self) -> u64 {
+        self.sweeps
     }
 
-    /// Total Gauss–Southwell pushes performed so far.
-    pub fn pagerank_pushes(&self) -> u64 {
-        self.rank.pushes()
-    }
-
-    /// Threshold-triggered full recomputes so far.
+    /// Cold PageRank solves (from the uniform vector) so far: one per
+    /// maintainer that has ever solved over a non-empty projection.
     pub fn pagerank_recomputes(&self) -> u64 {
-        self.rank.recomputes()
+        self.cold_solves
     }
 
     /// New edges applied over the maintainer's lifetime.
@@ -163,7 +166,7 @@ impl GraphMaintainer {
 /// scans docs in append order within a key).
 #[derive(Default)]
 pub struct EntityMaintainer {
-    entities: FxHashMap<String, Value>,
+    entities: EntityIndex,
     applied: u64,
 }
 
@@ -182,13 +185,15 @@ impl EntityMaintainer {
     }
 
     /// The maintained index.
-    pub fn entities(&self) -> &FxHashMap<String, Value> {
+    pub fn entities(&self) -> &EntityIndex {
         &self.entities
     }
 
-    /// A clone of the index for epoch assembly.
-    pub fn clone_map(&self) -> FxHashMap<String, Value> {
-        self.entities.clone()
+    /// The index as of now, for epoch assembly: shares every shard with
+    /// the maintainer, so it costs a pointer copy per shard, and the next
+    /// writes copy only the shards they touch.
+    pub fn snapshot(&self) -> EntityIndex {
+        self.entities.snapshot()
     }
 
     /// Documents indexed over the maintainer's lifetime.
@@ -265,7 +270,7 @@ impl StatsMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdnet_json::obj;
+    use crowdnet_json::{obj, Value};
     use crowdnet_store::Store;
 
     fn investor_doc(id: u32, companies: &[u64]) -> Document {
@@ -278,7 +283,7 @@ mod tests {
 
     #[test]
     fn graph_maintainer_tracks_degrees_and_filter_crossings() {
-        let mut m = GraphMaintainer::new(2, 50, DynRankConfig::default());
+        let mut m = GraphMaintainer::new(2, 50);
         assert_eq!(m.apply_doc(&investor_doc(10, &[0, 1])), 2);
         assert_eq!(m.apply_doc(&investor_doc(11, &[1])), 1);
         // Duplicate edges are no-ops.
@@ -297,7 +302,7 @@ mod tests {
 
     #[test]
     fn non_investor_docs_contribute_nothing() {
-        let mut m = GraphMaintainer::new(2, 50, DynRankConfig::default());
+        let mut m = GraphMaintainer::new(2, 50);
         let founder = Document::new("user:7", obj! {"id" => 7u64, "role" => "founder"});
         assert_eq!(m.apply_doc(&founder), 0);
         assert_eq!(m.graph().investor_count(), 0);

@@ -18,7 +18,7 @@ use crate::error::ServeError;
 use crowdnet_column::investor_edges;
 use crowdnet_dataflow::dataset::scan_store;
 use crowdnet_dataflow::ExecCtx;
-use crowdnet_graph::fxhash::FxHashMap;
+use crowdnet_graph::fxhash::{FxHashMap, FxHasher};
 use crowdnet_graph::metrics::{self, Community};
 use crowdnet_graph::pagerank::{pagerank, PageRankConfig};
 use crowdnet_graph::projection::Projection;
@@ -27,6 +27,8 @@ use crowdnet_json::Value;
 use crowdnet_store::store::NamespaceStats;
 use crowdnet_store::{Document, SnapshotId, Store, StoreError};
 use crowdnet_telemetry::Telemetry;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Namespaces of the crawled corpus (string-identical to the constants in
 /// `crowdnet-crawl`, which serve cannot depend on without pulling in the
@@ -76,6 +78,104 @@ pub struct CommunitySummary {
     pub shared_investor_pct: Option<f64>,
 }
 
+/// Shards of an [`EntityIndex`]: enough that a publish rewriting a few
+/// dozen keys copies a few dozen small maps, not the corpus.
+const ENTITY_SHARD_BITS: u32 = 12;
+const ENTITY_SHARDS: usize = 1 << ENTITY_SHARD_BITS;
+
+/// The shard owning `key`: bits 45..57 of its Fx hash. The inner map
+/// places a key by the low bits of the same hash and tags it with the top
+/// seven, so shard bits drawn from either end would give every key of a
+/// shard the same bucket or the same tag.
+fn entity_shard(key: &str) -> usize {
+    let mut h = FxHasher::default();
+    key.hash(&mut h);
+    (h.finish() >> (64 - 7 - ENTITY_SHARD_BITS)) as usize & (ENTITY_SHARDS - 1)
+}
+
+/// The `"company:{id}"` / `"user:{id}"` → document-body index, copy on
+/// write: a fixed array of `Arc`'d hash-map shards. A
+/// [`snapshot`](EntityIndex::snapshot) copies the pointers, and a write
+/// copies only the shard it lands in, and only while a snapshot still
+/// shares it — so handing an epoch its index, and later freeing that
+/// epoch, costs what changed since the last one.
+pub struct EntityIndex {
+    shards: Vec<Arc<FxHashMap<String, Value>>>,
+    len: usize,
+}
+
+impl Default for EntityIndex {
+    fn default() -> Self {
+        // Every shard starts as the same empty map; the first write to a
+        // shard gives it its own.
+        let empty = Arc::new(FxHashMap::default());
+        EntityIndex { shards: vec![empty; ENTITY_SHARDS], len: 0 }
+    }
+}
+
+impl EntityIndex {
+    /// Index `entries` in order (a repeated key keeps its last body),
+    /// grouping them by shard first so each shard is built once and
+    /// wrapped in one `Arc`.
+    fn from_entries(entries: impl IntoIterator<Item = (String, Value)>) -> EntityIndex {
+        let mut entries: Vec<(usize, String, Value)> = entries
+            .into_iter()
+            .map(|(key, body)| (entity_shard(&key), key, body))
+            .collect();
+        // Stable: a repeated key's bodies stay in order, the last winning.
+        entries.sort_by_key(|&(shard, _, _)| shard);
+        let mut entries = entries.into_iter().peekable();
+        let empty = Arc::new(FxHashMap::default());
+        let mut len = 0;
+        let shards = (0..ENTITY_SHARDS)
+            .map(|shard| {
+                let mut map = FxHashMap::default();
+                while let Some((_, key, body)) = entries.next_if(|e| e.0 == shard) {
+                    map.insert(key, body);
+                }
+                len += map.len();
+                if map.is_empty() {
+                    Arc::clone(&empty)
+                } else {
+                    Arc::new(map)
+                }
+            })
+            .collect();
+        EntityIndex { shards, len }
+    }
+
+    /// The body stored under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.shards.get(entity_shard(key))?.get(key)
+    }
+
+    /// Store `body` under `key`, replacing any previous body.
+    pub fn insert(&mut self, key: String, body: Value) {
+        let Some(shard) = self.shards.get_mut(entity_shard(&key)) else {
+            unreachable!("entity_shard is masked to the shard count")
+        };
+        if Arc::make_mut(shard).insert(key, body).is_none() {
+            self.len += 1;
+        }
+    }
+
+    /// Indexed keys.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The index as it is now, sharing every shard with `self`: a
+    /// pointer-vector copy, whatever the corpus size.
+    pub fn snapshot(&self) -> EntityIndex {
+        EntityIndex { shards: self.shards.clone(), len: self.len }
+    }
+}
+
 /// The incrementally maintained inputs to [`Artifacts::assemble`] — what
 /// the ingest tier keeps patched in place between epoch publishes.
 pub struct ArtifactParts {
@@ -84,7 +184,7 @@ pub struct ArtifactParts {
     /// Full investor→company graph.
     pub graph: BipartiteGraph,
     /// `"company:{id}"` / `"user:{id}"` → document body.
-    pub entities: FxHashMap<String, Value>,
+    pub entities: EntityIndex,
     /// PageRank scores index-aligned with `graph`'s investors.
     pub pagerank: Vec<f64>,
     /// Per-namespace stats at `version` (None = read live from the store).
@@ -111,7 +211,7 @@ pub struct Artifacts {
     /// lazily built artifacts, where `/stats` reads the store live).
     pub stats: Option<Vec<NamespaceStats>>,
     /// `"company:{id}"` / `"user:{id}"` → document body.
-    entities: FxHashMap<String, Value>,
+    entities: EntityIndex,
     /// Dense `filtered` index → community ids.
     membership: FxHashMap<u32, Vec<usize>>,
 }
@@ -204,17 +304,17 @@ impl Artifacts {
     ) -> Artifacts {
         let walk_edges = sealed_edges.is_none();
         let mut edges = sealed_edges.unwrap_or_default();
-        let mut entities: FxHashMap<String, Value> = FxHashMap::default();
-        for (ns, docs) in scans {
-            for doc in docs {
-                if walk_edges && ns == NS_USERS {
-                    if let Some((id, companies)) = investor_edges(&doc.body) {
-                        edges.extend(companies.map(|c| (id, c)));
-                    }
+        let docs = scans
+            .into_iter()
+            .flat_map(|(ns, docs)| docs.into_iter().map(move |doc| (ns, doc)));
+        let entities = EntityIndex::from_entries(docs.map(|(ns, doc)| {
+            if walk_edges && ns == NS_USERS {
+                if let Some((id, companies)) = investor_edges(&doc.body) {
+                    edges.extend(companies.map(|c| (id, c)));
                 }
-                entities.insert(doc.key, doc.body);
             }
-        }
+            (doc.key, doc.body)
+        }));
 
         let graph = BipartiteGraph::from_edges(edges);
         let pagerank = pagerank(
@@ -366,6 +466,7 @@ impl Artifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdnet_graph::fxhash::FxHashSet;
     use crowdnet_json::obj;
 
     fn seeded_store() -> Store {
@@ -477,6 +578,78 @@ mod tests {
         assert_eq!(a.graph.investor_count(), 0);
         assert!(a.cover.is_empty());
         assert!(a.entity("company", 0).is_none());
+    }
+
+    fn body(n: u64) -> Value {
+        obj! {"n" => n}
+    }
+
+    #[test]
+    fn entity_index_inserts_replaces_and_counts() {
+        let mut index = EntityIndex::default();
+        assert!(index.is_empty());
+        for id in 0..1000u64 {
+            index.insert(format!("user:{id}"), body(id));
+        }
+        assert_eq!(index.len(), 1000);
+        index.insert("user:7".to_string(), body(70));
+        assert_eq!(index.len(), 1000, "a replacement is not a new key");
+        assert_eq!(index.get("user:7"), Some(&body(70)));
+        assert_eq!(index.get("user:8"), Some(&body(8)));
+        assert!(index.get("user:1000").is_none());
+        // The bucketed build agrees, last body winning for a repeated key.
+        let built = EntityIndex::from_entries(
+            (0..1000u64)
+                .map(|id| (format!("user:{id}"), body(id)))
+                .chain([("user:7".to_string(), body(70))]),
+        );
+        assert_eq!(built.len(), 1000);
+        for id in 0..1000u64 {
+            let key = format!("user:{id}");
+            assert_eq!(built.get(&key), index.get(&key), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_shares_every_shard_the_writer_did_not_touch() {
+        let mut index = EntityIndex::from_entries(
+            (0..20_000u64).map(|id| (format!("company:{id}"), body(id))),
+        );
+        let snapshot = index.snapshot();
+        let touched: FxHashSet<usize> = (0..64u64)
+            .map(|id| {
+                let key = format!("company:{}", id * 301);
+                index.insert(key.clone(), body(0));
+                entity_shard(&key)
+            })
+            .collect();
+        index.insert("company:fresh".to_string(), body(1));
+        let fresh_shard = entity_shard("company:fresh");
+        let shared = index
+            .shards
+            .iter()
+            .zip(&snapshot.shards)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        let rewritten = touched.len() + usize::from(!touched.contains(&fresh_shard));
+        assert_eq!(shared, ENTITY_SHARDS - rewritten);
+        // The snapshot still reads the bodies it was taken with.
+        assert_eq!(snapshot.get("company:301"), Some(&body(301)));
+        assert_eq!(index.get("company:301"), Some(&body(0)));
+        assert_eq!((snapshot.len(), index.len()), (20_000, 20_001));
+    }
+
+    #[test]
+    fn entity_shards_spread_keys() {
+        // 30k corpus keys over 4096 shards: about 7 per shard, none piled up.
+        let mut sizes = vec![0usize; ENTITY_SHARDS];
+        for id in 0..15_000u32 {
+            sizes[entity_shard(&format!("user:{id}"))] += 1;
+            sizes[entity_shard(&format!("company:{id}"))] += 1;
+        }
+        let max = sizes.iter().copied().max().unwrap_or(0);
+        assert!(max <= 32, "fullest shard holds {max} keys");
+        assert!(sizes.iter().filter(|&&n| n == 0).count() < ENTITY_SHARDS / 50);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod router;
 pub mod server;
 pub mod service;
 
-pub use artifacts::{Artifacts, ArtifactsConfig};
+pub use artifacts::{Artifacts, ArtifactsConfig, EntityIndex};
 pub use cache::{CacheConfig, CacheStats, ResultCache};
 pub use error::ServeError;
 pub use http::{Request, RequestParser, Response};

@@ -65,17 +65,41 @@ pub struct Epoch {
     pub artifacts: Arc<Artifacts>,
 }
 
-/// The one slot behind [`Service::epoch`].
-#[derive(Default)]
-struct EpochSlot {
+/// The one slot behind [`Service::epoch`] (generic only so tests can
+/// install an epoch type of their own).
+struct EpochSlot<E = Epoch> {
     /// The pair requests read; swapped whole, never patched.
-    epoch: Option<Arc<Epoch>>,
+    epoch: Option<Arc<E>>,
     /// Pinned: an external publisher owns freshness through
     /// [`Service::install_epoch`] and requests never rebuild inline.
     pinned: bool,
     /// A catalog handed in by [`Service::install_columns`] for the next
     /// rebuild to start from instead of scanning the log.
     offered: Option<Arc<ColumnCatalog>>,
+}
+
+impl<E> EpochSlot<E> {
+    fn empty() -> EpochSlot<E> {
+        EpochSlot { epoch: None, pinned: false, offered: None }
+    }
+
+    /// Swap `epoch` in and hand back what it displaced, for the caller to
+    /// drop once the write guard is gone: freeing a retired epoch is the
+    /// publisher's cost, and no reader should wait on the lock for it.
+    fn replace(&mut self, epoch: Arc<E>) -> (Option<Arc<E>>, Option<Arc<ColumnCatalog>>) {
+        (self.epoch.replace(epoch), self.offered.take())
+    }
+
+    /// [`Service::install_epoch`]'s swap: pin `epoch` into the slot behind
+    /// `lock`, freeing the retired one after the lock is released.
+    fn pin(lock: &RwLock<EpochSlot<E>>, epoch: Arc<E>) {
+        let retired = {
+            let mut slot = lock.write();
+            slot.pinned = true;
+            slot.replace(epoch)
+        };
+        drop(retired);
+    }
 }
 
 /// The query-serving core.
@@ -100,7 +124,7 @@ impl Service {
             column_rebuilds: telemetry.counter("column.rebuilds"),
             surface: Surface::new(cfg, telemetry, requests, "serve"),
             store,
-            slot: RwLock::new(EpochSlot::default()),
+            slot: RwLock::new(EpochSlot::empty()),
             degraded: AtomicBool::new(false),
         }
     }
@@ -126,10 +150,7 @@ impl Service {
     /// version stamp, so entries from older epochs become unreachable at
     /// the same instant the swap lands.
     pub fn install_epoch(&self, columns: Arc<ColumnCatalog>, artifacts: Arc<Artifacts>) {
-        let mut slot = self.slot.write();
-        slot.epoch = Some(Arc::new(Epoch { columns, artifacts }));
-        slot.pinned = true;
-        slot.offered = None;
+        EpochSlot::pin(&self.slot, Arc::new(Epoch { columns, artifacts }));
     }
 
     /// Offer a columnar projection for the next lazy rebuild to start
@@ -183,19 +204,19 @@ impl Service {
         // Build outside any lock — the scan and CoDA take real time and
         // the read path above must stay contention-free meanwhile.
         let built = Arc::new(self.build_epoch(offered)?);
-        let mut slot = self.slot.write();
-        match &slot.epoch {
-            // An install, or a racing builder with an equal-or-newer
-            // stamp, won; use its epoch so every caller converges on one.
-            Some(e) if slot.pinned || e.artifacts.version >= built.artifacts.version => {
-                Ok(Arc::clone(e))
+        let retired = {
+            let mut slot = self.slot.write();
+            match &slot.epoch {
+                // An install, or a racing builder with an equal-or-newer
+                // stamp, won; use its epoch so every caller converges on one.
+                Some(e) if slot.pinned || e.artifacts.version >= built.artifacts.version => {
+                    return Ok(Arc::clone(e));
+                }
+                _ => slot.replace(Arc::clone(&built)),
             }
-            _ => {
-                slot.epoch = Some(Arc::clone(&built));
-                slot.offered = None;
-                Ok(built)
-            }
-        }
+        };
+        drop(retired);
+        Ok(built)
     }
 
     /// Columns, then artifacts from those columns. The projection is
@@ -590,6 +611,41 @@ pub(crate) mod tests {
         install(&svc);
         assert_ne!(svc.handle(&Request::get(sql)).body, before.body);
         assert_eq!(svc.handle(&Request::get("/entity/company/88")).status, 200);
+    }
+
+    /// An epoch whose drop tries to take the slot it was installed in.
+    struct DropProbe {
+        slot: std::sync::Weak<RwLock<EpochSlot<DropProbe>>>,
+        slot_was_free: Arc<AtomicBool>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            if let Some(slot) = self.slot.upgrade() {
+                let free = slot.try_write().is_some();
+                self.slot_was_free.store(free, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn install_frees_the_retired_epoch_after_releasing_the_slot() {
+        let slot = Arc::new(RwLock::new(EpochSlot::<DropProbe>::empty()));
+        let probe = |flag: &Arc<AtomicBool>| {
+            Arc::new(DropProbe {
+                slot: Arc::downgrade(&slot),
+                slot_was_free: Arc::clone(flag),
+            })
+        };
+        let first = Arc::new(AtomicBool::new(false));
+        let second = Arc::new(AtomicBool::new(false));
+        EpochSlot::pin(&slot, probe(&first));
+        EpochSlot::pin(&slot, probe(&second));
+        assert!(
+            first.load(Ordering::SeqCst),
+            "the retired epoch was dropped while the slot's write lock was held"
+        );
+        assert!(slot.read().pinned);
     }
 
     #[test]

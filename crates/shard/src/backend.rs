@@ -33,12 +33,12 @@
 //! the engine up and republishes a fresh epoch.
 
 use crate::error::ShardError;
-use crowdnet_graph::fxhash::FxHashMap;
 use crowdnet_graph::BipartiteGraph;
 use crowdnet_ingest::column::{merge_runs, ColumnCatalog, ColumnRun};
 use crowdnet_ingest::{IngestConfig, IngestEngine};
 use crowdnet_json::Value;
 use crowdnet_serve::router::rank_investors;
+use crowdnet_serve::EntityIndex;
 use crowdnet_store::store::NamespaceStats;
 use crowdnet_store::{Document, SnapshotId, Store, StoreError, Vfs};
 use crowdnet_telemetry::{Counter, Telemetry};
@@ -107,7 +107,7 @@ pub struct ShardEpoch {
     /// contract: an investor's edges never span shards).
     pub graph: BipartiteGraph,
     /// `"company:{id}"` / `"user:{id}"` → document body.
-    pub entities: FxHashMap<String, Value>,
+    pub entities: EntityIndex,
     /// Every `(namespace, snapshot)` of the shard's store as sealed
     /// column runs at `version` — the source of the `scan_runs` leg, in
     /// process and on the wire ([`ColumnCatalog::scan_runs`]: merging a
@@ -329,10 +329,18 @@ impl LocalShard {
         let mut engine = self.engine.lock();
         engine.drain()?;
         let fresh = Arc::new(snapshot_epoch(&mut engine));
-        *self.epoch.write() = Arc::clone(&fresh);
+        swap_epoch(&self.epoch, Arc::clone(&fresh));
         self.refreshes.inc();
         Ok(fresh)
     }
+}
+
+/// Publish `fresh` into `slot` and drop the epoch it retires only after
+/// the write guard is released, so no reader waits on the lock while the
+/// old epoch is freed.
+fn swap_epoch<T>(slot: &RwLock<Arc<T>>, fresh: Arc<T>) {
+    let retired = std::mem::replace(&mut *slot.write(), fresh);
+    drop(retired);
 }
 
 /// Freeze the engine's maintained state into an immutable epoch, sealing
@@ -341,7 +349,7 @@ fn snapshot_epoch(engine: &mut IngestEngine) -> ShardEpoch {
     ShardEpoch {
         version: engine.applied_version(),
         graph: engine.graph().graph().clone(),
-        entities: engine.entities().clone_map(),
+        entities: engine.entities().snapshot(),
         columns: engine.seal_columns(),
     }
 }
@@ -457,7 +465,7 @@ impl ShardBackend for LocalShard {
         let mut engine = self.engine.lock();
         engine.catch_up()?;
         let fresh = Arc::new(snapshot_epoch(&mut engine));
-        *self.epoch.write() = fresh;
+        swap_epoch(&self.epoch, fresh);
         drop(engine);
         self.set_health(ShardHealth::Healthy);
         Ok(())
@@ -505,7 +513,7 @@ mod tests {
         let fresh = shard.epoch().unwrap();
         assert_eq!(fresh.version, shard.store().version());
         assert_eq!(fresh.graph.investor_count(), 1);
-        assert!(fresh.entities.contains_key("user:7"));
+        assert!(fresh.entities.get("user:7").is_some());
         assert_eq!(t.counter("shard.0.refreshes").value(), 1);
         // Unchanged store: the same Arc comes back, no refresh.
         let again = shard.epoch().unwrap();
@@ -677,6 +685,41 @@ mod tests {
         go_tx.send(()).unwrap();
         rx.recv_timeout(std::time::Duration::from_secs(10))
             .expect("drop on the executor thread panicked or hung");
+    }
+
+    /// An epoch whose drop tries to take the slot it was published in.
+    struct DropProbe {
+        slot: std::sync::Weak<RwLock<Arc<DropProbe>>>,
+        slot_was_free: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            if let Some(slot) = self.slot.upgrade() {
+                self.slot_was_free.store(slot.try_write().is_some(), Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn a_refresh_frees_the_retired_epoch_after_releasing_the_slot() {
+        use std::sync::atomic::AtomicBool;
+        let flag = Arc::new(AtomicBool::new(false));
+        let slot = Arc::new_cyclic(|weak| {
+            RwLock::new(Arc::new(DropProbe {
+                slot: weak.clone(),
+                slot_was_free: Arc::clone(&flag),
+            }))
+        });
+        let next = Arc::new(DropProbe {
+            slot: Arc::downgrade(&slot),
+            slot_was_free: Arc::new(AtomicBool::new(false)),
+        });
+        swap_epoch(&slot, next);
+        assert!(
+            flag.load(Ordering::SeqCst),
+            "the retired epoch was dropped while the epoch's write lock was held"
+        );
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub const DECLARED_METRICS: &[&str] = &[
     "ingest.events",
     "ingest.feed.dropped",
     "ingest.feed.lag",
-    "ingest.pagerank.pushes",
     "ingest.pagerank.recomputes",
+    "ingest.pagerank.sweeps",
     "ingest.publish_ms",
     "ingest.recoveries",
     "sbm.restarts",

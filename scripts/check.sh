@@ -60,6 +60,25 @@ if [ -n "$json_scans" ]; then
   exit 1
 fi
 
+echo "==> epoch hand-off gate (no push PageRank, no whole-map entity copies)"
+# An epoch hand-off costs what changed: PageRank is one warm-started power
+# iteration (crowdnet_graph::pagerank) and entity indexes are copy-on-write
+# EntityIndex snapshots. Outside #[cfg(test)] modules, none of the names of
+# the per-epoch whole-corpus copies they replaced may come back.
+handoff="$(awk '
+  FNR == 1 { in_test = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+  in_test || /^[[:space:]]*\/\// { next }
+  index($0, "DynamicPageRank") || index($0, "clone_map") || index($0, "entities.clone()") {
+    print FILENAME ":" FNR ": " $0
+  }
+' $(find crates/*/src -name '*.rs' | sort))"
+if [ -n "$handoff" ]; then
+  echo "epoch hand-off gate: a per-epoch whole-corpus copy is back:" >&2
+  echo "$handoff" >&2
+  exit 1
+fi
+
 echo "==> telemetry smoke (tiny pipeline -> report parses, mandatory counters present)"
 smoke_dir="$(mktemp -d)"
 # `|| true` keeps an empty pid list (the happy path: every server already
