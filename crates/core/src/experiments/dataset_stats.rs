@@ -7,7 +7,7 @@
 //! median of 1.
 
 use crate::error::CoreError;
-use crate::features::{investor_records, role_counts};
+use crate::features::investors_and_roles;
 use crate::pipeline::PipelineOutcome;
 use crate::report::TextTable;
 use crowdnet_dataflow::stats::Summary;
@@ -38,9 +38,10 @@ pub struct DatasetStatsResult {
     pub max_investments: f64,
 }
 
-/// Run the §3 measurement over the crawled store.
+/// Run the §3 measurement over the crawled store: one pass over the user
+/// documents yields both the investor records and the role counts.
 pub fn run(outcome: &PipelineOutcome) -> Result<DatasetStatsResult, CoreError> {
-    let investors = investor_records(outcome)?;
+    let (investors, roles) = investors_and_roles(outcome)?;
     let follows: Vec<f64> = investors.iter().map(|i| i.follow_count as f64).collect();
     let follow_summary =
         Summary::of(&follows).ok_or_else(|| CoreError::EmptyInput("investors".into()))?;
@@ -58,7 +59,7 @@ pub fn run(outcome: &PipelineOutcome) -> Result<DatasetStatsResult, CoreError> {
         facebook: outcome.dataset.facebook,
         twitter: outcome.dataset.twitter,
         users: outcome.dataset.users,
-        roles: role_counts(outcome)?,
+        roles,
         mean_investor_follows: follow_summary.mean,
         mean_investments: inv_summary.mean,
         median_investments: inv_summary.median,
@@ -134,5 +135,33 @@ mod tests {
         let display = r.to_string();
         assert!(display.contains("744,036"));
         assert!(display.contains("roles:"));
+    }
+
+    #[test]
+    fn one_users_pass_equals_the_two_pass_oracle() {
+        use crate::features::{investor_records, role_counts};
+        for seed in [7, 42] {
+            let outcome = Pipeline::new(PipelineConfig::tiny(seed)).run().unwrap();
+            let calls = outcome.telemetry.counter("store.scan.calls");
+            let before = calls.value();
+            let r = run(&outcome).unwrap();
+            assert_eq!(calls.value() - before, 1, "seed {seed}: one scan per run");
+
+            let investors = investor_records(&outcome).unwrap();
+            let follows: Vec<f64> = investors.iter().map(|i| i.follow_count as f64).collect();
+            let counts: Vec<f64> = investors
+                .iter()
+                .filter(|i| !i.investments.is_empty())
+                .map(|i| i.investments.len() as f64)
+                .collect();
+            let invested = Summary::of(&counts).unwrap();
+            assert_eq!(r.roles, role_counts(&outcome).unwrap(), "seed {seed}");
+            assert_eq!(r.mean_investor_follows, Summary::of(&follows).unwrap().mean);
+            assert_eq!(
+                (r.mean_investments, r.median_investments, r.max_investments),
+                (invested.mean, invested.median, invested.max),
+                "seed {seed}"
+            );
+        }
     }
 }

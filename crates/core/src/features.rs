@@ -12,10 +12,11 @@ use crowdnet_column::investor_edges;
 use crowdnet_crawl::augment::NS_CRUNCHBASE;
 use crowdnet_crawl::bfs::{NS_COMPANIES, NS_USERS};
 use crowdnet_crawl::social::{NS_FACEBOOK, NS_TWITTER};
-use crowdnet_dataflow::dataset::scan_store;
+use crowdnet_dataflow::dataset::scan_store_with;
 use crowdnet_dataflow::{Dataset, Pairs};
 use crowdnet_json::Value;
-use crowdnet_store::SnapshotId;
+use crowdnet_store::{Document, SnapshotId, StoreError};
+use std::collections::BTreeMap;
 
 /// One company's joined cross-source view.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,69 +57,71 @@ pub struct InvestorRecord {
     pub follow_count: u64,
 }
 
-/// The columnar projection's partitions for `ns`, when the outcome carries
-/// a catalog (`repro --columnar`) holding the namespace. `None` routes the
-/// caller to the JSON scan; both paths yield identical partitions.
-fn columnar_scan(
-    outcome: &PipelineOutcome,
-    ns: &str,
-) -> Option<Dataset<crowdnet_store::Document>> {
-    let catalog = outcome.columns.as_deref()?;
-    Dataset::from_columns(catalog, ns, SnapshotId(0), outcome.ctx).ok()
+/// Every feature scan: `f` over each document of `ns` (snapshot 0), one
+/// dataset partition per store partition. The JSON log is read by
+/// [`scan_store_with`] — one pool task per partition decodes and applies
+/// `f`, so parsed trees die inside the task. When the outcome carries a
+/// column catalog holding the namespace (`repro --columnar`), the same `f`
+/// runs over [`Dataset::from_columns`] instead; both sources yield the
+/// same documents in the same order, so the output is identical.
+fn scan<U, I, F>(outcome: &PipelineOutcome, ns: &str, f: F) -> Result<Dataset<U>, StoreError>
+where
+    U: Send,
+    I: IntoIterator<Item = U>,
+    F: Fn(Document) -> I + Sync,
+{
+    if let Some(catalog) = outcome.columns.as_deref() {
+        if let Ok(docs) = Dataset::from_columns(catalog, ns, SnapshotId(0), outcome.ctx) {
+            return Ok(docs.flat_map(f));
+        }
+    }
+    scan_store_with(&outcome.store, ns, SnapshotId(0), outcome.ctx, f)
 }
 
-/// Join the store into company records (partition-parallel).
+/// Join the store into company records: one fused scan per namespace
+/// (one task per store partition each), then partition-parallel hash
+/// `left_join`s on the AngelList id.
 pub fn company_records(outcome: &PipelineOutcome) -> Result<Vec<CompanyRecord>, CoreError> {
-    let ctx = outcome.ctx;
-    let store = &outcome.store;
-    let snap = SnapshotId(0);
-
-    let companies = match columnar_scan(outcome, NS_COMPANIES) {
-        Some(d) => d,
-        None => scan_store(store, NS_COMPANIES, snap, ctx)?,
-    };
+    let companies = scan(outcome, NS_COMPANIES, |doc| {
+        let b = &doc.body;
+        std::iter::once(CompanyRecord {
+            id: b.get("id").and_then(Value::as_u64).unwrap_or(0) as u32,
+            name: b.get("name").and_then(Value::as_str).unwrap_or("").to_string(),
+            has_facebook: b.get("facebook_url").map(|v| !v.is_null()).unwrap_or(false),
+            has_twitter: b.get("twitter_url").map(|v| !v.is_null()).unwrap_or(false),
+            has_demo_video: b.get("video_url").map(|v| !v.is_null()).unwrap_or(false),
+            follower_count: b.get("follower_count").and_then(Value::as_u64).unwrap_or(0),
+            fb_likes: None,
+            tw_followers: None,
+            tw_statuses: None,
+            funded: false,
+            total_raised_usd: 0,
+        })
+    })?;
     if companies.count() == 0 {
         return Err(CoreError::EmptyInput(NS_COMPANIES.into()));
     }
-    let base: Pairs<u32, CompanyRecord> = companies
-        .map(|doc| {
-            let b = &doc.body;
-            let id = b.get("id").and_then(Value::as_u64).unwrap_or(0) as u32;
-            CompanyRecord {
-                id,
-                name: b.get("name").and_then(Value::as_str).unwrap_or("").to_string(),
-                has_facebook: b.get("facebook_url").map(|v| !v.is_null()).unwrap_or(false),
-                has_twitter: b.get("twitter_url").map(|v| !v.is_null()).unwrap_or(false),
-                has_demo_video: b.get("video_url").map(|v| !v.is_null()).unwrap_or(false),
-                follower_count: b.get("follower_count").and_then(Value::as_u64).unwrap_or(0),
-                fb_likes: None,
-                tw_followers: None,
-                tw_statuses: None,
-                funded: false,
-                total_raised_usd: 0,
-            }
-        })
-        .key_by(|r| r.id);
+    let base: Pairs<u32, CompanyRecord> = companies.key_by(|r| r.id);
 
     // CrunchBase side: (id, (rounds, total_raised)).
-    let crunchbase: Pairs<u32, (u64, u64)> = keyed_docs(outcome, NS_CRUNCHBASE)?
-        .map_values(|b| {
-            let rounds = b.get("rounds").and_then(Value::as_arr).map(<[Value]>::len).unwrap_or(0) as u64;
-            let raised = b.get("total_raised_usd").and_then(Value::as_u64).unwrap_or(0);
-            (rounds, raised)
-        });
+    let crunchbase: Pairs<u32, (u64, u64)> = keyed_docs(outcome, NS_CRUNCHBASE, |b| {
+        let rounds = b.get("rounds").and_then(Value::as_arr).map(<[Value]>::len).unwrap_or(0) as u64;
+        let raised = b.get("total_raised_usd").and_then(Value::as_u64).unwrap_or(0);
+        (rounds, raised)
+    })?;
 
     // Facebook side: (id, likes).
-    let facebook: Pairs<u32, u64> = keyed_docs(outcome, NS_FACEBOOK)?
-        .map_values(|b| b.get("likes").and_then(Value::as_u64).unwrap_or(0));
+    let facebook: Pairs<u32, u64> = keyed_docs(outcome, NS_FACEBOOK, |b| {
+        b.get("likes").and_then(Value::as_u64).unwrap_or(0)
+    })?;
 
     // Twitter side: (id, (followers, statuses)).
-    let twitter: Pairs<u32, (u64, u64)> = keyed_docs(outcome, NS_TWITTER)?.map_values(|b| {
+    let twitter: Pairs<u32, (u64, u64)> = keyed_docs(outcome, NS_TWITTER, |b| {
         (
             b.get("followers_count").and_then(Value::as_u64).unwrap_or(0),
             b.get("statuses_count").and_then(Value::as_u64).unwrap_or(0),
         )
-    });
+    })?;
 
     let joined = base
         .left_join(crunchbase)
@@ -146,52 +149,67 @@ pub fn company_records(outcome: &PipelineOutcome) -> Result<Vec<CompanyRecord>, 
     Ok(joined.values().collect())
 }
 
+/// The investor view of one user document (`None` unless role == investor).
+fn investor_of(body: &Value) -> Option<InvestorRecord> {
+    let (id, companies) = investor_edges(body)?;
+    Some(InvestorRecord {
+        id,
+        investments: companies.collect(),
+        follow_count: body.get("follow_count").and_then(Value::as_u64).unwrap_or(0),
+    })
+}
+
+/// A user document's role (`"other"` when absent).
+fn role_of(body: &Value) -> String {
+    body.get("role").and_then(Value::as_str).unwrap_or("other").to_string()
+}
+
 /// Investor records from AngelList user documents (role == investor).
 pub fn investor_records(outcome: &PipelineOutcome) -> Result<Vec<InvestorRecord>, CoreError> {
-    let users = match columnar_scan(outcome, NS_USERS) {
-        Some(d) => d,
-        None => scan_store(&outcome.store, NS_USERS, SnapshotId(0), outcome.ctx)?,
-    };
+    // One item per document, so an empty namespace is told apart from one
+    // without investors.
+    let users = scan(outcome, NS_USERS, |doc| std::iter::once(investor_of(&doc.body)))?;
     if users.count() == 0 {
         return Err(CoreError::EmptyInput(NS_USERS.into()));
     }
-    Ok(users
-        .flat_map(|doc| {
-            let (id, companies) = investor_edges(&doc.body)?;
-            Some(InvestorRecord {
-                id,
-                investments: companies.collect(),
-                follow_count: doc
-                    .body
-                    .get("follow_count")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-            })
-        })
-        .collect())
+    Ok(users.collect().into_iter().flatten().collect())
 }
 
+/// `(role, users)` pairs, sorted by role.
+pub type RoleCounts = Vec<(String, usize)>;
+
 /// Role counts from the user documents (§3's 4.3 % / 18.3 % / 44.2 %).
-pub fn role_counts(outcome: &PipelineOutcome) -> Result<Vec<(String, usize)>, CoreError> {
-    let users = match columnar_scan(outcome, NS_USERS) {
-        Some(d) => d,
-        None => scan_store(&outcome.store, NS_USERS, SnapshotId(0), outcome.ctx)?,
-    };
-    let mut counts: Vec<(String, usize)> = users
-        .map(|doc| {
-            doc.body
-                .get("role")
-                .and_then(Value::as_str)
-                .unwrap_or("other")
-                .to_string()
-        })
-        .key_by(|r| r.clone())
-        .count_by_key()
-        .collect()
-        .into_iter()
-        .collect();
+pub fn role_counts(outcome: &PipelineOutcome) -> Result<RoleCounts, CoreError> {
+    let mut counts: RoleCounts = scan(outcome, NS_USERS, |doc| {
+        std::iter::once(role_of(&doc.body))
+    })?
+    .key_by(|r| r.clone())
+    .count_by_key()
+    .collect()
+    .into_iter()
+    .collect();
     counts.sort();
     Ok(counts)
+}
+
+/// [`investor_records`] and [`role_counts`] from one pass over the user
+/// documents — what §3's dataset statistics need, at the cost of one scan.
+pub fn investors_and_roles(
+    outcome: &PipelineOutcome,
+) -> Result<(Vec<InvestorRecord>, RoleCounts), CoreError> {
+    let users = scan(outcome, NS_USERS, |doc| {
+        std::iter::once((role_of(&doc.body), investor_of(&doc.body)))
+    })?;
+    if users.count() == 0 {
+        return Err(CoreError::EmptyInput(NS_USERS.into()));
+    }
+    let mut roles: BTreeMap<String, usize> = BTreeMap::new();
+    let mut investors = Vec::new();
+    for (role, investor) in users.collect() {
+        *roles.entry(role).or_default() += 1;
+        investors.extend(investor);
+    }
+    Ok((investors, roles.into_iter().collect()))
 }
 
 /// The §5.1 investment edges, straight from the crawled user documents.
@@ -202,35 +220,31 @@ pub fn investment_edges(outcome: &PipelineOutcome) -> Result<Vec<(u32, u32)>, Co
         .collect())
 }
 
-fn keyed_docs(
-    outcome: &PipelineOutcome,
-    ns: &str,
-) -> Result<Pairs<u32, Value>, CoreError> {
+/// One join side: `extract` over the body of every document of `ns`,
+/// keyed by the numeric id at the end of the document key.
+fn keyed_docs<V, F>(outcome: &PipelineOutcome, ns: &str, extract: F) -> Result<Pairs<u32, V>, CoreError>
+where
+    V: Send,
+    F: Fn(&Value) -> V + Sync,
+{
+    let docs = scan(outcome, ns, |doc| {
+        let id = doc
+            .key
+            .rsplit(':')
+            .next()
+            .and_then(|s| s.parse::<u32>().ok())
+            .unwrap_or(u32::MAX);
+        std::iter::once((id, extract(&doc.body)))
+    });
     // A namespace only exists once something was crawled into it; a world
     // with (say) zero funded companies legitimately has no CrunchBase
     // namespace, which joins as an empty right side.
-    let docs: Dataset<crowdnet_store::Document> = match columnar_scan(outcome, ns) {
-        Some(d) => d,
-        None => match scan_store(&outcome.store, ns, SnapshotId(0), outcome.ctx) {
-            Ok(d) => d,
-            Err(crowdnet_store::StoreError::NamespaceNotFound(_)) => {
-                Dataset::from_partitions(Vec::new(), outcome.ctx)
-            }
-            Err(e) => return Err(e.into()),
-        },
+    let docs = match docs {
+        Ok(d) => d,
+        Err(StoreError::NamespaceNotFound(_)) => Dataset::from_partitions(Vec::new(), outcome.ctx),
+        Err(e) => return Err(e.into()),
     };
-    Ok(docs
-        .map(|doc| {
-            let id = doc
-                .key
-                .rsplit(':')
-                .next()
-                .and_then(|s| s.parse::<u32>().ok())
-                .unwrap_or(u32::MAX);
-            (id, doc.body)
-        })
-        .key_by(|(id, _)| *id)
-        .map_values(|(_, body)| body))
+    Ok(docs.key_by(|(id, _)| *id).map_values(|(_, v)| v))
 }
 
 #[cfg(test)]

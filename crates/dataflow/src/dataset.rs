@@ -2,8 +2,8 @@
 //! parallel operators.
 
 use crate::pairs::Pairs;
-use crate::pool::{run_stage, run_stage_metered, ExecCtx};
-use crowdnet_store::{SnapshotId, Store, StoreError};
+use crate::pool::{run_stage, run_stage_metered, run_tasks, ExecCtx};
+use crowdnet_store::{Document, SnapshotId, Store, StoreError};
 use crowdnet_telemetry::Telemetry;
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -316,16 +316,60 @@ impl Dataset<crowdnet_store::Document> {
 
 /// Scan a store namespace snapshot into a dataset of documents, one store
 /// partition per dataset partition (the HDFS-block → RDD-partition mapping).
+/// The identity case of [`scan_store_with`].
 pub fn scan_store(
     store: &Store,
     ns: &str,
     snapshot: SnapshotId,
     ctx: ExecCtx,
-) -> Result<Dataset<crowdnet_store::Document>, StoreError> {
-    Ok(Dataset::from_partitions(
-        store.scan_partitions(ns, snapshot)?,
-        ctx,
-    ))
+) -> Result<Dataset<Document>, StoreError> {
+    scan_store_with(store, ns, snapshot, ctx, std::iter::once)
+}
+
+/// Fused scan + `flat_map`: one pool task per store partition reads,
+/// decodes and applies `f`, so a parsed document dies inside the task
+/// that decoded it and at most one tree per worker is alive at a time.
+///
+/// Returns exactly what `scan_store(..)?.flat_map(f)` returns: one dataset
+/// partition per store partition in the same order, items in canonical
+/// key order (each document's outputs sorted by its key, stably, which is
+/// the order sorting the documents first gives), one `store.scan.calls`
+/// increment and the same `store.scan.docs`. On failure it returns the
+/// lowest failing partition's error, as the serial scan would.
+pub fn scan_store_with<U, I, F>(
+    store: &Store,
+    ns: &str,
+    snapshot: SnapshotId,
+    ctx: ExecCtx,
+    f: F,
+) -> Result<Dataset<U>, StoreError>
+where
+    U: Send,
+    I: IntoIterator<Item = U>,
+    F: Fn(Document) -> I + Sync,
+{
+    let scanned = run_tasks(ctx, (0..store.partitions()).collect(), |_, p| {
+        let (pairs, docs) = store.scan_partition(
+            ns,
+            snapshot,
+            p,
+            |doc, pairs| {
+                let key = doc.key.clone();
+                pairs.extend(f(doc).into_iter().map(|item| (key.clone(), item)));
+            },
+            |(key, _): &(String, U)| key,
+        )?;
+        Ok::<_, StoreError>((pairs.into_iter().map(|(_, item)| item).collect(), docs))
+    });
+    let mut partitions = Vec::with_capacity(scanned.len());
+    let mut docs = 0;
+    for result in scanned {
+        let (items, decoded) = result?;
+        partitions.push(items);
+        docs += decoded;
+    }
+    store.record_scan(docs);
+    Ok(Dataset::from_partitions(partitions, ctx))
 }
 
 #[cfg(test)]

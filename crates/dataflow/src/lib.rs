@@ -12,7 +12,8 @@
 //!   `group_by_key`, `reduce_by_key`, `join`, `distinct`, `sample`, …),
 //!   executed on a work-stealing-ish thread pool ([`ExecCtx`]). Partitions
 //!   come straight from `crowdnet-store` scans, like Spark reading HDFS
-//!   blocks.
+//!   blocks: [`dataset::scan_store_with`] reads, decodes and extracts each
+//!   store partition inside one pool task.
 //! * [`stats`] — the empirical-statistics toolkit the analyses need: ECDF
 //!   with Dvoretzky–Kiefer–Wolfowitz / Glivenko–Cantelli confidence bands
 //!   (§5.3 uses an 800 000-pair empirical CDF with a GC bound), Gaussian-KDE

@@ -368,46 +368,80 @@ impl Store {
         Ok(self.scan_partitions(ns, snap)?.into_iter().flatten().collect())
     }
 
-    /// Scan one snapshot preserving partition boundaries — the entry point
-    /// the dataflow engine uses to build a partition-parallel `Dataset`.
+    /// Scan one snapshot preserving partition boundaries: the serial loop
+    /// over [`Store::scan_partition`], keeping each document whole. The
+    /// dataflow engine's fused scan runs the same routine once per pool
+    /// task instead.
     pub fn scan_partitions(
         &self,
         ns: &str,
         snap: SnapshotId,
     ) -> Result<Vec<Vec<Document>>, StoreError> {
         let mut out = Vec::with_capacity(self.partitions);
+        let mut docs = 0;
         for p in 0..self.partitions {
-            let lines = match &self.backend {
-                Backend::Memory(b) => b.read_partition(ns, snap.0, p),
-                Backend::Disk(b) => b.read_partition(ns, snap.0, p)?,
-            };
-            let lines = lines.ok_or_else(|| {
-                if self.snapshots(ns).is_empty() {
-                    StoreError::NamespaceNotFound(ns.to_string())
-                } else {
-                    StoreError::SnapshotNotFound {
-                        namespace: ns.to_string(),
-                        snapshot: snap.0,
-                    }
-                }
-            })?;
-            let mut docs = Vec::with_capacity(lines.len());
-            for (i, line) in lines.iter().enumerate() {
-                docs.push(Document::decode(line, ns, i)?);
-            }
-            // Canonical order: sort each partition by key (stable, so
-            // same-key appends keep their write order). Concurrent crawl
-            // workers interleave appends nondeterministically; sorting at
-            // the scan boundary makes everything derived from a scan
-            // independent of that interleaving.
-            docs.sort_by(|a, b| a.key.cmp(&b.key));
-            out.push(docs);
+            let (part, decoded) =
+                self.scan_partition(ns, snap, p, |doc, part| part.push(doc), |doc| &doc.key)?;
+            docs += decoded;
+            out.push(part);
         }
+        self.record_scan(docs);
+        Ok(out)
+    }
+
+    /// The one per-partition scan routine: read partition `partition` of a
+    /// snapshot, decode each record in write order and hand the
+    /// [`Document`] to `emit`, which pushes zero or more items. The items
+    /// come back stably sorted by `key` — the canonical order — together
+    /// with the number of documents decoded. A decode error names the
+    /// record's line within the partition.
+    ///
+    /// Every JSON scan goes through here. Callers that drive it themselves
+    /// (one task per partition) report the finished scan with
+    /// [`Store::record_scan`].
+    pub fn scan_partition<T>(
+        &self,
+        ns: &str,
+        snap: SnapshotId,
+        partition: usize,
+        mut emit: impl FnMut(Document, &mut Vec<T>),
+        key: impl Fn(&T) -> &str,
+    ) -> Result<(Vec<T>, usize), StoreError> {
+        let lines = match &self.backend {
+            Backend::Memory(b) => b.read_partition(ns, snap.0, partition),
+            Backend::Disk(b) => b.read_partition(ns, snap.0, partition)?,
+        };
+        let lines = lines.ok_or_else(|| {
+            if self.snapshots(ns).is_empty() {
+                StoreError::NamespaceNotFound(ns.to_string())
+            } else {
+                StoreError::SnapshotNotFound {
+                    namespace: ns.to_string(),
+                    snapshot: snap.0,
+                }
+            }
+        })?;
+        let mut items = Vec::with_capacity(lines.len());
+        for (i, line) in lines.iter().enumerate() {
+            emit(Document::decode(line, ns, i)?, &mut items);
+        }
+        // Canonical order: sort by key (stable, so same-key appends keep
+        // their write order). Concurrent crawl workers interleave appends
+        // nondeterministically; sorting at the scan boundary makes
+        // everything derived from a scan independent of that interleaving.
+        items.sort_by(|a, b| key(a).cmp(key(b)));
+        Ok((items, lines.len()))
+    }
+
+    /// Count one finished scan of `docs` documents into
+    /// `store.scan.{calls,docs}`. [`Store::scan_partitions`] calls it
+    /// itself; an executor running [`Store::scan_partition`] per task calls
+    /// it once after every partition succeeded.
+    pub fn record_scan(&self, docs: usize) {
         if let Some(m) = &self.metrics {
             m.scan_calls.inc();
-            m.scan_docs.add(out.iter().map(Vec::len).sum::<usize>() as u64);
+            m.scan_docs.add(docs as u64);
         }
-        Ok(out)
     }
 
     /// Scan one snapshot into a single globally key-sorted vector by

@@ -60,6 +60,25 @@ if [ -n "$json_scans" ]; then
   exit 1
 fi
 
+echo "==> feature-scan gate (every paper-suite scan goes through the one fused, partition-parallel helper)"
+# Outside #[cfg(test)] modules, crates/core/src/features.rs and
+# crates/core/src/experiments/ may not scan the store directly: every
+# feature scan goes through features::scan, which decodes and extracts
+# inside one pool task per store partition (scan_store_with) or reads the
+# column catalog. A direct scan_store/scan_partitions keeps every parsed
+# document alive until its operator runs.
+feature_scans="$(awk '
+  FNR == 1 { in_test = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+  in_test || /^[[:space:]]*\/\// { next }
+  /\.scan_partitions\(|scan_store\(/ { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/features.rs crates/core/src/experiments/*.rs)"
+if [ -n "$feature_scans" ]; then
+  echo "feature-scan gate: a feature scan bypasses features::scan:" >&2
+  echo "$feature_scans" >&2
+  exit 1
+fi
+
 echo "==> epoch hand-off gate (no push PageRank, no whole-map entity copies)"
 # An epoch hand-off costs what changed: PageRank is one warm-started power
 # iteration (crowdnet_graph::pagerank) and entity indexes are copy-on-write
