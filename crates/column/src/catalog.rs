@@ -23,8 +23,10 @@
 use crate::error::ColumnError;
 use crate::run::{ColumnRun, Cursor, FieldReader};
 use crowdnet_json::{Object, Value};
+use crowdnet_store::pool::{run_tasks, ExecCtx};
 use crowdnet_store::{
-    frame, partition_of, ChangeEvent, ChangePayload, Document, SnapshotId, Store, StoreError,
+    frame, partition_of, ChangeEvent, ChangePayload, Document, PartitionScan, SnapshotId, Store,
+    StoreError,
 };
 use crowdnet_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::BTreeMap;
@@ -78,9 +80,11 @@ struct SnapState {
     runs: Vec<Vec<Arc<ColumnRun>>>,
     /// Per-partition appends awaiting the next seal.
     pending: Vec<Vec<Document>>,
-    /// Framed byte length of the source JSON log per partition — the
-    /// staleness token persisted in the column manifest. The log is
-    /// append-only, so equality of lengths implies equality of content.
+    /// Framed bytes of the source JSON log per partition that the
+    /// projection reflects — the bytes the store's frame walk accepted
+    /// ([`PartitionScan::framed_bytes`]), grown by each applied append.
+    /// It is the staleness token persisted in the column manifest: the log
+    /// is append-only, so equality of lengths implies equality of content.
     source_len: Vec<u64>,
 }
 
@@ -94,10 +98,13 @@ impl SnapState {
     }
 }
 
-/// Framed on-disk length of one document line (see
-/// [`crowdnet_store::frame`]): header + payload + newline.
-fn framed_len(doc: &Document) -> u64 {
-    (frame::HEADER_LEN + doc.encode().len() + 1) as u64
+/// One partition's bootstrap: its sealed run (none for an empty
+/// partition) and the framed log bytes the scan accepted.
+type Bootstrap = (Option<ColumnRun>, u64);
+
+/// The bootstrap run of one canonically ordered partition scan.
+fn bootstrap_run(docs: &[Document], build_edges: bool) -> Option<ColumnRun> {
+    (!docs.is_empty()).then(|| ColumnRun::from_docs(docs, build_edges))
 }
 
 /// The maintainer side of the column projection (see module docs).
@@ -179,17 +186,51 @@ impl ColumnSet {
         }
     }
 
-    /// Scan every namespace/snapshot of `store` into sealed runs. The
-    /// version is read *before* scanning, so a racing write leaves the set
-    /// stamped older than the store and consumers rebuild rather than
-    /// trusting possibly-stale columns.
+    /// Scan every namespace/snapshot of `store` into sealed runs, on every
+    /// core. The version is read *before* scanning, so a racing write
+    /// leaves the set stamped older than the store and consumers rebuild
+    /// rather than trusting possibly-stale columns.
     fn absorb_store(&mut self, store: &Store) -> Result<(), ColumnError> {
+        self.absorb_store_in(store, ExecCtx::auto())
+    }
+
+    /// [`ColumnSet::absorb_store`] on `ctx`: one pool task per
+    /// `(namespace, snapshot, partition)` scans that partition and seals
+    /// its run, and the results are installed in task order — so the runs,
+    /// the source lengths and the telemetry are the same at any thread
+    /// count. On failure it returns the first failing task's error in
+    /// that order, as a serial scan would.
+    fn absorb_store_in(&mut self, store: &Store, ctx: ExecCtx) -> Result<(), ColumnError> {
         let version = store.version();
+        let mut snaps: Vec<(String, SnapshotId)> = Vec::new();
         for ns in store.namespaces()? {
             for snap in store.snapshots(&ns) {
-                let parts = store.scan_partitions(&ns, snap)?;
-                self.absorb_scan(&ns, snap, parts);
+                snaps.push((ns.clone(), snap));
             }
+        }
+        let parts = store.partitions();
+        let tasks: Vec<(&str, SnapshotId, usize)> = snaps
+            .iter()
+            .flat_map(|(ns, snap)| (0..parts).map(move |p| (ns.as_str(), *snap, p)))
+            .collect();
+        let edge_ns = self.config.edge_namespace.as_str();
+        let built = run_tasks(ctx, tasks, |_, (ns, snap, p)| {
+            let scan =
+                store.scan_partition(ns, snap, p, |doc, docs| docs.push(doc), |doc| &doc.key)?;
+            let run = bootstrap_run(&scan.items, ns == edge_ns);
+            Ok::<_, StoreError>(((run, scan.framed_bytes), scan.docs))
+        });
+        let mut built = built.into_iter();
+        for (ns, snap) in &snaps {
+            let mut docs = 0;
+            let mut sealed = Vec::with_capacity(parts);
+            for result in built.by_ref().take(parts) {
+                let (bootstrap, decoded) = result?;
+                docs += decoded;
+                sealed.push(bootstrap);
+            }
+            store.record_scan(docs);
+            self.install_bootstrap(ns, *snap, sealed);
         }
         self.version = version;
         self.publish_gauges();
@@ -198,31 +239,39 @@ impl ColumnSet {
 
     /// Seal one full scan of `(ns, snap)` as this snapshot's bootstrap
     /// runs, replacing any previous state for it. `parts` must be the
-    /// untouched output of [`Store::scan_partitions`] — per-partition
-    /// canonical key order is asserted in debug builds, not re-sorted
-    /// here: the scan boundary is the one place documents get ordered.
-    pub fn absorb_scan(&mut self, ns: &str, snap: SnapshotId, parts: Vec<Vec<Document>>) {
+    /// untouched output of [`Store::scan_partitions_framed`] —
+    /// per-partition canonical key order is asserted in debug builds, not
+    /// re-sorted here: the scan boundary is the one place documents get
+    /// ordered.
+    pub fn absorb_scan(&mut self, ns: &str, snap: SnapshotId, parts: Vec<PartitionScan<Document>>) {
         debug_assert!(
             parts
                 .iter()
-                .all(|docs| docs.windows(2).all(|w| w[0].key <= w[1].key)),
+                .all(|part| part.items.windows(2).all(|w| w[0].key <= w[1].key)),
             "absorb_scan: partition not in canonical key order"
         );
         let build_edges = ns == self.config.edge_namespace;
+        let sealed = parts
+            .into_iter()
+            .map(|part| (bootstrap_run(&part.items, build_edges), part.framed_bytes))
+            .collect();
+        self.install_bootstrap(ns, snap, sealed);
+    }
+
+    /// Install per-partition bootstraps, in partition order, as the whole
+    /// state of `(ns, snap)`.
+    fn install_bootstrap(&mut self, ns: &str, snap: SnapshotId, parts: Vec<Bootstrap>) {
         let mut state = SnapState::new(self.partitions);
-        for (p, docs) in parts.into_iter().enumerate().take(self.partitions) {
-            if let Some(len) = state.source_len.get_mut(p) {
-                *len = docs.iter().map(framed_len).sum();
+        for (p, (run, len)) in parts.into_iter().enumerate().take(self.partitions) {
+            if let Some(slot) = state.source_len.get_mut(p) {
+                *slot = len;
             }
-            if docs.is_empty() {
-                continue;
-            }
-            let run = Arc::new(ColumnRun::from_docs(&docs, build_edges));
+            let Some(run) = run else { continue };
             if let Some(m) = &self.metrics {
                 m.bytes.add(run.encoded_len() as u64);
             }
             if let Some(runs) = state.runs.get_mut(p) {
-                runs.push(run);
+                runs.push(Arc::new(run));
             }
         }
         self.namespaces.entry(ns.to_string()).or_default().insert(snap.0, state);
@@ -244,7 +293,7 @@ impl ColumnSet {
             ChangePayload::Append(doc) => {
                 let p = partition_of(&doc.key, partitions);
                 if let Some(len) = state.source_len.get_mut(p) {
-                    *len += framed_len(doc);
+                    *len += frame::frame_len(ev.encoded_len as usize);
                 }
                 if let Some(pending) = state.pending.get_mut(p) {
                     pending.push(doc.clone());
@@ -809,6 +858,132 @@ mod tests {
                 .unwrap();
         }
         store
+    }
+
+    /// Framed length of one document as the serial rebuild measured it:
+    /// by re-encoding the decoded document.
+    fn framed_len_reencoded(doc: &Document) -> u64 {
+        frame::frame_len(doc.encode().len())
+    }
+
+    /// The serial rebuild the parallel one replaced, kept as its oracle:
+    /// one `scan_partitions` per `(ns, snap)`, source lengths re-encoded.
+    fn absorb_store_serial(set: &mut ColumnSet, store: &Store) {
+        let version = store.version();
+        for ns in store.namespaces().unwrap() {
+            for snap in store.snapshots(&ns) {
+                let parts = store.scan_partitions(&ns, snap).unwrap();
+                let build_edges = ns == set.config.edge_namespace;
+                let mut state = SnapState::new(set.partitions);
+                for (p, docs) in parts.into_iter().enumerate() {
+                    state.source_len[p] = docs.iter().map(framed_len_reencoded).sum();
+                    if !docs.is_empty() {
+                        state.runs[p].push(Arc::new(ColumnRun::from_docs(&docs, build_edges)));
+                    }
+                }
+                set.namespaces.entry(ns.clone()).or_default().insert(snap.0, state);
+            }
+        }
+        set.version = version;
+    }
+
+    /// `(ns, snap, [partition][run] sealed bytes, source lengths)`.
+    type SealedImage = Vec<(String, u32, Vec<Vec<Vec<u8>>>, Vec<u64>)>;
+
+    /// Every sealed run's bytes and every source length, in catalog order.
+    fn sealed_image(set: &ColumnSet) -> SealedImage {
+        set.iter_states()
+            .map(|(ns, snap, runs)| {
+                let bytes = runs
+                    .iter()
+                    .map(|part| part.iter().map(|r| r.sealed_bytes().to_vec()).collect())
+                    .collect();
+                let lens = set.source_lens(ns, snap).unwrap().to_vec();
+                (ns.to_string(), snap, bytes, lens)
+            })
+            .collect()
+    }
+
+    /// A disk store on `MemFs` with everything a rebuild must get right:
+    /// re-appended keys, two snapshots, an empty partition, and a
+    /// mid-file frame whose CRC fails (written after open, so no recovery
+    /// has quarantined it yet).
+    fn awkward_disk_store() -> (Arc<crowdnet_store::MemFs>, Store) {
+        use crowdnet_store::Vfs;
+        let fs = Arc::new(crowdnet_store::MemFs::new());
+        let store = Store::open_with_vfs("/s", 4, Arc::clone(&fs) as Arc<dyn Vfs>).unwrap();
+        for i in 0..60 {
+            store.put(EDGE_NAMESPACE, investor(i % 45, &[i as u64 % 5, 9])).unwrap();
+        }
+        // One document: three of the four partitions stay empty.
+        store
+            .put("angellist/companies", Document::new("company:1", obj! {"id" => 1u64}))
+            .unwrap();
+        let snap1 = store.new_snapshot(EDGE_NAMESPACE).unwrap();
+        for i in 0..12 {
+            store.put_snapshot(EDGE_NAMESPACE, snap1, investor(i % 7, &[3])).unwrap();
+        }
+        // Rot the second record of partition 0, snapshot 0.
+        let log = store.partition_log_path(EDGE_NAMESPACE, SnapshotId(0), 0).unwrap();
+        let mut bytes = fs.bytes(&log).unwrap();
+        let second = match frame::step(&bytes, 0) {
+            frame::Step::Ok { next, .. } => next,
+            other => panic!("{other:?}"),
+        };
+        bytes[second + frame::HEADER_LEN + 2] ^= 0x01;
+        fs.set_bytes(&log, bytes);
+        (fs, store)
+    }
+
+    #[test]
+    fn parallel_rebuild_is_byte_identical_to_the_serial_oracle() {
+        let (fs, store) = awkward_disk_store();
+        let manifest = std::path::Path::new("/s/.columns/MANIFEST");
+        let mut oracle = ColumnSet::new(store.partitions(), ColumnConfig::default());
+        absorb_store_serial(&mut oracle, &store);
+        crate::disk::save(&store, &oracle).unwrap();
+        let oracle_manifest = fs.bytes(manifest).unwrap();
+        let want = sealed_image(&oracle);
+        assert!(want.iter().any(|(_, _, parts, _)| parts.iter().any(Vec::is_empty)));
+        assert_eq!(want.iter().filter(|(ns, ..)| ns == EDGE_NAMESPACE).count(), 2);
+
+        for threads in [1, 2, 4] {
+            let mut set = ColumnSet::new(store.partitions(), ColumnConfig::default());
+            set.absorb_store_in(&store, ExecCtx::new(threads)).unwrap();
+            assert_eq!(sealed_image(&set), want, "{threads} threads");
+            crate::disk::save(&store, &set).unwrap();
+            assert_eq!(fs.bytes(manifest).unwrap(), oracle_manifest, "{threads} threads");
+            // The projection decodes to exactly what the scan returns.
+            let cat = set.catalog();
+            for ns in store.namespaces().unwrap() {
+                for snap in store.snapshots(&ns) {
+                    let scan = store.scan_partitions(&ns, snap).unwrap();
+                    assert_eq!(cat.docs_partitioned(&ns, snap).unwrap(), scan, "{ns}[{}]", snap.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn source_lengths_are_the_bytes_the_frame_walk_accepted() {
+        use crowdnet_store::Vfs;
+        let (fs, store) = awkward_disk_store();
+        let set = ColumnSet::build_from_store(&store, ColumnConfig::default(), None).unwrap();
+        crate::disk::save(&store, &set).unwrap();
+        // The rotted frame is in the log but not in the projection, so the
+        // log is longer than the columns reflect: load asks for a rebuild.
+        let err = crate::disk::load(&store, ColumnConfig::default(), None).unwrap_err();
+        assert!(err.needs_rebuild(), "{err}");
+        // Reopening runs recovery, which quarantines the frame: the log is
+        // then exactly the accepted bytes, so the saved projection loads
+        // as it is.
+        drop(store);
+        let store = Store::open_with_vfs("/s", 4, Arc::clone(&fs) as Arc<dyn Vfs>).unwrap();
+        assert_eq!(store.recovery_stats().quarantined_records, 1);
+        let (loaded, rebuilt) =
+            crate::disk::open_or_rebuild(&store, ColumnConfig::default(), None).unwrap();
+        assert!(!rebuilt);
+        assert_eq!(sealed_image(&loaded), sealed_image(&set));
     }
 
     #[test]

@@ -330,7 +330,10 @@ fn decode_entity(v: &Value) -> Option<Entity> {
     }
 }
 
-/// A resumable crawl's persisted state.
+/// A resumable crawl's state: what [`load_checkpoint`] folds the persisted
+/// round records into. Its [`Checkpoint::encode`] form — the whole visited
+/// set in one document — is the legacy full-state record; crawls no longer
+/// write it, but one found in a store still loads, as a reset of the fold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Entities already fetched or queued (never re-fetched on resume).
@@ -343,21 +346,36 @@ pub struct Checkpoint {
     pub complete: bool,
 }
 
+fn encode_stats(o: &mut crowdnet_json::Object, stats: &BfsStats, complete: bool) {
+    o.insert("companies", stats.companies);
+    o.insert("users", stats.users);
+    o.insert("rounds", stats.rounds);
+    o.insert("skipped", stats.skipped);
+    o.insert("complete", complete);
+}
+
+fn decode_stats(v: &Value) -> Option<(BfsStats, bool)> {
+    let stats = BfsStats {
+        companies: v.get("companies")?.as_u64()? as usize,
+        users: v.get("users")?.as_u64()? as usize,
+        rounds: v.get("rounds")?.as_u64()? as usize,
+        skipped: v.get("skipped")?.as_u64()? as usize,
+    };
+    Some((stats, v.get("complete")?.as_bool()?))
+}
+
 impl Checkpoint {
-    /// Serialize to a JSON document body.
+    /// Serialize to the legacy full-state JSON document body.
     pub fn encode(&self) -> Value {
-        crowdnet_json::obj! {
-            "visited" => Value::Arr(self.visited.iter().map(|&e| encode_entity(e)).collect::<Vec<_>>()),
-            "frontier" => Value::Arr(self.frontier.iter().map(|&e| encode_entity(e)).collect::<Vec<_>>()),
-            "companies" => self.stats.companies,
-            "users" => self.stats.users,
-            "rounds" => self.stats.rounds,
-            "skipped" => self.stats.skipped,
-            "complete" => self.complete,
-        }
+        let mut o = crowdnet_json::Object::new();
+        let list = |es: &[Entity]| Value::Arr(es.iter().map(|&e| encode_entity(e)).collect());
+        o.insert("visited", list(&self.visited));
+        o.insert("frontier", list(&self.frontier));
+        encode_stats(&mut o, &self.stats, self.complete);
+        Value::Obj(o)
     }
 
-    /// Deserialize; `None` for malformed documents.
+    /// Deserialize a legacy full-state document; `None` for anything else.
     pub fn decode(v: &Value) -> Option<Checkpoint> {
         let list = |field: &str| -> Option<Vec<Entity>> {
             v.get(field)?
@@ -366,34 +384,110 @@ impl Checkpoint {
                 .map(decode_entity)
                 .collect::<Option<Vec<_>>>()
         };
+        let (stats, complete) = decode_stats(v)?;
         Some(Checkpoint {
             visited: list("visited")?,
             frontier: list("frontier")?,
-            stats: BfsStats {
-                companies: v.get("companies")?.as_u64()? as usize,
-                users: v.get("users")?.as_u64()? as usize,
-                rounds: v.get("rounds")?.as_u64()? as usize,
-                skipped: v.get("skipped")?.as_u64()? as usize,
-            },
-            complete: v.get("complete")?.as_bool()?,
+            stats,
+            complete,
         })
+    }
+
+    /// Fold one persisted record in: a round record adds the entities it
+    /// first visited and makes them the frontier; round 0 (the seeds) and
+    /// a legacy full-state record start the fold over.
+    fn fold(state: Option<Checkpoint>, body: &Value) -> Option<Checkpoint> {
+        if let Some(full) = Checkpoint::decode(body) {
+            return Some(full);
+        }
+        let round = RoundRecord::decode(body)?;
+        let frontier = round.entities();
+        // A later round with no state to extend loses the state.
+        let mut visited = if round.stats.rounds == 0 { Vec::new() } else { state?.visited };
+        visited.extend_from_slice(&frontier);
+        Some(Checkpoint { visited, frontier, stats: round.stats, complete: round.complete })
     }
 }
 
-/// Load the latest checkpoint from the store, if any.
+/// One round's checkpoint record: the entities the round visited first —
+/// exactly the next frontier — as two sorted flat id lists, plus the
+/// counters after the round. Round 0's record holds the seeds. Each
+/// entity is written once over a whole crawl, so the checkpoint
+/// namespace grows with the visited set, not with rounds × visited.
+struct RoundRecord {
+    companies: Vec<u32>,
+    users: Vec<u32>,
+    stats: BfsStats,
+    complete: bool,
+}
+
+impl RoundRecord {
+    fn new(entities: &[Entity], stats: BfsStats, complete: bool) -> RoundRecord {
+        let mut companies = Vec::new();
+        let mut users = Vec::new();
+        for &e in entities {
+            match e {
+                Entity::Company(id) => companies.push(id),
+                Entity::User(id) => users.push(id),
+            }
+        }
+        companies.sort_unstable();
+        users.sort_unstable();
+        RoundRecord { companies, users, stats, complete }
+    }
+
+    fn encode(&self) -> Value {
+        let ids = |ids: &[u32]| Value::Arr(ids.iter().map(|&id| Value::from(id)).collect());
+        let mut o = crowdnet_json::Object::new();
+        o.insert("new_companies", ids(&self.companies));
+        o.insert("new_users", ids(&self.users));
+        encode_stats(&mut o, &self.stats, self.complete);
+        Value::Obj(o)
+    }
+
+    fn decode(v: &Value) -> Option<RoundRecord> {
+        let ids = |field: &str| -> Option<Vec<u32>> {
+            v.get(field)?
+                .as_arr()?
+                .iter()
+                .map(|id| id.as_u64().map(|id| id as u32))
+                .collect()
+        };
+        let (stats, complete) = decode_stats(v)?;
+        Some(RoundRecord {
+            companies: ids("new_companies")?,
+            users: ids("new_users")?,
+            stats,
+            complete,
+        })
+    }
+
+    /// Companies then users, each in id order.
+    fn entities(&self) -> Vec<Entity> {
+        let companies = self.companies.iter().map(|&id| Entity::Company(id));
+        companies.chain(self.users.iter().map(|&id| Entity::User(id))).collect()
+    }
+}
+
+/// Load the crawl's state from the store, if any: the fold of every
+/// checkpoint record in write order (same-key appends keep it through the
+/// scan's stable sort). Visited is the union of the records' lists, the
+/// frontier is the last one's. A malformed record loses the state until
+/// the next round-0 or full-state record.
 pub fn load_checkpoint(store: &Store) -> Result<Option<Checkpoint>, CrawlError> {
     match store.scan(NS_CHECKPOINT) {
         Ok(docs) => Ok(docs
-            .into_iter().rfind(|d| d.key == CHECKPOINT_KEY)
-            .and_then(|d| Checkpoint::decode(&d.body))),
+            .iter()
+            .filter(|d| d.key == CHECKPOINT_KEY)
+            .fold(None, |state, d| Checkpoint::fold(state, &d.body))),
         Err(crowdnet_store::StoreError::NamespaceNotFound(_)) => Ok(None),
         Err(e) => Err(e.into()),
     }
 }
 
-fn save_checkpoint(store: &Store, cp: &Checkpoint) -> Result<(), CrawlError> {
+fn save_round(store: &Store, round: &RoundRecord) -> Result<(), CrawlError> {
     store
-        .put(NS_CHECKPOINT, Document::new(CHECKPOINT_KEY, cp.encode()))
+        .put(NS_CHECKPOINT, Document::new(CHECKPOINT_KEY, round.encode()))
         .map_err(Into::into)
 }
 
@@ -427,6 +521,7 @@ pub fn crawl_angellist_resumable(
                 .filter_map(|item| item.get("id").and_then(Value::as_u64))
                 .map(|id| Entity::Company(id as u32))
                 .collect();
+            save_round(store, &RoundRecord::new(&frontier, BfsStats::default(), false))?;
             (frontier.clone(), frontier, BfsStats::default(), 0)
         }
     };
@@ -483,17 +578,10 @@ pub fn crawl_angellist_resumable(
 
         // Persist progress: a crash after this point loses at most nothing;
         // a crash during the round re-fetches only that round's frontier.
+        // The round's newly visited entities are exactly the next frontier.
         let mut snapshot_stats = stats.lock().clone();
         snapshot_stats.rounds = rounds;
-        save_checkpoint(
-            store,
-            &Checkpoint {
-                visited: visited.lock().iter().copied().collect(),
-                frontier: frontier.clone(),
-                stats: snapshot_stats,
-                complete: frontier.is_empty(),
-            },
-        )?;
+        save_round(store, &RoundRecord::new(&frontier, snapshot_stats, frontier.is_empty()))?;
     }
 
     let mut out = stats.into_inner();
@@ -609,6 +697,101 @@ mod tests {
         let decoded = Checkpoint::decode(&cp.encode()).unwrap();
         assert_eq!(decoded, cp);
         assert!(Checkpoint::decode(&crowdnet_json::obj! {"junk" => 1}).is_none());
+    }
+
+    /// Every stored profile, canonical order.
+    fn stored_profiles(store: &Store) -> Vec<Document> {
+        let scan = |ns| store.scan_snapshot_sorted(ns, crowdnet_store::SnapshotId(0)).unwrap();
+        let mut docs = scan(NS_COMPANIES);
+        docs.extend(scan(NS_USERS));
+        docs
+    }
+
+    fn visited_set(cp: &Checkpoint) -> HashSet<Entity> {
+        cp.visited.iter().copied().collect()
+    }
+
+    #[test]
+    fn resume_after_every_round_equals_the_uninterrupted_crawl() {
+        let (_, api, store, clock) = setup(0.0);
+        let whole = crawl_angellist_resumable(&api, &store, &clock, &BfsConfig::default()).unwrap();
+        let whole_cp = load_checkpoint(&store).unwrap().unwrap();
+        assert!(whole_cp.complete);
+        assert_eq!(whole_cp.visited.len(), visited_set(&whole_cp).len(), "visited twice");
+        assert!(whole.rounds >= 3);
+        for k in 0..=whole.rounds {
+            let (_, api2, store2, clock2) = setup(0.0);
+            let cut = BfsConfig { max_rounds: k, ..BfsConfig::default() };
+            let partial = crawl_angellist_resumable(&api2, &store2, &clock2, &cut).unwrap();
+            assert_eq!(partial.rounds, k);
+            let mid = load_checkpoint(&store2).unwrap().unwrap();
+            assert_eq!(mid.stats, partial, "k={k}");
+            let resumed =
+                crawl_angellist_resumable(&api2, &store2, &clock2, &BfsConfig::default()).unwrap();
+            assert_eq!(resumed, whole, "k={k}");
+            assert_eq!(stored_profiles(&store2), stored_profiles(&store), "k={k}");
+            let cp = load_checkpoint(&store2).unwrap().unwrap();
+            assert!(cp.complete);
+            assert_eq!(visited_set(&cp), visited_set(&whole_cp), "k={k}");
+        }
+    }
+
+    #[test]
+    fn legacy_full_state_record_loads_as_a_reset() {
+        let store = Store::memory(2);
+        let put =
+            |body: Value| store.put(NS_CHECKPOINT, Document::new(CHECKPOINT_KEY, body)).unwrap();
+        let stats = |rounds| BfsStats { companies: 2, users: 1, rounds, skipped: 0 };
+        // Round records of an earlier crawl, then a legacy full-state one.
+        put(RoundRecord::new(&[Entity::Company(1)], stats(0), false).encode());
+        put(RoundRecord::new(&[Entity::User(4)], stats(1), false).encode());
+        let legacy = Checkpoint {
+            visited: vec![Entity::Company(3), Entity::User(9), Entity::User(12)],
+            frontier: vec![Entity::User(12)],
+            stats: stats(2),
+            complete: false,
+        };
+        put(legacy.encode());
+        assert_eq!(load_checkpoint(&store).unwrap(), Some(legacy.clone()));
+        // A round record after it extends the legacy state.
+        put(RoundRecord::new(&[Entity::User(20), Entity::Company(7)], stats(3), false).encode());
+        let cp = load_checkpoint(&store).unwrap().unwrap();
+        let mut want = legacy.visited.clone();
+        want.extend([Entity::Company(7), Entity::User(20)]);
+        assert_eq!(cp.visited, want);
+        assert_eq!(cp.frontier, vec![Entity::Company(7), Entity::User(20)]);
+        assert_eq!(cp.stats, stats(3));
+        // A malformed record loses the state; the next round 0 restarts it.
+        put(crowdnet_json::obj! {"junk" => 1});
+        assert_eq!(load_checkpoint(&store).unwrap(), None);
+        put(RoundRecord::new(&[Entity::Company(5)], stats(0), false).encode());
+        let cp = load_checkpoint(&store).unwrap().unwrap();
+        assert_eq!((cp.visited, cp.frontier), (vec![Entity::Company(5)], vec![Entity::Company(5)]));
+    }
+
+    #[test]
+    fn checkpoint_state_stays_near_one_copy_of_the_visited_set() {
+        let (_, api, store, clock) = setup(0.0);
+        crawl_angellist_resumable(&api, &store, &clock, &BfsConfig::default()).unwrap();
+        let cp = load_checkpoint(&store).unwrap().unwrap();
+        let flat = Value::Arr(
+            cp.visited
+                .iter()
+                .map(|&e| match e {
+                    Entity::Company(id) | Entity::User(id) => Value::from(id),
+                })
+                .collect(),
+        )
+        .to_compact()
+        .len();
+        let state: usize = store
+            .stats()
+            .unwrap()
+            .iter()
+            .filter(|ns| ns.namespace == NS_CHECKPOINT)
+            .map(|ns| ns.encoded_bytes)
+            .sum();
+        assert!(state <= 2 * flat, "crawl/state holds {state} bytes, one flat list is {flat}");
     }
 
     #[test]

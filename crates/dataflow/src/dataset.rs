@@ -349,7 +349,7 @@ where
     F: Fn(Document) -> I + Sync,
 {
     let scanned = run_tasks(ctx, (0..store.partitions()).collect(), |_, p| {
-        let (pairs, docs) = store.scan_partition(
+        let scan = store.scan_partition(
             ns,
             snapshot,
             p,
@@ -359,7 +359,7 @@ where
             },
             |(key, _): &(String, U)| key,
         )?;
-        Ok::<_, StoreError>((pairs.into_iter().map(|(_, item)| item).collect(), docs))
+        Ok::<_, StoreError>((scan.items.into_iter().map(|(_, item)| item).collect(), scan.docs))
     });
     let mut partitions = Vec::with_capacity(scanned.len());
     let mut docs = 0;

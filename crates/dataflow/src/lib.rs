@@ -33,10 +33,12 @@
 
 pub mod dataset;
 pub mod pairs;
-pub mod pool;
 pub mod sql;
 pub mod stats;
 
 pub use dataset::Dataset;
 pub use pairs::Pairs;
+/// The worker pool, defined in `crowdnet-store` so the store's own
+/// parallel work shares it; re-exported at its historical path.
+pub use crowdnet_store::pool;
 pub use pool::ExecCtx;

@@ -230,25 +230,25 @@ impl IngestEngine {
         // already-sorted logs for each maintainer pass.)
         for ns in self.store.namespaces()? {
             for snap in self.store.snapshots(&ns) {
-                let parts = self.store.scan_partitions(&ns, snap)?;
+                let parts = self.store.scan_partitions_framed(&ns, snap)?;
                 debug_assert!(
                     parts
                         .iter()
-                        .all(|docs| docs.windows(2).all(|w| w[0].key <= w[1].key)),
+                        .all(|part| part.items.windows(2).all(|w| w[0].key <= w[1].key)),
                     "catch_up: scan output not in canonical key order"
                 );
                 let corpus =
                     snap == SnapshotId(0) && (ns == NS_USERS || ns == NS_COMPANIES);
-                for docs in &parts {
+                for part in &parts {
                     if corpus {
-                        for doc in docs {
+                        for doc in &part.items {
                             if ns == NS_USERS {
                                 graph.apply_doc(doc);
                             }
                             entities.apply_doc(doc);
                         }
                     }
-                    stats.absorb_scan(&ns, snap, docs);
+                    stats.absorb_scan(&ns, snap, part);
                 }
                 self.columns.absorb_scan(&ns, snap, parts);
             }

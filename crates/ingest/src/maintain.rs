@@ -20,7 +20,7 @@ use crowdnet_graph::fxhash::FxHashMap;
 use crowdnet_graph::pagerank::{pagerank_from, PageRankConfig};
 use crowdnet_graph::{BipartiteGraph, DynamicProjection};
 use crowdnet_serve::artifacts::{EntityIndex, NS_COMPANIES, NS_USERS};
-use crowdnet_store::{ChangeEvent, ChangePayload, Document, SnapshotId};
+use crowdnet_store::{frame, ChangeEvent, ChangePayload, Document, PartitionScan, SnapshotId};
 use crowdnet_store::store::NamespaceStats;
 use std::collections::BTreeMap;
 
@@ -224,20 +224,22 @@ impl StatsMaintainer {
     pub fn apply_event(&mut self, ev: &ChangeEvent) {
         let acc = self.namespaces.entry(ev.namespace.clone()).or_default();
         acc.max_snapshot = acc.max_snapshot.max(ev.snapshot.0);
-        if let ChangePayload::Append(doc) = &ev.payload {
+        if let ChangePayload::Append(_) = &ev.payload {
             let cell = acc.per_snapshot.entry(ev.snapshot.0).or_default();
             cell.0 += 1;
-            cell.1 += doc.encode().len();
+            cell.1 += ev.encoded_len as usize;
         }
     }
 
-    /// Fold a catch-up scan of one whole snapshot in.
-    pub fn absorb_scan(&mut self, ns: &str, snap: SnapshotId, docs: &[Document]) {
+    /// Fold a catch-up scan of one partition of a snapshot in. Encoded
+    /// bytes come from the scan's framed bytes (each record is its line
+    /// plus a fixed frame), not from re-encoding the documents.
+    pub fn absorb_scan(&mut self, ns: &str, snap: SnapshotId, part: &PartitionScan<Document>) {
         let acc = self.namespaces.entry(ns.to_string()).or_default();
         acc.max_snapshot = acc.max_snapshot.max(snap.0);
         let cell = acc.per_snapshot.entry(snap.0).or_default();
-        cell.0 += docs.len();
-        cell.1 += docs.iter().map(|d| d.encode().len()).sum::<usize>();
+        cell.0 += part.docs;
+        cell.1 += (part.framed_bytes - part.docs as u64 * frame::frame_len(0)) as usize;
     }
 
     /// Render as the same sorted `Vec<NamespaceStats>` `Store::stats`
@@ -340,8 +342,9 @@ mod tests {
         }
         let mut scanned = StatsMaintainer::default();
         for snap in store.snapshots("ns/x") {
-            let docs = store.scan_snapshot("ns/x", snap).unwrap();
-            scanned.absorb_scan("ns/x", snap, &docs);
+            for part in store.scan_partitions_framed("ns/x", snap).unwrap() {
+                scanned.absorb_scan("ns/x", snap, &part);
+            }
         }
         assert_eq!(replayed.to_stats(), scanned.to_stats());
     }

@@ -54,6 +54,11 @@ pub struct ChangeEvent {
     /// Snapshot the write targeted (for [`ChangePayload::NewSnapshot`],
     /// the id of the snapshot that was opened).
     pub snapshot: SnapshotId,
+    /// Length of the appended document's encoded line
+    /// ([`Document::encode`]), as the write computed it — its framed log
+    /// size is [`crate::frame::frame_len`] of this. 0 for
+    /// [`ChangePayload::NewSnapshot`].
+    pub encoded_len: u64,
     /// The mutation itself.
     pub payload: ChangePayload,
 }

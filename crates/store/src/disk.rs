@@ -282,7 +282,8 @@ impl DiskBackend {
         }
     }
 
-    /// Read every record of one partition. `None` if the snapshot is not
+    /// Read every record of one partition, with the framed bytes of the
+    /// records the walk accepted. `None` if the snapshot is not
     /// committed; an absent partition file reads as empty. Tolerant of
     /// in-flight damage: stops at a torn tail, skips checksum-failed
     /// records (recovery, not reads, accounts for them).
@@ -291,29 +292,31 @@ impl DiskBackend {
         ns: &str,
         snapshot: u32,
         partition: usize,
-    ) -> io::Result<Option<Vec<String>>> {
+    ) -> io::Result<Option<(Vec<String>, u64)>> {
         self.flush()?;
         if !self.is_committed(ns, snapshot) {
             return Ok(None);
         }
         let path = self.part_path(ns, snapshot, partition);
         if !self.vfs.exists(&path) {
-            return Ok(Some(Vec::new()));
+            return Ok(Some((Vec::new(), 0)));
         }
         let bytes = self.vfs.read(&path)?;
         let mut lines = Vec::new();
+        let mut accepted = 0u64;
         let mut offset = 0;
         loop {
             match frame::step(&bytes, offset) {
                 frame::Step::Ok { payload, next } => {
                     lines.push(String::from_utf8_lossy(&bytes[payload]).into_owned());
+                    accepted += (next - offset) as u64;
                     offset = next;
                 }
                 frame::Step::Corrupt { next, .. } => offset = next,
                 frame::Step::Torn | frame::Step::Broken | frame::Step::End => break,
             }
         }
-        Ok(Some(lines))
+        Ok(Some((lines, accepted)))
     }
 
     /// Partition count per snapshot.
@@ -515,8 +518,8 @@ mod tests {
         assert!(b.append("a/b", 0, 0, "l1").unwrap());
         assert!(b.append("a/b", 0, 0, "l2").unwrap());
         assert!(b.append("a/b", 0, 1, "l3").unwrap());
-        assert_eq!(b.read_partition("a/b", 0, 0).unwrap().unwrap(), vec!["l1", "l2"]);
-        assert_eq!(b.read_partition("a/b", 0, 1).unwrap().unwrap(), vec!["l3"]);
+        assert_eq!(b.read_partition("a/b", 0, 0).unwrap().unwrap().0, vec!["l1", "l2"]);
+        assert_eq!(b.read_partition("a/b", 0, 1).unwrap().unwrap().0, vec!["l3"]);
     }
 
     #[test]
@@ -534,8 +537,8 @@ mod tests {
         let s1 = b.new_snapshot("ns").unwrap();
         assert_eq!(s1, 1);
         b.append("ns", 1, 0, "v1").unwrap();
-        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap(), vec!["v0"]);
-        assert_eq!(b.read_partition("ns", 1, 0).unwrap().unwrap(), vec!["v1"]);
+        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap().0, vec!["v0"]);
+        assert_eq!(b.read_partition("ns", 1, 0).unwrap().unwrap().0, vec!["v1"]);
         assert_eq!(b.snapshots("ns"), vec![0, 1]);
         // Appending to a snapshot that was never created is refused.
         assert!(!b.append("ns", 7, 0, "x").unwrap());
@@ -558,7 +561,7 @@ mod tests {
             b.flush().unwrap();
         }
         let b2 = DiskBackend::open_with_vfs("/r", 2, fs as Arc<dyn Vfs>).unwrap();
-        assert_eq!(b2.read_partition("ns", 0, 0).unwrap().unwrap(), vec!["persisted"]);
+        assert_eq!(b2.read_partition("ns", 0, 0).unwrap().unwrap().0, vec!["persisted"]);
     }
 
     #[test]
@@ -571,12 +574,12 @@ mod tests {
             b.append("ns", 0, 0, "on real disk").unwrap();
             b.flush().unwrap();
             assert_eq!(
-                b.read_partition("ns", 0, 0).unwrap().unwrap(),
+                b.read_partition("ns", 0, 0).unwrap().unwrap().0,
                 vec!["on real disk"]
             );
         }
         let b2 = DiskBackend::open(&root, 2).unwrap();
-        assert_eq!(b2.read_partition("ns", 0, 0).unwrap().unwrap(), vec!["on real disk"]);
+        assert_eq!(b2.read_partition("ns", 0, 0).unwrap().unwrap().0, vec!["on real disk"]);
         assert_eq!(b2.recovery_stats().scans, 1);
         assert_eq!(b2.recovery_stats().torn_tails, 0);
         let _ = std::fs::remove_dir_all(&root);
@@ -622,7 +625,7 @@ mod tests {
         assert_eq!(stats.torn_bytes, (torn.len() / 2) as u64);
         assert_eq!(stats.records_ok, 2);
         assert_eq!(stats.quarantined_records, 0);
-        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap(), vec!["keep-1", "keep-2"]);
+        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap().0, vec!["keep-1", "keep-2"]);
         // The file itself is clean again: appends work and a further
         // reopen finds nothing to repair.
         b.append("ns", 0, 0, "keep-3").unwrap();
@@ -630,7 +633,7 @@ mod tests {
         let b2 = DiskBackend::open_with_vfs("/r", 1, fs as Arc<dyn Vfs>).unwrap();
         assert_eq!(b2.recovery_stats().torn_tails, 0);
         assert_eq!(
-            b2.read_partition("ns", 0, 0).unwrap().unwrap(),
+            b2.read_partition("ns", 0, 0).unwrap().unwrap().0,
             vec!["keep-1", "keep-2", "keep-3"]
         );
     }
@@ -655,10 +658,32 @@ mod tests {
         let stats = b.recovery_stats();
         assert_eq!(stats.quarantined_records, 1);
         assert_eq!(stats.records_ok, 2);
-        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap(), vec!["good-1", "good-2"]);
+        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap().0, vec!["good-1", "good-2"]);
         // The damaged payload survives in the sidecar.
         let q = fs.bytes(Path::new("/r/ns/snap-0000/part-000.quarantine")).unwrap();
         assert_eq!(q, b"sot-me\n");
+    }
+
+    #[test]
+    fn reads_count_only_the_frames_they_accept() {
+        let fs = Arc::new(MemFs::new());
+        let part = Path::new("/r/ns/snap-0000/part-000.log");
+        let b = DiskBackend::open_with_vfs("/r", 1, Arc::clone(&fs) as Arc<dyn Vfs>).unwrap();
+        for line in ["good-1", "rot-me", "good-2"] {
+            b.append("ns", 0, 0, line).unwrap();
+        }
+        let clean = fs.bytes(part).unwrap();
+        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap().1, clean.len() as u64);
+        // A rotted middle frame (not yet quarantined by a recovery) and a
+        // torn tail are both skipped, and neither counts.
+        let mut bytes = clean.clone();
+        let first_len = frame::encode(b"good-1").len();
+        bytes[first_len + frame::HEADER_LEN] ^= 0x01;
+        bytes.extend_from_slice(&frame::encode(b"torn")[..7]);
+        fs.set_bytes(part, bytes);
+        let (lines, accepted) = b.read_partition("ns", 0, 0).unwrap().unwrap();
+        assert_eq!(lines, vec!["good-1", "good-2"]);
+        assert_eq!(accepted, frame::frame_len(6) * 2);
     }
 
     #[test]
@@ -702,7 +727,7 @@ mod tests {
         // Post-recovery append goes through a fresh handle at the repaired
         // offset: both records read back clean.
         b.append("ns", 0, 0, "after").unwrap();
-        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap(), vec!["before", "after"]);
+        assert_eq!(b.read_partition("ns", 0, 0).unwrap().unwrap().0, vec!["before", "after"]);
     }
 
     #[test]
@@ -731,7 +756,7 @@ mod tests {
         drop(b);
         let b2 = DiskBackend::open_with_vfs("/r", 1, mem as Arc<dyn Vfs>).unwrap();
         assert_eq!(
-            b2.read_partition("ns", 0, 0).unwrap().unwrap(),
+            b2.read_partition("ns", 0, 0).unwrap().unwrap().0,
             vec!["acked-before-fault"]
         );
         assert_eq!(b2.recovery_stats().quarantined_records, 0);

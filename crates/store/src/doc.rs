@@ -29,8 +29,10 @@ impl Document {
     }
 
     /// Decode one partition line. `namespace`/`line` feed error reporting.
+    /// Key and body are moved out of the parsed envelope, never copied:
+    /// every JSON scan decodes through here.
     pub fn decode(text: &str, namespace: &str, line: usize) -> Result<Document, StoreError> {
-        let value = Value::parse(text).map_err(|cause| StoreError::Corrupt {
+        let mut value = Value::parse(text).map_err(|cause| StoreError::Corrupt {
             namespace: namespace.to_string(),
             line,
             cause,
@@ -39,9 +41,12 @@ impl Document {
             namespace: namespace.to_string(),
             line,
         };
-        let obj = value.as_obj().ok_or_else(bad)?;
-        let key = obj.get("k").and_then(Value::as_str).ok_or_else(bad)?.to_string();
-        let body = obj.get("b").ok_or_else(bad)?.clone();
+        let obj = value.as_obj_mut().ok_or_else(bad)?;
+        let key = match obj.remove("k") {
+            Some(Value::Str(key)) => key,
+            _ => return Err(bad()),
+        };
+        let body = obj.remove("b").ok_or_else(bad)?;
         Ok(Document { key, body })
     }
 }

@@ -25,18 +25,66 @@
 /// + space.
 pub const HEADER_LEN: usize = 18;
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes` — the checksum HDFS uses per
-/// block, here applied per record.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC32 (IEEE 802.3, reflected) over `bytes` — the checksum HDFS uses per
+/// block, here applied per record. Slicing-by-8: eight bytes per step
+/// through [`CRC_TABLES`], the tail byte by byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Bytes one framed record of a `payload_len`-byte payload occupies in a
+/// log: header + payload + newline.
+pub fn frame_len(payload_len: usize) -> u64 {
+    (HEADER_LEN + payload_len + 1) as u64
 }
 
 /// Frame one payload: header + payload + newline, ready to append.
@@ -148,6 +196,45 @@ fn header_prefix_plausible(rest: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bitwise reference the table-driven [`crc32`] replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn crc32_matches_bitwise_reference_at_every_length_and_alignment(
+            data in proptest::collection::vec(proptest::any::<u8>(), 4096 + 8..4096 + 9),
+            len in 0usize..4097,
+            align in 0usize..8,
+        ) {
+            let slice = &data[align..align + len];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_exhaustively_on_short_inputs() {
+        // Every length that exercises a partial 8-byte block, at every
+        // start offset within a block.
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for align in 0..8 {
+            for len in 0..=40 {
+                let slice = &data[align..align + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "align {align} len {len}");
+            }
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

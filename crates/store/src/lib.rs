@@ -41,6 +41,7 @@ pub mod doc;
 pub mod error;
 pub mod frame;
 pub mod memory;
+pub mod pool;
 pub mod store;
 pub mod vfs;
 
@@ -48,5 +49,6 @@ pub use changefeed::{ChangeEvent, ChangePayload, FeedPoll, Subscription};
 pub use disk::RecoveryStats;
 pub use doc::Document;
 pub use error::StoreError;
-pub use store::{merge_sorted_partitions, partition_of, SnapshotId, Store};
+pub use pool::ExecCtx;
+pub use store::{merge_sorted_partitions, partition_of, PartitionScan, SnapshotId, Store};
 pub use vfs::{FailpointFs, FaultPlan, InjectedFaults, MemFs, RealFs, Vfs};

@@ -4,6 +4,7 @@ use crate::changefeed::{ChangeEvent, ChangePayload, FeedHub, Subscription};
 use crate::disk::{DiskBackend, RecoveryStats};
 use crate::doc::Document;
 use crate::error::StoreError;
+use crate::frame;
 use crate::memory::MemoryBackend;
 use crate::vfs::Vfs;
 use crowdnet_telemetry::{Counter, Telemetry};
@@ -292,6 +293,7 @@ impl Store {
                     version,
                     namespace: ns.to_string(),
                     snapshot: snap,
+                    encoded_len: encoded_bytes,
                     payload: ChangePayload::Append(doc),
                 });
             }
@@ -334,6 +336,7 @@ impl Store {
                 version,
                 namespace: ns.to_string(),
                 snapshot: SnapshotId(id),
+                encoded_len: 0,
                 payload: ChangePayload::NewSnapshot,
             });
         }
@@ -377,12 +380,24 @@ impl Store {
         ns: &str,
         snap: SnapshotId,
     ) -> Result<Vec<Vec<Document>>, StoreError> {
+        Ok(self.scan_partitions_framed(ns, snap)?.into_iter().map(|p| p.items).collect())
+    }
+
+    /// [`Store::scan_partitions`] keeping each partition's
+    /// [`PartitionScan::framed_bytes`] beside its documents — what a
+    /// consumer that persists a staleness token per partition (the column
+    /// projection) needs from one scan.
+    pub fn scan_partitions_framed(
+        &self,
+        ns: &str,
+        snap: SnapshotId,
+    ) -> Result<Vec<PartitionScan<Document>>, StoreError> {
         let mut out = Vec::with_capacity(self.partitions);
         let mut docs = 0;
         for p in 0..self.partitions {
-            let (part, decoded) =
+            let part =
                 self.scan_partition(ns, snap, p, |doc, part| part.push(doc), |doc| &doc.key)?;
-            docs += decoded;
+            docs += part.docs;
             out.push(part);
         }
         self.record_scan(docs);
@@ -393,8 +408,9 @@ impl Store {
     /// snapshot, decode each record in write order and hand the
     /// [`Document`] to `emit`, which pushes zero or more items. The items
     /// come back stably sorted by `key` — the canonical order — together
-    /// with the number of documents decoded. A decode error names the
-    /// record's line within the partition.
+    /// with the number of documents decoded and the framed log bytes the
+    /// read accepted. A decode error names the record's line within the
+    /// partition.
     ///
     /// Every JSON scan goes through here. Callers that drive it themselves
     /// (one task per partition) report the finished scan with
@@ -406,12 +422,15 @@ impl Store {
         partition: usize,
         mut emit: impl FnMut(Document, &mut Vec<T>),
         key: impl Fn(&T) -> &str,
-    ) -> Result<(Vec<T>, usize), StoreError> {
-        let lines = match &self.backend {
-            Backend::Memory(b) => b.read_partition(ns, snap.0, partition),
+    ) -> Result<PartitionScan<T>, StoreError> {
+        let read = match &self.backend {
+            Backend::Memory(b) => b.read_partition(ns, snap.0, partition).map(|lines| {
+                let framed = lines.iter().map(|l| frame::frame_len(l.len())).sum();
+                (lines, framed)
+            }),
             Backend::Disk(b) => b.read_partition(ns, snap.0, partition)?,
         };
-        let lines = lines.ok_or_else(|| {
+        let (lines, framed_bytes) = read.ok_or_else(|| {
             if self.snapshots(ns).is_empty() {
                 StoreError::NamespaceNotFound(ns.to_string())
             } else {
@@ -430,7 +449,7 @@ impl Store {
         // nondeterministically; sorting at the scan boundary makes
         // everything derived from a scan independent of that interleaving.
         items.sort_by(|a, b| key(a).cmp(key(b)));
-        Ok((items, lines.len()))
+        Ok(PartitionScan { items, docs: lines.len(), framed_bytes })
     }
 
     /// Count one finished scan of `docs` documents into
@@ -535,6 +554,22 @@ impl Store {
         *self.stats_memo.lock() = Some((version, out.clone()));
         Ok(out)
     }
+}
+
+/// What one [`Store::scan_partition`] read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionScan<T> {
+    /// The emitted items, stably sorted by key.
+    pub items: Vec<T>,
+    /// Documents decoded.
+    pub docs: usize,
+    /// Framed log bytes of the records the read accepted: on disk the sum
+    /// of the checksum-clean frames the walk passed, in memory
+    /// `HEADER_LEN + line + 1` per line. The log is append-only, so this
+    /// is the staleness token derived structures persist per partition —
+    /// it equals the file length exactly when the walk accepted every
+    /// byte.
+    pub framed_bytes: u64,
 }
 
 /// Summary of one namespace (see [`Store::stats`]).
@@ -738,6 +773,29 @@ mod tests {
         // append.bytes equals the stats() re-encoded byte total.
         let stats_bytes: usize = s.stats().unwrap().iter().map(|n| n.encoded_bytes).sum();
         assert_eq!(stats_bytes as u64, bytes);
+    }
+
+    #[test]
+    fn partition_scans_report_framed_bytes_on_both_backends() {
+        let fs = Arc::new(crate::vfs::MemFs::new());
+        let disk = Store::open_with_vfs("/s", 3, fs as Arc<dyn Vfs>).unwrap();
+        let mem = Store::memory(3);
+        for i in 0..40 {
+            for s in [&disk, &mem] {
+                s.put("ns", doc(i % 25)).unwrap(); // re-appended keys too
+            }
+        }
+        for p in 0..3 {
+            let d = disk.scan_partition("ns", SnapshotId(0), p, |d, v| v.push(d), |d| &d.key);
+            let m = mem.scan_partition("ns", SnapshotId(0), p, |d, v| v.push(d), |d| &d.key);
+            let (d, m) = (d.unwrap(), m.unwrap());
+            assert_eq!(d, m);
+            let reencoded: u64 = d.items.iter().map(|x| frame::frame_len(x.encode().len())).sum();
+            assert_eq!(d.framed_bytes, reencoded);
+            let path = disk.partition_log_path("ns", SnapshotId(0), p).unwrap();
+            let (_, vfs) = disk.disk_layout().unwrap();
+            assert_eq!(d.framed_bytes, vfs.file_len(&path).unwrap());
+        }
     }
 
     #[test]

@@ -79,6 +79,25 @@ if [ -n "$feature_scans" ]; then
   exit 1
 fi
 
+echo "==> rebuild gate (the column rebuild takes frame lengths from the log, never from re-encoding documents)"
+# Outside #[cfg(test)] modules, crates/column/src may not re-encode a
+# document: a partition's staleness token is the framed bytes the store's
+# frame walk accepted (PartitionScan::framed_bytes) and an applied
+# append's is the length its ChangeEvent carries. The serial rebuild this
+# replaced spent a sixth of its time re-encoding every document only to
+# measure it; the tests keep that re-encode as the oracle.
+reencodes="$(awk '
+  FNR == 1 { in_test = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+  in_test || /^[[:space:]]*\/\// { next }
+  /Document::encode|\.encode\(\)\.len\(\)/ { print FILENAME ":" FNR ": " $0 }
+' crates/column/src/*.rs)"
+if [ -n "$reencodes" ]; then
+  echo "rebuild gate: the column crate re-encodes documents:" >&2
+  echo "$reencodes" >&2
+  exit 1
+fi
+
 echo "==> epoch hand-off gate (no push PageRank, no whole-map entity copies)"
 # An epoch hand-off costs what changed: PageRank is one warm-started power
 # iteration (crowdnet_graph::pagerank) and entity indexes are copy-on-write
