@@ -286,7 +286,8 @@ fn run_experiment(
         }
         "communities" => {
             header("CoDA communities (paper §5.2)");
-            let (r, graph, model, coda_cfg) = communities::run(outcome)?;
+            let fitted = communities::fitted(outcome)?;
+            let (r, graph, model, coda_cfg) = (&fitted.result, &fitted.graph, &fitted.model, &fitted.cfg);
             println!(
                 "{} communities, avg size {:.1} over {} filtered investors (paper: 96 / 190.2); final LL {:.1}",
                 r.communities,
@@ -294,14 +295,20 @@ fn run_experiment(
                 r.filtered_investors,
                 model.ll_trace.last().copied().unwrap_or(f64::NAN)
             );
+            let updates = (model.ll_trace.len() * (graph.investor_count() + graph.company_count())) as u64;
+            println!(
+                "row updates without an improving step: {} of {updates} ({:.1}%)",
+                model.rows_stuck,
+                model.rows_stuck as f64 / updates.max(1) as f64 * 100.0
+            );
             // Model selection: how does the scaled-from-the-paper C compare
             // with its neighbors under held-out likelihood?
             let k = coda_cfg.communities;
             let candidates = [k / 2, k, k * 2];
             let (best, scores) = crowdnet_graph::coda::choose_communities(
-                &graph,
+                graph,
                 &candidates,
-                &coda_cfg,
+                coda_cfg,
                 0.1,
                 outcome.config.world.seed,
             );

@@ -41,7 +41,8 @@ pub struct DatasetStatsResult {
 /// Run the §3 measurement over the crawled store: one pass over the user
 /// documents yields both the investor records and the role counts.
 pub fn run(outcome: &PipelineOutcome) -> Result<DatasetStatsResult, CoreError> {
-    let (investors, roles) = investors_and_roles(outcome)?;
+    let users = investors_and_roles(outcome)?;
+    let investors = &users.investors;
     let follows: Vec<f64> = investors.iter().map(|i| i.follow_count as f64).collect();
     let follow_summary =
         Summary::of(&follows).ok_or_else(|| CoreError::EmptyInput("investors".into()))?;
@@ -59,7 +60,7 @@ pub fn run(outcome: &PipelineOutcome) -> Result<DatasetStatsResult, CoreError> {
         facebook: outcome.dataset.facebook,
         twitter: outcome.dataset.twitter,
         users: outcome.dataset.users,
-        roles,
+        roles: users.roles.clone(),
         mean_investor_follows: follow_summary.mean,
         mean_investments: inv_summary.mean,
         median_investments: inv_summary.median,

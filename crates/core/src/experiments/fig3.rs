@@ -4,7 +4,7 @@
 //! a small number of investors make a large number of investments."
 
 use crate::error::CoreError;
-use crate::features::investor_records;
+use crate::features::investors_and_roles;
 use crate::pipeline::PipelineOutcome;
 use crowdnet_dataflow::stats::Ecdf;
 
@@ -25,10 +25,12 @@ pub struct Fig3Result {
     pub single_investment_share: f64,
 }
 
-/// Compute the Figure 3 CDF from the crawled user documents.
+/// Compute the Figure 3 CDF from the investor half of the suite's one
+/// pass over the user documents.
 pub fn run(outcome: &PipelineOutcome) -> Result<Fig3Result, CoreError> {
-    let counts: Vec<f64> = investor_records(outcome)?
-        .into_iter()
+    let counts: Vec<f64> = investors_and_roles(outcome)?
+        .investors
+        .iter()
         .filter(|i| !i.investments.is_empty())
         .map(|i| i.investments.len() as f64)
         .collect();

@@ -51,7 +51,8 @@ pub struct Fig4Result {
 
 /// Run the Figure 4 analysis.
 pub fn run(outcome: &PipelineOutcome) -> Result<Fig4Result, CoreError> {
-    let (result, graph, _model, _cfg) = communities::run(outcome)?;
+    let fitted = communities::fitted(outcome)?;
+    let (result, graph) = (&fitted.result, &fitted.graph);
 
     // Rank communities (≥2 members, ≥5 for stability at tiny scales is too
     // strict — use ≥3) by mean shared size.
@@ -59,7 +60,7 @@ pub fn run(outcome: &PipelineOutcome) -> Result<Fig4Result, CoreError> {
         .cover
         .iter()
         .filter(|c| c.members.len() >= 3)
-        .filter_map(|c| metrics::avg_shared_investment(&graph, c).map(|m| (m, c)))
+        .filter_map(|c| metrics::avg_shared_investment(graph, c).map(|m| (m, c)))
         .collect();
     ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite means"));
 
@@ -68,7 +69,7 @@ pub fn run(outcome: &PipelineOutcome) -> Result<Fig4Result, CoreError> {
         .take(3)
         .enumerate()
         .map(|(rank, (mean, community))| {
-            let sizes = metrics::pairwise_shared_sizes(&graph, community);
+            let sizes = metrics::pairwise_shared_sizes(graph, community);
             let ecdf = Ecdf::new(sizes);
             CommunityCdf {
                 rank,
@@ -86,7 +87,7 @@ pub fn run(outcome: &PipelineOutcome) -> Result<Fig4Result, CoreError> {
     // Global estimate: pair count scaled from the paper's 800,000.
     let scale = outcome.config.world.scale.factor();
     let samples = ((PAPER_PAIR_SAMPLES as f64) * scale).round().max(10_000.0) as usize;
-    let global = metrics::sampled_shared_sizes(&graph, samples, outcome.config.world.seed ^ 0xF1);
+    let global = metrics::sampled_shared_sizes(graph, samples, outcome.config.world.seed ^ 0xF1);
     let global_mean = global.iter().sum::<f64>() / global.len().max(1) as f64;
     let ecdf = Ecdf::new(global);
 

@@ -29,15 +29,16 @@ pub struct Fig5Result {
 
 /// Run the Figure 5 analysis.
 pub fn run(outcome: &PipelineOutcome) -> Result<Fig5Result, CoreError> {
-    let (result, graph, _model, _cfg) = communities::run(outcome)?;
-    let pcts = metrics::cover_shared_investor_pcts(&graph, &result.cover, 2);
+    let fitted = communities::fitted(outcome)?;
+    let (result, graph) = (&fitted.result, &fitted.graph);
+    let pcts = metrics::cover_shared_investor_pcts(graph, &result.cover, 2);
     if pcts.is_empty() {
         return Err(CoreError::EmptyInput("non-empty communities".into()));
     }
     let mean_pct = pcts.iter().sum::<f64>() / pcts.len() as f64;
 
-    let randomized = metrics::randomized_cover(&graph, &result.cover, outcome.config.world.seed ^ 0xF5);
-    let rnd_pcts = metrics::cover_shared_investor_pcts(&graph, &randomized, 2);
+    let randomized = metrics::randomized_cover(graph, &result.cover, outcome.config.world.seed ^ 0xF5);
+    let rnd_pcts = metrics::cover_shared_investor_pcts(graph, &randomized, 2);
     let randomized_mean_pct = if rnd_pcts.is_empty() {
         0.0
     } else {

@@ -86,19 +86,20 @@ fn render_community(
 /// Run the Figure 7 analysis: pick the strongest and weakest communities by
 /// mean shared investment size and render both.
 pub fn run(outcome: &PipelineOutcome) -> Result<Fig7Result, CoreError> {
-    let (result, graph, _model, _cfg) = communities::run(outcome)?;
+    let fitted = communities::fitted(outcome)?;
+    let (result, graph) = (&fitted.result, &fitted.graph);
     let mut scored: Vec<(f64, &Community)> = result
         .cover
         .iter()
         .filter(|c| c.members.len() >= 3)
-        .filter_map(|c| metrics::avg_shared_investment(&graph, c).map(|m| (m, c)))
+        .filter_map(|c| metrics::avg_shared_investment(graph, c).map(|m| (m, c)))
         .collect();
     if scored.len() < 2 {
         return Err(CoreError::EmptyInput("at least two communities".into()));
     }
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
-    let strong = render_community(&graph, scored[0].1, "strong-community", 1);
-    let weak = render_community(&graph, scored[scored.len() - 1].1, "weak-community", 2);
+    let strong = render_community(graph, scored[0].1, "strong-community", 1);
+    let weak = render_community(graph, scored[scored.len() - 1].1, "weak-community", 2);
     Ok(Fig7Result { strong, weak })
 }
 

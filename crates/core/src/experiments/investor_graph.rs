@@ -13,7 +13,9 @@ use crate::features::investment_edges;
 use crate::pipeline::PipelineOutcome;
 use crate::report::TextTable;
 use crowdnet_graph::BipartiteGraph;
+use crowdnet_store::DerivedKey;
 use std::fmt;
+use std::sync::Arc;
 
 /// One concentration row: investors with ≥ k investments vs edge share.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,14 +45,23 @@ pub struct InvestorGraphResult {
     pub concentration: Vec<ConcentrationRow>,
 }
 
-/// Build the bipartite graph from the crawl and measure it. Returns the
-/// result and the graph itself (downstream experiments reuse it).
+/// The §5.1 bipartite graph, built from [`investment_edges`] once per
+/// store version ([`crowdnet_store::Store::derived`]) and shared by every
+/// §5 experiment.
+pub fn graph(outcome: &PipelineOutcome) -> Result<Arc<BipartiteGraph>, CoreError> {
+    outcome.store.derived(DerivedKey::new("core.investor_graph"), || {
+        let edges = investment_edges(outcome)?;
+        if edges.is_empty() {
+            return Err(CoreError::EmptyInput("investment edges".into()));
+        }
+        Ok(BipartiteGraph::from_edges(edges))
+    })
+}
+
+/// Measure the shared [`graph`]. Returns the result and a copy of the
+/// graph itself.
 pub fn run(outcome: &PipelineOutcome) -> Result<(InvestorGraphResult, BipartiteGraph), CoreError> {
-    let edges = investment_edges(outcome)?;
-    if edges.is_empty() {
-        return Err(CoreError::EmptyInput("investment edges".into()));
-    }
-    let graph = BipartiteGraph::from_edges(edges);
+    let graph = graph(outcome)?;
     let paper_rows = [(3u64, (0.30, 0.75)), (4, (0.222, 0.683)), (5, (0.170, 0.620))];
     let concentration = paper_rows
         .iter()
@@ -71,7 +82,7 @@ pub fn run(outcome: &PipelineOutcome) -> Result<(InvestorGraphResult, BipartiteG
         mean_investors_per_company: graph.mean_investors_per_company(),
         concentration,
     };
-    Ok((result, graph))
+    Ok((result, graph.as_ref().clone()))
 }
 
 impl fmt::Display for InvestorGraphResult {

@@ -147,7 +147,7 @@ fn columns(x: &[Vec<f64>], cols: &[usize]) -> Vec<Vec<f64>> {
 /// Run the prediction experiment.
 pub fn run(outcome: &PipelineOutcome) -> Result<PredictResult, CoreError> {
     let records = company_records(outcome)?;
-    let (_, graph) = investor_graph::run(outcome)?;
+    let graph = investor_graph::graph(outcome)?;
     // In-degree (number of investors) per company AngelList id.
     let mut degree: HashMap<u32, usize> = HashMap::new();
     for c in 0..graph.company_count() as u32 {

@@ -41,7 +41,8 @@ pub fn run(outcome: &PipelineOutcome) -> Result<SyndicatesResult, CoreError> {
     if docs.is_empty() {
         return Err(CoreError::EmptyInput("crawled syndicates".into()));
     }
-    let (result, graph, _model, _cfg) = communities::run(outcome)?;
+    let fitted = communities::fitted(outcome)?;
+    let (result, graph) = (&fitted.result, &fitted.graph);
 
     // Map backer AngelList ids into the filtered graph's dense indices.
     let mut covers = Vec::new();
@@ -67,12 +68,12 @@ pub fn run(outcome: &PipelineOutcome) -> Result<SyndicatesResult, CoreError> {
     let mean_of = |cover: &[Community]| {
         let vals: Vec<f64> = cover
             .iter()
-            .filter_map(|c| metrics::avg_shared_investment(&graph, c))
+            .filter_map(|c| metrics::avg_shared_investment(graph, c))
             .collect();
         vals.iter().sum::<f64>() / vals.len().max(1) as f64
     };
     let mean_shared = mean_of(&covers);
-    let randomized = metrics::randomized_cover(&graph, &covers, outcome.config.world.seed ^ 0x55);
+    let randomized = metrics::randomized_cover(graph, &covers, outcome.config.world.seed ^ 0x55);
     let randomized_mean_shared = mean_of(&randomized);
 
     Ok(SyndicatesResult {

@@ -15,8 +15,9 @@ use crowdnet_crawl::social::{NS_FACEBOOK, NS_TWITTER};
 use crowdnet_dataflow::dataset::scan_store_with;
 use crowdnet_dataflow::{Dataset, Pairs};
 use crowdnet_json::Value;
-use crowdnet_store::{Document, SnapshotId, StoreError};
+use crowdnet_store::{DerivedKey, Document, SnapshotId, StoreError};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One company's joined cross-source view.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,31 +193,44 @@ pub fn role_counts(outcome: &PipelineOutcome) -> Result<RoleCounts, CoreError> {
     Ok(counts)
 }
 
-/// [`investor_records`] and [`role_counts`] from one pass over the user
-/// documents — what §3's dataset statistics need, at the cost of one scan.
-pub fn investors_and_roles(
-    outcome: &PipelineOutcome,
-) -> Result<(Vec<InvestorRecord>, RoleCounts), CoreError> {
-    let users = scan(outcome, NS_USERS, |doc| {
-        std::iter::once((role_of(&doc.body), investor_of(&doc.body)))
-    })?;
-    if users.count() == 0 {
-        return Err(CoreError::EmptyInput(NS_USERS.into()));
-    }
-    let mut roles: BTreeMap<String, usize> = BTreeMap::new();
-    let mut investors = Vec::new();
-    for (role, investor) in users.collect() {
-        *roles.entry(role).or_default() += 1;
-        investors.extend(investor);
-    }
-    Ok((investors, roles.into_iter().collect()))
+/// Everything the paper suite reads from the user documents.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UserFeatures {
+    /// [`investor_records`].
+    pub investors: Vec<InvestorRecord>,
+    /// [`role_counts`].
+    pub roles: RoleCounts,
 }
 
-/// The §5.1 investment edges, straight from the crawled user documents.
+/// [`investor_records`] and [`role_counts`] from one pass over the user
+/// documents: the suite's one `users` read. Memoised per store version
+/// ([`crowdnet_store::Store::derived`]), so §3, Figure 3 and the §5
+/// investor graph share it.
+pub fn investors_and_roles(outcome: &PipelineOutcome) -> Result<Arc<UserFeatures>, CoreError> {
+    outcome.store.derived(DerivedKey::new("core.features.users"), || {
+        let users = scan(outcome, NS_USERS, |doc| {
+            std::iter::once((role_of(&doc.body), investor_of(&doc.body)))
+        })?;
+        if users.count() == 0 {
+            return Err(CoreError::EmptyInput(NS_USERS.into()));
+        }
+        let mut roles: BTreeMap<String, usize> = BTreeMap::new();
+        let mut investors = Vec::new();
+        for (role, investor) in users.collect() {
+            *roles.entry(role).or_default() += 1;
+            investors.extend(investor);
+        }
+        Ok(UserFeatures { investors, roles: roles.into_iter().collect() })
+    })
+}
+
+/// The §5.1 investment edges, from the investor half of
+/// [`investors_and_roles`].
 pub fn investment_edges(outcome: &PipelineOutcome) -> Result<Vec<(u32, u32)>, CoreError> {
-    Ok(investor_records(outcome)?
-        .into_iter()
-        .flat_map(|inv| inv.investments.into_iter().map(move |c| (inv.id, c)))
+    Ok(investors_and_roles(outcome)?
+        .investors
+        .iter()
+        .flat_map(|inv| inv.investments.iter().map(move |&c| (inv.id, c)))
         .collect())
 }
 

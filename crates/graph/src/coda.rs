@@ -17,12 +17,19 @@
 //! term for node `u` is `F_u · (ΣH − Σ_{c∈N(u)} H_c)`, so a full pass is
 //! `O(|E|·C)` rather than `O(|V|²·C)`.
 //!
+//! **Parallelism.** Within one half-iteration every `F` row is updated
+//! against the same `H` and `ΣH` (and every `H` row against the same `F`
+//! and `ΣF`), so rows are independent: [`CodaConfig::ctx`] runs contiguous
+//! row blocks as pool tasks. The column sums and the log-likelihood stay
+//! serial, so `F`, `H` and `ll_trace` are bit-identical at any thread count.
+//!
 //! **Membership.** Node `u` belongs to community `k` when `F_uk ≥ δ`, with
 //! `δ = sqrt(−log(1 − ε))` and `ε` the background edge density — the same
 //! rule the CoDA/BigCLAM papers use.
 
 use crate::bipartite::BipartiteGraph;
 use crate::metrics::{Community, Cover};
+use crowdnet_store::pool::{run_tasks, ExecCtx};
 use crowdnet_telemetry::{Level, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,8 +49,11 @@ pub struct CodaConfig {
     pub min_membership: Option<f64>,
     /// Observability sink: per-iteration progress events (visible only at
     /// debug verbosity — the fit is silent by default) and the
-    /// `coda.iterations` counter.
+    /// `coda.iterations` and `coda.rows_stuck` counters.
     pub telemetry: Telemetry,
+    /// Workers for the row updates. The fit is bit-identical at any
+    /// thread count; the default is serial.
+    pub ctx: ExecCtx,
 }
 
 impl Default for CodaConfig {
@@ -55,6 +65,7 @@ impl Default for CodaConfig {
             step: 0.25,
             min_membership: None,
             telemetry: Telemetry::new(),
+            ctx: ExecCtx::serial(),
         }
     }
 }
@@ -68,6 +79,9 @@ pub struct Coda {
     pub h: Vec<Vec<f64>>,
     /// Log-likelihood after every iteration (for convergence checks).
     pub ll_trace: Vec<f64>,
+    /// Row updates, over the whole fit, whose line search found no
+    /// improving step (the row stayed where it was).
+    pub rows_stuck: u64,
     communities: usize,
 }
 
@@ -163,34 +177,34 @@ impl Coda {
 
     /// Shared block-coordinate ascent loop over a prepared init.
     fn fit_from(graph: &BipartiteGraph, cfg: &CodaConfig, f: Vec<Vec<f64>>, h: Vec<Vec<f64>>) -> Coda {
-        let nu = graph.investor_count();
-        let nc = graph.company_count();
         let c = cfg.communities.max(1);
         let mut model = Coda {
             f,
             h,
             ll_trace: Vec::with_capacity(cfg.iterations),
+            rows_stuck: 0,
             communities: c,
         };
 
         let _span = cfg.telemetry.span("coda.fit");
         let iter_counter = cfg.telemetry.counter("coda.iterations");
+        let stuck_counter = cfg.telemetry.counter("coda.rows_stuck");
         for it in 0..cfg.iterations {
             // Update investors (F) against fixed H.
             let sum_h = column_sums(&model.h, c);
-            for u in 0..nu {
-                let neighbors = graph.companies_of(u as u32);
-                update_node(&mut model.f[u], neighbors, &model.h, &sum_h, cfg.step);
-            }
+            let stuck_f = update_rows(cfg, &mut model.f, &model.h, &sum_h, |u| {
+                graph.companies_of(u)
+            });
             // Update companies (H) against fixed F.
             let sum_f = column_sums(&model.f, c);
-            for ci in 0..nc {
-                let neighbors = graph.investors_of(ci as u32);
-                update_node(&mut model.h[ci], neighbors, &model.f, &sum_f, cfg.step);
-            }
+            let stuck_h = update_rows(cfg, &mut model.h, &model.f, &sum_f, |ci| {
+                graph.investors_of(ci)
+            });
             let ll = model.log_likelihood(graph);
             model.ll_trace.push(ll);
+            model.rows_stuck += stuck_f + stuck_h;
             iter_counter.inc();
+            stuck_counter.add(stuck_f + stuck_h);
             cfg.telemetry.event(
                 Level::Debug,
                 "coda",
@@ -436,15 +450,67 @@ pub(crate) fn column_sums(rows: &[Vec<f64>], c: usize) -> Vec<f64> {
     out
 }
 
+/// Pool tasks per worker in one half-iteration: a few blocks per worker
+/// let a block of heavy rows finish while the others keep going.
+const BLOCKS_PER_WORKER: usize = 4;
+
+/// One half-iteration: [`update_node`] over every row of `rows` against the
+/// fixed `other` side and its column sums. Rows are cut into contiguous
+/// blocks of about equal work (degree + 1) and each block is one
+/// [`run_tasks`] task. A row's update reads only `other`, `sum_other` and
+/// its own neighbours, so every row ends bit-identical to the serial loop.
+/// Returns the rows that found no improving step, summed over the blocks
+/// in block order.
+fn update_rows<'g>(
+    cfg: &CodaConfig,
+    rows: &mut [Vec<f64>],
+    other: &[Vec<f64>],
+    sum_other: &[f64],
+    neighbors: impl Fn(u32) -> &'g [u32] + Sync,
+) -> u64 {
+    let blocks = match cfg.ctx.threads() {
+        1 => 1,
+        threads => threads * BLOCKS_PER_WORKER,
+    };
+    let work: usize = (0..rows.len() as u32).map(|r| neighbors(r).len() + 1).sum();
+    let per_block = work.div_ceil(blocks).max(1);
+    let mut tasks = Vec::with_capacity(blocks);
+    let mut rest = rows;
+    let mut start = 0usize;
+    while !rest.is_empty() {
+        let (mut len, mut weight) = (0, 0);
+        while len < rest.len() && weight < per_block {
+            weight += neighbors((start + len) as u32).len() + 1;
+            len += 1;
+        }
+        let (block, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        tasks.push((start, block));
+        start += len;
+        rest = tail;
+    }
+    let stuck = run_tasks(cfg.ctx, tasks, |_, (start, block)| {
+        let mut stuck = 0u64;
+        for (i, row) in block.iter_mut().enumerate() {
+            let adjacent = neighbors((start + i) as u32);
+            if !update_node(row, adjacent, other, sum_other, cfg.step) {
+                stuck += 1;
+            }
+        }
+        stuck
+    });
+    stuck.into_iter().sum()
+}
+
 /// One projected-gradient update with backtracking line search of a single
-/// node's affiliation row against the fixed other side.
+/// node's affiliation row against the fixed other side. Returns whether an
+/// improving step was found (otherwise the row is left unchanged).
 pub(crate) fn update_node(
     row: &mut [f64],
     neighbors: &[u32],
     other: &[Vec<f64>],
     sum_other: &[f64],
     step0: f64,
-) {
+) -> bool {
     let c = row.len();
     // Cached neighbor sum: Σ_{v∈N} other_v.
     let mut sum_neighbors = vec![0.0; c];
@@ -487,11 +553,12 @@ pub(crate) fn update_node(
         }
         if local_ll(&candidate) > base {
             row.copy_from_slice(&candidate);
-            return;
+            return true;
         }
         step *= 0.5;
     }
     // No improving step found: leave the row unchanged (ascent property).
+    false
 }
 
 #[cfg(test)]
@@ -602,6 +669,68 @@ mod tests {
         let b = Coda::fit(&g, &cfg);
         assert_eq!(a.ll_trace, b.ll_trace);
         assert_eq!(a.f, b.f);
+    }
+
+    /// F, H, the likelihood trace and the stuck count, compared bit for bit.
+    fn assert_bitwise_eq(a: &Coda, b: &Coda, what: &str) {
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&a.f), bits(&b.f), "{what}: F");
+        assert_eq!(bits(&a.h), bits(&b.h), "{what}: H");
+        let trace = |m: &Coda| -> Vec<u64> { m.ll_trace.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(trace(a), trace(b), "{what}: ll_trace");
+        assert_eq!(a.rows_stuck, b.rows_stuck, "{what}: rows_stuck");
+    }
+
+    #[test]
+    fn parallel_fit_is_bitwise_the_serial_fit() {
+        let (g, _) = planted(11);
+        let mut grown = g.clone();
+        grown.add_edge(999, 100);
+        grown.add_edge(998, 205);
+        let serial_cfg = CodaConfig {
+            communities: 3,
+            iterations: 12,
+            ..CodaConfig::default()
+        };
+        let cold = Coda::fit(&g, &serial_cfg);
+        let warm = Coda::fit_warm(&grown, &serial_cfg, &cold, &g);
+        let cover = cold.investor_communities(&g, &serial_cfg);
+        for threads in [1, 2, 3] {
+            let telemetry = Telemetry::new();
+            let cfg = CodaConfig {
+                ctx: ExecCtx::new(threads),
+                telemetry: telemetry.clone(),
+                ..serial_cfg.clone()
+            };
+            let par = Coda::fit(&g, &cfg);
+            assert_bitwise_eq(&par, &cold, &format!("cold fit, {threads} threads"));
+            assert_eq!(par.investor_communities(&g, &cfg), cover);
+            assert_eq!(telemetry.counter("coda.iterations").value(), 12);
+            assert_eq!(telemetry.counter("coda.rows_stuck").value(), cold.rows_stuck);
+            let par_warm = Coda::fit_warm(&grown, &cfg, &par, &g);
+            assert_bitwise_eq(&par_warm, &warm, &format!("warm fit, {threads} threads"));
+        }
+    }
+
+    #[test]
+    fn rows_stuck_counts_row_updates_without_an_improving_step() {
+        let (g, _) = planted(12);
+        let cfg = CodaConfig {
+            communities: 2,
+            iterations: 30,
+            ..CodaConfig::default()
+        };
+        let model = Coda::fit(&g, &cfg);
+        let updates = (cfg.iterations * (g.investor_count() + g.company_count())) as u64;
+        assert!(model.rows_stuck <= updates);
+        // A converged fit stops finding improving steps: by 30 passes over
+        // the planted fixture some row updates have stalled.
+        assert!(model.rows_stuck > 0);
+        // With zero passes nothing was updated.
+        let frozen = Coda::fit(&g, &CodaConfig { iterations: 0, ..cfg });
+        assert_eq!(frozen.rows_stuck, 0);
     }
 
     #[test]

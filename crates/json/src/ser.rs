@@ -12,6 +12,23 @@ pub fn to_compact(value: &Value) -> String {
     out
 }
 
+/// Append the compact form of `value` to `out` — exactly what
+/// [`to_compact`] returns — for callers that frame a value inside a larger
+/// compact document without first building that document as a [`Value`].
+pub fn write_compact(value: &Value, out: &mut String) {
+    write_value(value, out);
+}
+
+/// Append `s` as a JSON string literal, escaped as [`to_compact`] escapes it.
+pub fn write_compact_str(s: &str, out: &mut String) {
+    write_string(s, out);
+}
+
+/// A capacity hint for the compact form of `value`.
+pub fn size_hint(value: &Value) -> usize {
+    estimate(value)
+}
+
 /// Serialize with two-space indentation and `": "` / `",\n"` separators.
 pub fn to_pretty(value: &Value) -> String {
     let mut out = String::with_capacity(estimate(value) * 2);

@@ -293,22 +293,51 @@ impl DiskBackend {
         snapshot: u32,
         partition: usize,
     ) -> io::Result<Option<(Vec<String>, u64)>> {
+        let mut lines = Vec::new();
+        let accepted = self.walk_partition(ns, snapshot, partition, |payload| {
+            lines.push(String::from_utf8_lossy(payload).into_owned());
+        })?;
+        Ok(accepted.map(|accepted| (lines, accepted)))
+    }
+
+    /// The `(records, framed bytes)` [`DiskBackend::read_partition`] would
+    /// return, from the same frame walk but without copying a payload.
+    pub fn partition_extent(
+        &self,
+        ns: &str,
+        snapshot: u32,
+        partition: usize,
+    ) -> io::Result<Option<(usize, u64)>> {
+        let mut records = 0;
+        let accepted = self.walk_partition(ns, snapshot, partition, |_| records += 1)?;
+        Ok(accepted.map(|accepted| (records, accepted)))
+    }
+
+    /// The frame walk under both reads: `record` sees every accepted
+    /// payload in log order; returns the framed bytes accepted, or `None`
+    /// if the snapshot is not committed.
+    fn walk_partition(
+        &self,
+        ns: &str,
+        snapshot: u32,
+        partition: usize,
+        mut record: impl FnMut(&[u8]),
+    ) -> io::Result<Option<u64>> {
         self.flush()?;
         if !self.is_committed(ns, snapshot) {
             return Ok(None);
         }
         let path = self.part_path(ns, snapshot, partition);
         if !self.vfs.exists(&path) {
-            return Ok(Some((Vec::new(), 0)));
+            return Ok(Some(0));
         }
         let bytes = self.vfs.read(&path)?;
-        let mut lines = Vec::new();
         let mut accepted = 0u64;
         let mut offset = 0;
         loop {
             match frame::step(&bytes, offset) {
                 frame::Step::Ok { payload, next } => {
-                    lines.push(String::from_utf8_lossy(&bytes[payload]).into_owned());
+                    record(&bytes[payload]);
                     accepted += (next - offset) as u64;
                     offset = next;
                 }
@@ -316,7 +345,7 @@ impl DiskBackend {
                 frame::Step::Torn | frame::Step::Broken | frame::Step::End => break,
             }
         }
-        Ok(Some((lines, accepted)))
+        Ok(Some(accepted))
     }
 
     /// Partition count per snapshot.

@@ -1,7 +1,7 @@
 //! Document envelope: key + JSON body, with a line-oriented wire encoding.
 
 use crate::error::StoreError;
-use crowdnet_json::{obj, Value};
+use crowdnet_json::{ser, Value};
 
 /// A stored record: a unique key within its namespace plus an arbitrary JSON
 /// body. Keys follow the `"<kind>:<id>"` convention used by the crawlers
@@ -23,9 +23,17 @@ impl Document {
         }
     }
 
-    /// Encode as a single JSON line (the partition file format).
+    /// Encode as a single JSON line (the partition file format):
+    /// `{"k":<key>,"b":<body>}`, written straight through the compact
+    /// serializer.
     pub fn encode(&self) -> String {
-        obj! { "k" => self.key.as_str(), "b" => self.body.clone() }.to_compact()
+        let mut out = String::with_capacity(self.key.len() + ser::size_hint(&self.body) + 16);
+        out.push_str("{\"k\":");
+        ser::write_compact_str(&self.key, &mut out);
+        out.push_str(",\"b\":");
+        ser::write_compact(&self.body, &mut out);
+        out.push('}');
+        out
     }
 
     /// Decode one partition line. `namespace`/`line` feed error reporting.
@@ -54,7 +62,7 @@ impl Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdnet_json::arr;
+    use crowdnet_json::{arr, obj};
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -63,6 +71,106 @@ mod tests {
         assert!(!line.contains('\n'));
         let back = Document::decode(&line, "ns", 0).unwrap();
         assert_eq!(back, d);
+    }
+
+    /// The envelope encoding `encode` replaced: build `{"k","b"}` as a
+    /// value (deep-cloning the body), then serialize it. Kept as the oracle.
+    fn envelope(d: &Document) -> String {
+        obj! { "k" => d.key.as_str(), "b" => d.body.clone() }.to_compact()
+    }
+
+    const KEYS: [&str; 6] = [
+        "",
+        "company:1441",
+        "weird:\n\t\"key\"\\",
+        "ключ:7",
+        "emoji:🚀",
+        "ctl:\u{0}\u{1f}\u{7f}",
+    ];
+
+    #[test]
+    fn encode_is_the_envelope_encoding_on_fixtures() {
+        let mut wide = crowdnet_json::Object::new();
+        for i in 0..20 {
+            wide.insert(format!("f{i}"), i);
+        }
+        let bodies = [
+            obj! {},
+            Value::Null,
+            arr![],
+            obj! {"a" => obj! {}, "b" => arr![obj! {}, arr![], Value::Null]},
+            obj! {"q" => "quote \" backslash \\ slash /", "ctl" => "\u{0}\u{1f}\n\r\t\u{8}\u{c}"},
+            obj! {"ü" => "日本語 🚀", "é\"\n" => "\u{2028}\u{feff}"},
+            obj! {"n" => arr![0, -1, 1.5, -0.25, 1e300, u64::MAX, i64::MIN, true, false]},
+            obj! {"deep" => obj! {"a" => obj! {"b" => obj! {"c" => arr![arr![arr![obj! {"d" => "e"}]]]}}}},
+            Value::from(wide),
+            Value::from("a bare string"),
+            Value::from(42),
+        ];
+        for key in KEYS {
+            for body in &bodies {
+                let d = Document::new(key, body.clone());
+                let line = d.encode();
+                assert_eq!(line, envelope(&d), "key {key:?}");
+                assert!(!line.contains('\n'));
+                assert_eq!(Document::decode(&line, "ns", 0).unwrap(), d);
+            }
+        }
+    }
+
+    #[test]
+    fn encode_is_the_envelope_encoding_on_random_documents() {
+        // SplitMix64: a seeded stream of nested bodies over an alphabet
+        // that hits every escape class, multi-byte UTF-8 and empty
+        // containers.
+        struct Gen(u64);
+        impl Gen {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+            fn below(&mut self, n: u64) -> u64 {
+                self.next() % n
+            }
+            fn string(&mut self) -> String {
+                const ALPHABET: [&str; 14] = [
+                    "a", "Z", "0", " ", "\"", "\\", "/", "\n", "\t", "\u{1}", "é", "日", "🚀",
+                    "\u{7f}",
+                ];
+                (0..self.below(8))
+                    .map(|_| ALPHABET[self.below(14) as usize])
+                    .collect()
+            }
+            fn value(&mut self, depth: u32) -> Value {
+                match self.below(if depth == 0 { 5 } else { 7 }) {
+                    0 => Value::Null,
+                    1 => Value::from(self.below(2) == 1),
+                    2 => Value::from(self.next() as i64 >> self.below(64)),
+                    3 => Value::from((self.next() >> 11) as f64 / (1u64 << 20) as f64 - 1e9),
+                    4 => Value::from(self.string()),
+                    5 => {
+                        let n = self.below(4);
+                        Value::Arr((0..n).map(|_| self.value(depth - 1)).collect())
+                    }
+                    _ => {
+                        let mut o = crowdnet_json::Object::new();
+                        for _ in 0..self.below(4) {
+                            o.insert(self.string(), self.value(depth - 1));
+                        }
+                        Value::from(o)
+                    }
+                }
+            }
+        }
+        let mut g = Gen(7);
+        for case in 0..2000 {
+            let key = format!("{}:{}", KEYS[case % KEYS.len()], g.string());
+            let d = Document::new(key, g.value(4));
+            assert_eq!(d.encode(), envelope(&d), "case {case}");
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! ```
 
 pub mod changefeed;
+pub mod derived;
 pub mod disk;
 pub mod doc;
 pub mod error;
@@ -46,6 +47,7 @@ pub mod store;
 pub mod vfs;
 
 pub use changefeed::{ChangeEvent, ChangePayload, FeedPoll, Subscription};
+pub use derived::DerivedKey;
 pub use disk::RecoveryStats;
 pub use doc::Document;
 pub use error::StoreError;

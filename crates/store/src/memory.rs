@@ -2,6 +2,7 @@
 //! single-machine deployments. Holds encoded lines, not parsed values, so the
 //! memory and disk backends exercise identical (de)serialization paths.
 
+use crate::frame;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
@@ -88,6 +89,22 @@ impl MemoryBackend {
             .get(snapshot as usize)?
             .get(partition)
             .cloned()
+    }
+
+    /// `(lines, framed bytes)` of one partition — what a disk log holding
+    /// the same lines would measure — without copying a line.
+    pub fn partition_extent(
+        &self,
+        ns: &str,
+        snapshot: u32,
+        partition: usize,
+    ) -> Option<(usize, u64)> {
+        let data = self.data.read();
+        let lines = data.get(ns)?.get(snapshot as usize)?.get(partition)?;
+        Some((
+            lines.len(),
+            lines.iter().map(|l| frame::frame_len(l.len())).sum(),
+        ))
     }
 
     /// Partition count per snapshot.

@@ -1,6 +1,7 @@
 //! The unified [`Store`] API over the memory and disk backends.
 
 use crate::changefeed::{ChangeEvent, ChangePayload, FeedHub, Subscription};
+use crate::derived::{DerivedKey, DerivedMemo};
 use crate::disk::{DiskBackend, RecoveryStats};
 use crate::doc::Document;
 use crate::error::StoreError;
@@ -9,6 +10,7 @@ use crate::memory::MemoryBackend;
 use crate::vfs::Vfs;
 use crowdnet_telemetry::{Counter, Telemetry};
 use parking_lot::Mutex;
+use std::any::Any;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,12 +53,13 @@ pub struct Store {
     partitions: usize,
     metrics: Option<StoreMetrics>,
     /// Monotonic content version: bumped on every successful append and on
-    /// every new snapshot. Consumers (the serving tier's result cache, the
-    /// memoized [`Store::stats`]) use it to detect that cached derived data
-    /// is stale without rescanning.
+    /// every new snapshot. Consumers (the serving tier's result cache,
+    /// [`Store::derived`]) use it to detect that cached derived data is
+    /// stale without rescanning.
     version: AtomicU64,
-    /// `stats()` memo: the per-namespace summary computed at some version.
-    stats_memo: Mutex<Option<(u64, Vec<NamespaceStats>)>>,
+    /// Values derived from the content, tagged with the version they were
+    /// built at (see [`Store::derived`]).
+    derived: DerivedMemo,
     /// Changefeed publisher; writes fan committed events out to live
     /// [`Subscription`]s (see [`crate::changefeed`] for the contract).
     feed: FeedHub,
@@ -137,7 +140,7 @@ impl Store {
             backend: Backend::Memory(MemoryBackend::new(partitions)),
             metrics: None,
             version: AtomicU64::new(0),
-            stats_memo: Mutex::new(None),
+            derived: DerivedMemo::default(),
             feed: FeedHub::new(),
             recovery_published: Mutex::new(RecoveryStats::default()),
         }
@@ -165,7 +168,7 @@ impl Store {
             backend: Backend::Disk(backend),
             metrics: None,
             version: AtomicU64::new(0),
-            stats_memo: Mutex::new(None),
+            derived: DerivedMemo::default(),
             feed: FeedHub::new(),
             recovery_published: Mutex::new(RecoveryStats::default()),
         })
@@ -521,38 +524,77 @@ impl Store {
         Ok(self.scan(ns)?.into_iter().filter(|d| pred(d)).collect())
     }
 
+    /// The value `build` derives from this store's content, memoised under
+    /// `key` per [`Store::version`]: a call at the version the held value
+    /// was built at returns it without building; any write since makes the
+    /// next call build again.
+    ///
+    /// - The value is tagged with the version read *before* `build` runs,
+    ///   so a write racing the build leaves it stale, never wrong.
+    /// - An `Err` from `build` is returned and never memoised.
+    /// - The memo's lock is not held while `build` runs: a builder may ask
+    ///   for other derived values. Two threads that miss at once both
+    ///   build; the value built at the later version is kept.
+    /// - A value lives until a lookup sees a newer version or the store is
+    ///   dropped. Nothing is written to disk.
+    pub fn derived<T, E>(
+        &self,
+        key: DerivedKey,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+    {
+        let version = self.version();
+        if let Some(value) = self.derived.get::<T>(key, version) {
+            return Ok(value);
+        }
+        let value = Arc::new(build()?);
+        self.derived.put(key, version, Arc::clone(&value));
+        Ok(value)
+    }
+
     /// Per-namespace statistics over the latest snapshots: document count,
     /// encoded bytes, and snapshot count (an `fsck`-style overview).
     ///
-    /// Memoized per [`Store::version`]: repeated calls with no intervening
-    /// writes return the cached summary without rescanning, so a hot
-    /// `/stats` endpoint costs one lock acquisition, not a full rescan.
+    /// A frame walk, not a parse: the count is the records the walk
+    /// accepted and the bytes are `framed − docs × frame_len(0)`, the
+    /// encoded lines without their frame headers. Memoised through
+    /// [`Store::derived`], so a hot `/stats` endpoint costs one lock
+    /// acquisition per version, not a walk of the log.
     pub fn stats(&self) -> Result<Vec<NamespaceStats>, StoreError> {
-        let version = self.version();
-        {
-            let memo = self.stats_memo.lock();
-            if let Some((v, stats)) = &*memo {
-                if *v == version {
-                    return Ok(stats.clone());
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for ns in self.namespaces()? {
-            let docs = self.scan(&ns)?;
-            let bytes = docs.iter().map(|d| d.encode().len()).sum();
-            out.push(NamespaceStats {
+        let stats = self.derived(DerivedKey::new("store.stats"), || {
+            self.namespaces()?
+                .into_iter()
+                .map(|ns| self.namespace_stats(ns))
+                .collect::<Result<Vec<_>, StoreError>>()
+        })?;
+        Ok(stats.as_ref().clone())
+    }
+
+    /// One namespace's [`NamespaceStats`], counted as one scan.
+    fn namespace_stats(&self, ns: String) -> Result<NamespaceStats, StoreError> {
+        let snap = self.latest_snapshot(&ns)?;
+        let (mut documents, mut framed) = (0usize, 0u64);
+        for p in 0..self.partitions {
+            let extent = match &self.backend {
+                Backend::Memory(b) => b.partition_extent(&ns, snap.0, p),
+                Backend::Disk(b) => b.partition_extent(&ns, snap.0, p)?,
+            };
+            let (docs, bytes) = extent.ok_or_else(|| StoreError::SnapshotNotFound {
                 namespace: ns.clone(),
-                documents: docs.len(),
-                encoded_bytes: bytes,
-                snapshots: self.snapshots(&ns).len(),
-            });
+                snapshot: snap.0,
+            })?;
+            documents += docs;
+            framed += bytes;
         }
-        // Tag the memo with the version read *before* the scan: a write that
-        // raced the scan bumped the live version past `version`, so the next
-        // call recomputes rather than serving a possibly-stale summary.
-        *self.stats_memo.lock() = Some((version, out.clone()));
-        Ok(out)
+        self.record_scan(documents);
+        Ok(NamespaceStats {
+            snapshots: self.snapshots(&ns).len(),
+            namespace: ns,
+            documents,
+            encoded_bytes: (framed - documents as u64 * frame::frame_len(0)) as usize,
+        })
     }
 }
 
@@ -752,6 +794,70 @@ mod tests {
         let third = s.stats().unwrap();
         assert_eq!(third[0].documents, 2);
         assert!(telemetry.counter("store.scan.calls").value() > scans_after_first);
+    }
+
+    #[test]
+    fn derived_memoises_per_version_and_rebuilds_after_a_write() {
+        let s = Store::memory(2);
+        s.put("ns", doc(1)).unwrap();
+        let builds = AtomicU64::new(0);
+        let count = || {
+            builds.fetch_add(1, Ordering::Relaxed);
+            s.doc_count("ns")
+        };
+        let key = DerivedKey::new("test.count");
+        let a = s.derived(key, count).unwrap();
+        let b = s.derived(key, count).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        // A put moves the version: the next lookup builds again and the
+        // stale value leaves the memo.
+        s.put("ns", doc(2)).unwrap();
+        assert_eq!(*s.derived(key, count).unwrap(), 2);
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
+        assert_eq!(s.derived.len(), 1);
+        // Another parameter digest, or another value type, is another value.
+        assert_eq!(*s.derived(key.with(7), count).unwrap(), 2);
+        assert_eq!(builds.load(Ordering::Relaxed), 3);
+        let as_string = s
+            .derived(key, || Ok::<_, StoreError>(String::from("x")))
+            .unwrap();
+        assert_eq!(*as_string, "x");
+        assert_eq!(*s.derived(key, count).unwrap(), 2);
+        assert_eq!(builds.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn derived_never_memoises_errors_and_builders_nest() {
+        let s = Store::memory(2);
+        let key = DerivedKey::new("test.nested");
+        // The namespace does not exist yet: the error comes back and is
+        // not kept.
+        assert!(s.derived(key, || s.doc_count("ns")).is_err());
+        s.put("ns", doc(1)).unwrap();
+        // A builder that asks for another derived value: the memo's lock
+        // is not held across `build`, so this does not deadlock.
+        let inner = DerivedKey::new("test.inner");
+        let outer = s
+            .derived(key, || {
+                let n = s.derived(inner, || s.doc_count("ns"))?;
+                Ok::<_, StoreError>(*n * 10)
+            })
+            .unwrap();
+        assert_eq!(*outer, 10);
+        assert_eq!(
+            *s.derived(inner, || Ok::<usize, StoreError>(99)).unwrap(),
+            1
+        );
+    }
+
+    #[test]
+    fn derived_keys_digest_their_parameters() {
+        let k = DerivedKey::new("fit");
+        assert_eq!(k.with(24).with(25), k.with(24).with(25));
+        assert_ne!(k.with(24).with(25), k.with(25).with(24));
+        assert_ne!(k.with(0.25f64.to_bits()), k.with(0.5f64.to_bits()));
+        assert_ne!(k, DerivedKey::new("other"));
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub const DECLARED_METRICS: &[&str] = &[
     "chaos.injected.resets",
     "chaos.injected.truncated_writes",
     "coda.iterations",
+    "coda.rows_stuck",
     "column.appends",
     "column.builds",
     "column.bytes",

@@ -79,6 +79,30 @@ if [ -n "$feature_scans" ]; then
   exit 1
 fi
 
+echo "==> one-fit gate (the paper suite fits CoDA once per outcome; Figures 4, 5 and 7 borrow that fit)"
+# Outside #[cfg(test)] modules, crates/core/src may call Coda::fit only in
+# the communities::fitted builder, which memoises the fit per store
+# version (Store::derived), and fig4/fig5/fig7 may not call
+# communities::run( or investor_graph::run(, which clone the memoised
+# graph and fit out instead of borrowing them.
+refits="$(awk '
+  FNR == 1 { in_test = 0; fn_name = "" }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+  in_test || /^[[:space:]]*\/\// { next }
+  match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+  /Coda::fit/ && !(FILENAME == "crates/core/src/experiments/communities.rs" && fn_name == "fitted") {
+    print FILENAME ":" FNR ": in fn " fn_name ": " $0
+  }
+  FILENAME ~ /experiments\/fig[457]\.rs$/ && /communities::run\(|investor_graph::run\(/ {
+    print FILENAME ":" FNR ": " $0
+  }
+' $(find crates/core/src -name '*.rs' | sort))"
+if [ -n "$refits" ]; then
+  echo "one-fit gate: a CoDA fit or a cloned graph outside the memoised builder:" >&2
+  echo "$refits" >&2
+  exit 1
+fi
+
 echo "==> rebuild gate (the column rebuild takes frame lengths from the log, never from re-encoding documents)"
 # Outside #[cfg(test)] modules, crates/column/src may not re-encode a
 # document: a partition's staleness token is the framed bytes the store's

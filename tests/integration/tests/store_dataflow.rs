@@ -99,3 +99,83 @@ fn dataflow_statistics_agree_with_direct_computation() {
     assert_eq!(ecdf.eval(999.0), 1.0);
     assert!((ecdf.eval(499.0) - 0.5).abs() < 0.01);
 }
+
+/// The `Store::stats` the frame walk replaced: parse every document of the
+/// latest snapshot and sum the lengths of their re-encoded envelopes.
+fn parse_and_reencode_stats(store: &Store) -> Vec<crowdnet_store::store::NamespaceStats> {
+    store
+        .namespaces()
+        .unwrap()
+        .into_iter()
+        .map(|ns| {
+            let docs = store.scan(&ns).unwrap();
+            crowdnet_store::store::NamespaceStats {
+                encoded_bytes: docs
+                    .iter()
+                    .map(|d| {
+                        obj! {"k" => d.key.as_str(), "b" => d.body.clone()}
+                            .to_compact()
+                            .len()
+                    })
+                    .sum(),
+                documents: docs.len(),
+                snapshots: store.snapshots(&ns).len(),
+                namespace: ns,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn stats_from_the_frame_walk_equal_the_parse_and_reencode_oracle() {
+    use crowdnet_core::pipeline::{Pipeline, PipelineConfig};
+    use std::sync::Arc;
+    for seed in [42, 7] {
+        let outcome = Pipeline::new(PipelineConfig::tiny(seed)).run().unwrap();
+        let memory = &outcome.store;
+        let fs = Arc::new(crowdnet_store::MemFs::new());
+        let disk = Store::open_with_vfs("/stats", memory.partitions(), fs).unwrap();
+        for ns in memory.namespaces().unwrap() {
+            for snap in memory.snapshots(&ns) {
+                if snap.0 > 0 {
+                    disk.new_snapshot(&ns).unwrap();
+                }
+                for doc in memory.scan_snapshot(&ns, snap).unwrap() {
+                    disk.put_snapshot(&ns, snap, doc).unwrap();
+                }
+            }
+        }
+        for store in [memory, &disk] {
+            assert_eq!(
+                store.stats().unwrap(),
+                parse_and_reencode_stats(store),
+                "seed {seed}"
+            );
+        }
+        // Further appends (escapes, multi-byte UTF-8, nested and empty
+        // bodies) and a fresh snapshot move both stores past the memo.
+        let extra = [
+            Document::new(
+                "user:\"quoted\"\n",
+                obj! {"name" => "Zoë 🚀 \\ \u{1}", "tags" => obj! {}},
+            ),
+            Document::new(
+                "user:日本",
+                obj! {"nested" => obj! {"a" => crowdnet_json::arr![obj! {}, Value::Null]}},
+            ),
+        ];
+        for store in [memory, &disk] {
+            let ns = "angellist/users";
+            for doc in &extra {
+                store.put(ns, doc.clone()).unwrap();
+            }
+            store.put("brand/new", extra[0].clone()).unwrap();
+            store.new_snapshot("angellist/companies").unwrap();
+            assert_eq!(
+                store.stats().unwrap(),
+                parse_and_reencode_stats(store),
+                "seed {seed} after appends"
+            );
+        }
+    }
+}
