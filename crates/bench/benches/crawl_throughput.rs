@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowdnet_crawl::bfs::{crawl_angellist, BfsConfig};
+use crowdnet_crawl::links::company_links;
 use crowdnet_crawl::retry::RetryPolicy;
 use crowdnet_crawl::social::crawl_twitter;
 use crowdnet_crawl::tokens::TokenPool;
@@ -59,7 +60,7 @@ fn bench_bfs_workers(c: &mut Criterion) {
 /// number (virtual waiting) is printed once per pool size.
 fn bench_twitter_token_sharding(c: &mut Criterion) {
     let world = world();
-    // Pre-crawl AngelList once so crawl_twitter has its URL list.
+    // Pre-crawl AngelList once so crawl_twitter has its link table.
     let base_store = {
         let api = AngelListApi::reliable(Arc::clone(world));
         let store = Store::memory(8);
@@ -67,6 +68,7 @@ fn bench_twitter_token_sharding(c: &mut Criterion) {
         crawl_angellist(&api, &store, &clock, &BfsConfig::default()).expect("bfs");
         Arc::new(store)
     };
+    let links = company_links(&base_store, 4).expect("links");
     let mut group = c.benchmark_group("crawl_twitter_tokens");
     group.sample_size(10);
     for (owners, per_owner) in [(1usize, 1usize), (1, 5), (3, 5)] {
@@ -86,6 +88,7 @@ fn bench_twitter_token_sharding(c: &mut Criterion) {
                     let stats = crawl_twitter(
                         &api,
                         &base_store,
+                        &links,
                         &pool,
                         &clock,
                         &RetryPolicy::default(),

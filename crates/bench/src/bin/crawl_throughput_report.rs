@@ -8,6 +8,7 @@
 //! ```
 
 use crowdnet_crawl::bfs::{crawl_angellist, BfsConfig};
+use crowdnet_crawl::links::company_links;
 use crowdnet_crawl::retry::RetryPolicy;
 use crowdnet_crawl::social::crawl_twitter;
 use crowdnet_crawl::tokens::TokenPool;
@@ -78,6 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         crawl_angellist(&api, &store, &clock, &BfsConfig::default())?;
         store
     };
+    let links = company_links(&base_store, 4)?;
     let mut twitter_rows: Vec<Value> = Vec::new();
     for (owners, per_owner) in [(1usize, 1usize), (1, 5), (3, 5)] {
         let telemetry = Telemetry::new();
@@ -91,6 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = crawl_twitter(
             &api,
             &base_store,
+            &links,
             &pool,
             &clock,
             &RetryPolicy::default(),

@@ -8,6 +8,7 @@
 //! the AngelList startup."
 
 use crate::error::CrawlError;
+use crate::links::CompanyLink;
 use crate::retry::{with_retry_metered, RetryPolicy, RetryTelemetry};
 use crowdnet_json::Value;
 use crowdnet_telemetry::Telemetry;
@@ -45,10 +46,12 @@ impl AugmentStats {
     }
 }
 
-/// Augment every AngelList company document in `store` with CrunchBase data.
+/// Augment every crawled AngelList company (`links`, from
+/// [`company_links`](crate::links::company_links)) with CrunchBase data.
 pub fn augment_crunchbase(
     api: &CrunchBaseApi,
     store: &Store,
+    links: &[CompanyLink],
     clock: &Arc<dyn Clock>,
     retry: &RetryPolicy,
     workers: usize,
@@ -62,11 +65,10 @@ pub fn augment_crunchbase(
     let existing = crate::social::existing_keys(store, NS_CRUNCHBASE)?;
     let skipped_counter = telemetry.counter("crawl.resume.skipped");
     let mut seed_stats = AugmentStats::default();
-    let companies: Vec<Document> = store
-        .scan(crate::bfs::NS_COMPANIES)?
-        .into_iter()
-        .filter(|doc| {
-            let id = doc.body.get("id").and_then(Value::as_u64).unwrap_or(0);
+    let companies: Vec<&CompanyLink> = links
+        .iter()
+        .filter(|link| {
+            let id = link.id.unwrap_or(0);
             let fresh = !existing.contains(&format!("company:{id}"));
             if !fresh {
                 skipped_counter.inc();
@@ -82,9 +84,9 @@ pub fn augment_crunchbase(
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
             scope.spawn(|| loop {
-                let doc = { queue.lock().next() };
-                let Some(doc) = doc else { break };
-                match augment_one(api, store, clock, retry, &rt, &doc) {
+                let link = { queue.lock().next() };
+                let Some(link) = link else { break };
+                match augment_one(api, store, clock, retry, &rt, link) {
                     Ok(outcome) => {
                         match outcome {
                             Outcome::Direct => direct_counter.inc(),
@@ -128,13 +130,12 @@ fn augment_one(
     clock: &Arc<dyn Clock>,
     retry: &RetryPolicy,
     rt: &RetryTelemetry,
-    doc: &Document,
+    link: &CompanyLink,
 ) -> Result<Outcome, CrawlError> {
-    let body = &doc.body;
-    let al_id = body.get("id").and_then(Value::as_u64).unwrap_or(0);
+    let al_id = link.id.unwrap_or(0);
 
     // Route 1: direct CrunchBase URL.
-    if let Some(url) = body.get("crunchbase_url").and_then(Value::as_str) {
+    if let Some(url) = &link.crunchbase_url {
         let permalink = url.rsplit('/').next().unwrap_or_default().to_string();
         match with_retry_metered(clock.as_ref(), retry, Some(rt), || api.company(&permalink)) {
             Ok(cb) => {
@@ -149,8 +150,8 @@ fn augment_one(
     }
 
     // Route 2: unique name search.
-    let name = body.get("name").and_then(Value::as_str).unwrap_or_default();
-    let search = with_retry_metered(clock.as_ref(), retry, Some(rt), || api.search(name))?;
+    let search =
+        with_retry_metered(clock.as_ref(), retry, Some(rt), || api.search(&link.name))?;
     let matches = search
         .get("matches")
         .and_then(Value::as_arr)
@@ -183,26 +184,27 @@ fn augment_one(
 mod tests {
     use super::*;
     use crate::bfs::{crawl_angellist, BfsConfig};
+    use crate::links::company_links;
     use crowdnet_socialsim::clock::SimClock;
     use crowdnet_socialsim::sources::angellist::AngelListApi;
-    
     use crowdnet_socialsim::{World, WorldConfig};
 
-    fn crawled_store() -> (Arc<World>, Store, Arc<dyn Clock>) {
+    fn crawled_store() -> (Arc<World>, Store, Vec<CompanyLink>, Arc<dyn Clock>) {
         let world = Arc::new(World::generate(&WorldConfig::tiny(42)));
         let api = AngelListApi::reliable(Arc::clone(&world));
         let store = Store::memory(4);
         let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
         crawl_angellist(&api, &store, &clock, &BfsConfig::default()).unwrap();
-        (world, store, clock)
+        let links = company_links(&store, 2).unwrap();
+        (world, store, links, clock)
     }
 
     #[test]
     fn augmentation_resolves_funded_companies() {
-        let (world, store, clock) = crawled_store();
+        let (world, store, links, clock) = crawled_store();
         let api = CrunchBaseApi::reliable(Arc::clone(&world));
         let stats =
-            augment_crunchbase(&api, &store, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
+            augment_crunchbase(&api, &store, &links, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
         let funded = world.companies.iter().filter(|c| c.funded).count();
         // Every directly-linked *crawled* company resolves; search picks up
         // most of the rest except ambiguous names. The BFS may miss a few
@@ -224,9 +226,9 @@ mod tests {
 
     #[test]
     fn crunchbase_docs_carry_rounds() {
-        let (world, store, clock) = crawled_store();
+        let (world, store, links, clock) = crawled_store();
         let api = CrunchBaseApi::reliable(Arc::clone(&world));
-        augment_crunchbase(&api, &store, &clock, &RetryPolicy::default(), 2, &Telemetry::new()).unwrap();
+        augment_crunchbase(&api, &store, &links, &clock, &RetryPolicy::default(), 2, &Telemetry::new()).unwrap();
         let docs = store.scan(NS_CRUNCHBASE).unwrap();
         assert!(!docs.is_empty());
         for doc in docs.iter().take(30) {
@@ -238,10 +240,10 @@ mod tests {
 
     #[test]
     fn unfunded_companies_stay_unresolved() {
-        let (world, store, clock) = crawled_store();
+        let (world, store, links, clock) = crawled_store();
         let api = CrunchBaseApi::reliable(Arc::clone(&world));
         let stats =
-            augment_crunchbase(&api, &store, &clock, &RetryPolicy::default(), 2, &Telemetry::new()).unwrap();
+            augment_crunchbase(&api, &store, &links, &clock, &RetryPolicy::default(), 2, &Telemetry::new()).unwrap();
         let crawled = store.doc_count(crate::bfs::NS_COMPANIES).unwrap();
         assert!(stats.not_found > 0);
         assert_eq!(

@@ -153,6 +153,7 @@ pub fn crawl_angellist(
         );
 
         let next: Mutex<Vec<Entity>> = Mutex::new(Vec::new());
+        let fatal: Mutex<Option<CrawlError>> = Mutex::new(None);
         let queue: Mutex<std::vec::IntoIter<Entity>> =
             Mutex::new(std::mem::take(&mut frontier).into_iter());
 
@@ -185,15 +186,19 @@ pub fn crawl_angellist(
                             skipped_counter.inc();
                             stats.lock().skipped += 1;
                         }
-                        Err(_) => {
-                            // Store/config errors are fatal; surface by
-                            // draining the queue so the scope exits.
+                        Err(e) => {
+                            // Store/config errors are fatal: keep the
+                            // first and drain the queue so the scope exits.
+                            fatal.lock().get_or_insert(e);
                             queue.lock().by_ref().for_each(drop);
                         }
                     }
                 });
             }
         });
+        if let Some(e) = fatal.into_inner() {
+            return Err(e);
+        }
 
         frontier = next.into_inner();
     }
@@ -541,6 +546,7 @@ pub fn crawl_angellist_resumable(
             }
         }
         let next: Mutex<Vec<Entity>> = Mutex::new(Vec::new());
+        let fatal: Mutex<Option<CrawlError>> = Mutex::new(None);
         let queue: Mutex<std::vec::IntoIter<Entity>> =
             Mutex::new(std::mem::take(&mut frontier).into_iter());
         std::thread::scope(|scope| {
@@ -567,13 +573,19 @@ pub fn crawl_angellist_resumable(
                         Err(CrawlError::Api(_)) => {
                             stats.lock().skipped += 1;
                         }
-                        Err(_) => {
+                        Err(e) => {
+                            fatal.lock().get_or_insert(e);
                             queue.lock().by_ref().for_each(drop);
                         }
                     }
                 });
             }
         });
+        // A round cut short by a store error must not be saved: its
+        // record would make the truncated frontier the next one.
+        if let Some(e) = fatal.into_inner() {
+            return Err(e);
+        }
         frontier = next.into_inner();
 
         // Persist progress: a crash after this point loses at most nothing;
@@ -848,6 +860,35 @@ mod tests {
         // The completed checkpoint is marked complete.
         let cp = load_checkpoint(&store2).unwrap().unwrap();
         assert!(cp.complete);
+    }
+
+    /// A store error inside a round (here an injected ENOSPC on a put)
+    /// fails the crawl: neither BFS may return `Ok` over a frontier the
+    /// error cut short, and the resumable one must not save that round.
+    #[test]
+    fn a_store_error_mid_round_fails_the_crawl() {
+        use crowdnet_socialsim::Scale;
+        use crowdnet_store::{FailpointFs, FaultPlan, MemFs, Vfs};
+        let world = Arc::new(World::generate(&WorldConfig::at_scale(
+            42,
+            Scale::Custom { companies: 400, users: 400 },
+        )));
+        for resumable in [true, false] {
+            let mem = Arc::new(MemFs::new());
+            let plan = FaultPlan { enospc: 0.002, ..FaultPlan::none(1) };
+            let fs = Arc::new(FailpointFs::new(Arc::clone(&mem) as Arc<dyn Vfs>, plan));
+            let store = Store::open_with_vfs("/s", 4, Arc::clone(&fs) as Arc<dyn Vfs>).unwrap();
+            let api = AngelListApi::reliable(Arc::clone(&world));
+            let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
+            let crawl = if resumable { crawl_angellist_resumable } else { crawl_angellist };
+            let result = crawl(&api, &store, &clock, &BfsConfig::default());
+            assert!(fs.injected().enospc > 0, "resumable={resumable}: no fault fired");
+            assert!(
+                matches!(result, Err(CrawlError::Store(_))),
+                "resumable={resumable}: {result:?} after {} ENOSPC",
+                fs.injected().enospc
+            );
+        }
     }
 
     #[test]

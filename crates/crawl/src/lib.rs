@@ -11,6 +11,8 @@
 //!   the ~4000 currently-raising startups, expand through startup followers,
 //!   then through each user's followed startups and users, "increasing our
 //!   knowledge of the entire AngelList graph in every iteration".
+//! * [`links`] — the crawled companies' ids, names and outgoing links,
+//!   read from the store once after the BFS for the three stages below.
 //! * [`augment`] — the one-time CrunchBase augmentation: direct permalink
 //!   when the AngelList profile links it, unique-name-search fallback
 //!   otherwise.
@@ -29,6 +31,7 @@
 pub mod augment;
 pub mod bfs;
 pub mod error;
+pub mod links;
 pub mod longitudinal;
 pub mod pipeline;
 pub mod ratelimit;

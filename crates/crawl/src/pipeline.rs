@@ -2,11 +2,14 @@
 //!
 //! [`Crawler::run`] chains the paper's collection process end to end:
 //! AngelList BFS → CrunchBase augmentation → Facebook pages → Twitter
-//! profiles, writing each source into its own store namespace.
+//! profiles, writing each source into its own store namespace. The three
+//! stages after the BFS share one read of the crawled companies
+//! ([`company_links`]).
 
 use crate::augment::{augment_crunchbase, AugmentStats};
 use crate::bfs::{crawl_angellist, crawl_angellist_resumable, BfsConfig, BfsStats, NS_CHECKPOINT};
 use crate::error::CrawlError;
+use crate::links::{company_links, CompanyLink};
 use crate::retry::RetryPolicy;
 use crate::social::{crawl_facebook, crawl_twitter, SocialStats};
 use crate::tokens::TokenPool;
@@ -128,6 +131,9 @@ impl Crawler {
             crate::syndicates::crawl_syndicates(&angellist, store, &dyn_clock, &cfg.retry, &telemetry)?
         };
 
+        // The crawled companies, read once for the three stages below.
+        let links = company_links(store, cfg.workers)?;
+
         // Stage 2: CrunchBase augmentation.
         let crunchbase = CrunchBaseApi::new(
             Arc::clone(&self.world),
@@ -135,7 +141,9 @@ impl Crawler {
         );
         let augment = {
             let _span = telemetry.span("crawl.crunchbase");
-            augment_crunchbase(&crunchbase, store, &dyn_clock, &cfg.retry, cfg.workers, &telemetry)?
+            augment_crunchbase(
+                &crunchbase, store, &links, &dyn_clock, &cfg.retry, cfg.workers, &telemetry,
+            )?
         };
 
         // Stage 3: Facebook pages.
@@ -146,7 +154,7 @@ impl Crawler {
         );
         let fb = {
             let _span = telemetry.span("crawl.facebook");
-            crawl_facebook(&facebook, store, &dyn_clock, &cfg.retry, cfg.workers, &telemetry)?
+            crawl_facebook(&facebook, store, &links, &dyn_clock, &cfg.retry, cfg.workers, &telemetry)?
         };
 
         // Stage 4: Twitter profiles through the token pool.
@@ -168,7 +176,9 @@ impl Crawler {
         .map_err(CrawlError::Api)?;
         let tw = {
             let _span = telemetry.span("crawl.twitter");
-            crawl_twitter(&twitter, store, &pool, &dyn_clock, &cfg.retry, cfg.workers, &telemetry)?
+            crawl_twitter(
+                &twitter, store, &links, &pool, &dyn_clock, &cfg.retry, cfg.workers, &telemetry,
+            )?
         };
 
         Ok(CrawlStats {
@@ -302,6 +312,19 @@ pub fn load_pipeline_checkpoint(
     }
 }
 
+/// The link table held in `cache`, read from the store on first use.
+fn links_once<'a>(
+    cache: &'a mut Option<Vec<CompanyLink>>,
+    store: &Store,
+    workers: usize,
+) -> Result<&'a [CompanyLink], CrawlError> {
+    let links = match cache.take() {
+        Some(links) => links,
+        None => company_links(store, workers)?,
+    };
+    Ok(cache.insert(links))
+}
+
 fn save_pipeline_checkpoint(store: &Store, cp: &PipelineCheckpoint) -> Result<(), CrawlError> {
     store
         .put(NS_CHECKPOINT, Document::new(PIPELINE_CHECKPOINT_KEY, cp.encode()))
@@ -370,6 +393,10 @@ impl Crawler {
             }
         };
 
+        // The crawled companies, read on first use: a resumed run whose
+        // three link stages all completed reads nothing.
+        let mut links: Option<Vec<CompanyLink>> = None;
+
         let augment = match cp.augment.clone() {
             Some(a) => {
                 stages_skipped.inc();
@@ -382,8 +409,9 @@ impl Crawler {
                 );
                 let a = {
                     let _span = telemetry.span("crawl.crunchbase");
+                    let links = links_once(&mut links, store, cfg.workers)?;
                     augment_crunchbase(
-                        &crunchbase, store, &dyn_clock, &cfg.retry, cfg.workers, &telemetry,
+                        &crunchbase, store, links, &dyn_clock, &cfg.retry, cfg.workers, &telemetry,
                     )?
                 };
                 cp.augment = Some(a.clone());
@@ -405,7 +433,10 @@ impl Crawler {
                 );
                 let s = {
                     let _span = telemetry.span("crawl.facebook");
-                    crawl_facebook(&facebook, store, &dyn_clock, &cfg.retry, cfg.workers, &telemetry)?
+                    let links = links_once(&mut links, store, cfg.workers)?;
+                    crawl_facebook(
+                        &facebook, store, links, &dyn_clock, &cfg.retry, cfg.workers, &telemetry,
+                    )?
                 };
                 cp.facebook = Some(s.clone());
                 save_pipeline_checkpoint(store, &cp)?;
@@ -438,7 +469,11 @@ impl Crawler {
                 pool.restore_state(&cp.tokens);
                 let s = {
                     let _span = telemetry.span("crawl.twitter");
-                    crawl_twitter(&twitter, store, &pool, &dyn_clock, &cfg.retry, cfg.workers, &telemetry)?
+                    let links = links_once(&mut links, store, cfg.workers)?;
+                    crawl_twitter(
+                        &twitter, store, links, &pool, &dyn_clock, &cfg.retry, cfg.workers,
+                        &telemetry,
+                    )?
                 };
                 cp.tokens = pool.export_state();
                 cp.twitter = Some(s.clone());
@@ -577,6 +612,36 @@ mod tests {
         let after: Vec<Vec<String>> =
             DATA_NAMESPACES.iter().map(|ns| namespace_keys(&store, ns)).collect();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn a_crawl_reads_the_crawled_companies_once() {
+        let world = Arc::new(World::generate(&WorldConfig::tiny(42)));
+        for resumable in [false, true] {
+            let telemetry = Telemetry::new();
+            let store = Store::memory(4).with_telemetry(&telemetry);
+            let cfg = CrawlConfig { telemetry: telemetry.clone(), ..CrawlConfig::default() };
+            let crawler = Crawler::new(Arc::clone(&world), cfg);
+            let stats = if resumable { crawler.run_resumable(&store) } else { crawler.run(&store) };
+            assert!(stats.unwrap().facebook.facebook_pages > 0);
+            // Every other namespace a fresh crawl probes is still absent
+            // when it is probed, so the one counted scan is the link table.
+            let calls = telemetry.counter("store.scan.calls");
+            let docs = telemetry.counter("store.scan.docs");
+            let (crawl_calls, crawl_docs) = (calls.value(), docs.value());
+            assert_eq!(crawl_calls, 1, "resumable={resumable}");
+            let companies = store.scan(NS_COMPANIES).unwrap().len() as u64;
+            assert_eq!(crawl_docs, companies, "resumable={resumable}");
+            if resumable {
+                // A resumed run whose stages all completed reads only its
+                // two checkpoints: the link table is never built.
+                let (calls_before, docs_before) = (calls.value(), docs.value());
+                let checkpoints = store.scan(NS_CHECKPOINT).unwrap().len() as u64;
+                crawler.run_resumable(&store).unwrap();
+                assert_eq!(calls.value() - calls_before, 1 + 2);
+                assert_eq!(docs.value() - docs_before, checkpoints * 3);
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! 180-calls/15-minutes windows.
 
 use crate::error::CrawlError;
+use crate::links::CompanyLink;
 use crate::retry::{with_retry_metered, RetryPolicy, RetryTelemetry};
 use crate::tokens::TokenPool;
 use crowdnet_json::Value;
@@ -64,25 +65,22 @@ pub(crate) fn existing_keys(
     }
 }
 
-/// Extract `(angellist_id, url)` pairs for a given URL field from the
-/// crawled AngelList company documents.
-fn linked_urls(store: &Store, field: &str) -> Result<Vec<(u64, String)>, CrawlError> {
-    Ok(store
-        .scan(crate::bfs::NS_COMPANIES)?
-        .into_iter()
-        .filter_map(|doc| {
-            let id = doc.body.get("id").and_then(Value::as_u64)?;
-            let url = doc.body.get(field).and_then(Value::as_str)?.to_string();
-            Some((id, url))
-        })
-        .collect())
+/// `(angellist_id, url)` for every crawled company carrying both an id
+/// and the link `url` selects, in table order.
+fn linked_urls(
+    links: &[CompanyLink],
+    url: impl Fn(&CompanyLink) -> Option<&String>,
+) -> Vec<(u64, String)> {
+    links.iter().filter_map(|l| Some((l.id?, url(l)?.clone()))).collect()
 }
 
-/// Crawl every linked Facebook page. Performs the login + token exchange
-/// once, then fetches pages in parallel under the long-lived token.
+/// Crawl the Facebook page of every crawled company in `links` that
+/// links one. Performs the login + token exchange once, then fetches
+/// pages in parallel under the long-lived token.
 pub fn crawl_facebook(
     api: &FacebookApi,
     store: &Store,
+    links: &[CompanyLink],
     clock: &Arc<dyn Clock>,
     retry: &RetryPolicy,
     workers: usize,
@@ -96,7 +94,7 @@ pub fn crawl_facebook(
     let existing = existing_keys(store, NS_FACEBOOK)?;
     let skipped_counter = telemetry.counter("crawl.resume.skipped");
     let mut seed_stats = SocialStats::default();
-    let targets: Vec<(u64, String)> = linked_urls(store, "facebook_url")?
+    let targets: Vec<(u64, String)> = linked_urls(links, |l| l.facebook_url.as_ref())
         .into_iter()
         .filter(|(id, _)| {
             let fresh = !existing.contains(&format!("company:{id}"));
@@ -148,15 +146,18 @@ pub fn crawl_facebook(
     Ok(stats.into_inner())
 }
 
-/// Crawl every linked Twitter profile through the token pool.
+/// Crawl the Twitter profile of every crawled company in `links` that
+/// links one, through the token pool.
 ///
 /// Rate-limited tokens are parked in the pool and the call retried on the
 /// next available token, so the crawl's virtual wall-clock shrinks roughly
 /// linearly with pool size (the paper's multi-machine trick; measured by the
 /// `crawl_throughput` bench).
+#[allow(clippy::too_many_arguments)] // the Facebook stage's seven plus the token pool
 pub fn crawl_twitter(
     api: &TwitterApi,
     store: &Store,
+    links: &[CompanyLink],
     pool: &TokenPool,
     clock: &Arc<dyn Clock>,
     retry: &RetryPolicy,
@@ -169,7 +170,7 @@ pub fn crawl_twitter(
     let existing = existing_keys(store, NS_TWITTER)?;
     let skipped_counter = telemetry.counter("crawl.resume.skipped");
     let mut seed_stats = SocialStats::default();
-    let targets: Vec<(u64, String)> = linked_urls(store, "twitter_url")?
+    let targets: Vec<(u64, String)> = linked_urls(links, |l| l.twitter_url.as_ref())
         .into_iter()
         .filter(|(id, _)| {
             let fresh = !existing.contains(&format!("company:{id}"));
@@ -275,32 +276,37 @@ fn fetch_with_pool(
 mod tests {
     use super::*;
     use crate::bfs::{crawl_angellist, BfsConfig};
+    use crate::links::company_links;
     use crowdnet_socialsim::clock::{RecordingClock, SimClock};
     use crowdnet_socialsim::sources::angellist::AngelListApi;
     use crowdnet_socialsim::sources::FaultModel;
     use crowdnet_socialsim::{World, WorldConfig};
 
-    fn crawled(seed: u64) -> (Arc<World>, Store, Arc<dyn Clock>) {
+    fn crawled(seed: u64) -> (Arc<World>, Store, Vec<CompanyLink>, Arc<dyn Clock>) {
         crawled_at(seed, WorldConfig::tiny(seed))
     }
 
-    fn crawled_at(_seed: u64, cfg: WorldConfig) -> (Arc<World>, Store, Arc<dyn Clock>) {
+    fn crawled_at(
+        _seed: u64,
+        cfg: WorldConfig,
+    ) -> (Arc<World>, Store, Vec<CompanyLink>, Arc<dyn Clock>) {
         let world = Arc::new(World::generate(&cfg));
         let api = AngelListApi::reliable(Arc::clone(&world));
         let store = Store::memory(4);
         let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
         crawl_angellist(&api, &store, &clock, &BfsConfig::default()).unwrap();
-        (world, store, clock)
+        let links = company_links(&store, 2).unwrap();
+        (world, store, links, clock)
     }
 
     #[test]
     fn facebook_crawl_covers_linked_pages() {
-        let (world, store, clock) = crawled(42);
+        let (world, store, links, clock) = crawled(42);
         let api = FacebookApi::new(Arc::clone(&world), Arc::new(SimClock::new()), FaultModel::none());
         let stats =
-            crawl_facebook(&api, &store, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
+            crawl_facebook(&api, &store, &links, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
         let _ = &world;
-        let linked = linked_urls(&store, "facebook_url").unwrap().len();
+        let linked = linked_urls(&links, |l| l.facebook_url.as_ref()).len();
         assert_eq!(stats.facebook_pages, linked);
         assert_eq!(stats.missing, 0);
         assert_eq!(store.doc_count(NS_FACEBOOK).unwrap(), linked);
@@ -310,7 +316,7 @@ mod tests {
     fn twitter_crawl_covers_linked_profiles_despite_rate_limits() {
         // Enough companies that >180 Twitter links exist, forcing at least
         // one full rate-limit window ride with a single token.
-        let (world, store, _) = crawled_at(
+        let (world, store, links, _) = crawled_at(
             42,
             WorldConfig::at_scale(
                 42,
@@ -324,9 +330,9 @@ mod tests {
         // ridden out (virtually) several times if >180 profiles are linked.
         let pool = TokenPool::register(&api, sim.clone(), &["m1"], 1).unwrap();
         let stats =
-            crawl_twitter(&api, &store, &pool, &clock, &RetryPolicy::default(), 2, &Telemetry::new()).unwrap();
+            crawl_twitter(&api, &store, &links, &pool, &clock, &RetryPolicy::default(), 2, &Telemetry::new()).unwrap();
         let _ = &world;
-        let linked = linked_urls(&store, "twitter_url").unwrap().len();
+        let linked = linked_urls(&links, |l| l.twitter_url.as_ref()).len();
         assert!(linked > 180, "need enough links to trip the limit: {linked}");
         assert_eq!(stats.twitter_profiles, linked);
         assert_eq!(store.doc_count(NS_TWITTER).unwrap(), linked);
@@ -336,12 +342,12 @@ mod tests {
 
     #[test]
     fn twitter_docs_have_engagement_fields() {
-        let (world, store, _) = crawled(7);
+        let (world, store, links, _) = crawled(7);
         let sim = Arc::new(SimClock::new());
         let clock: Arc<dyn Clock> = sim.clone();
         let api = TwitterApi::new(Arc::clone(&world), sim.clone(), FaultModel::none());
         let pool = TokenPool::register(&api, sim.clone(), &["m1", "m2"], 5).unwrap();
-        crawl_twitter(&api, &store, &pool, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
+        crawl_twitter(&api, &store, &links, &pool, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
         for doc in store.scan(NS_TWITTER).unwrap().iter().take(30) {
             assert!(doc.body.get("followers_count").and_then(Value::as_u64).is_some());
             assert!(doc.body.get("statuses_count").and_then(Value::as_u64).is_some());
@@ -350,14 +356,14 @@ mod tests {
 
     #[test]
     fn more_tokens_mean_less_virtual_waiting() {
-        let (world, store, _) = crawled(42);
+        let (world, store, links, _) = crawled(42);
         let waiting_with = |tokens_per_owner: usize, owners: &[&str]| {
             let sim = Arc::new(SimClock::new());
             let api = TwitterApi::new(Arc::clone(&world), sim.clone(), FaultModel::none());
             let pool = TokenPool::register(&api, sim.clone(), owners, tokens_per_owner).unwrap();
             let clock = Arc::new(RecordingClock::new());
             let dyn_clock: Arc<dyn Clock> = clock.clone();
-            crawl_twitter(&api, &store, &pool, &dyn_clock, &RetryPolicy::default(), 2, &Telemetry::new())
+            crawl_twitter(&api, &store, &links, &pool, &dyn_clock, &RetryPolicy::default(), 2, &Telemetry::new())
                 .unwrap();
             sim.now_ms() // virtual time the *service* clock advanced (parked waits)
         };
@@ -390,8 +396,9 @@ mod tests {
         let api = TwitterApi::new(Arc::clone(&world), sim.clone(), FaultModel::none());
         let pool = TokenPool::register(&api, sim, &["m1"], 2).unwrap();
         let telemetry = Telemetry::new();
+        let links = company_links(&store, 2).unwrap();
         let stats =
-            crawl_twitter(&api, &store, &pool, &clock, &RetryPolicy::default(), 2, &telemetry).unwrap();
+            crawl_twitter(&api, &store, &links, &pool, &clock, &RetryPolicy::default(), 2, &telemetry).unwrap();
         assert_eq!(stats.bad_urls, 2);
         // The well-formed link is attempted; whether it resolves or 404s it
         // is accounted for, never silently dropped.
@@ -401,13 +408,13 @@ mod tests {
 
     #[test]
     fn rerunning_social_crawls_skips_already_stored_targets() {
-        let (world, store, clock) = crawled(42);
+        let (world, store, links, clock) = crawled(42);
         let fb = FacebookApi::new(Arc::clone(&world), Arc::new(SimClock::new()), FaultModel::none());
-        let first = crawl_facebook(&fb, &store, &clock, &RetryPolicy::default(), 4, &Telemetry::new())
+        let first = crawl_facebook(&fb, &store, &links, &clock, &RetryPolicy::default(), 4, &Telemetry::new())
             .unwrap();
         let telemetry = Telemetry::new();
         let second =
-            crawl_facebook(&fb, &store, &clock, &RetryPolicy::default(), 4, &telemetry).unwrap();
+            crawl_facebook(&fb, &store, &links, &clock, &RetryPolicy::default(), 4, &telemetry).unwrap();
         // Second pass fetches nothing and duplicates nothing.
         assert_eq!(second.facebook_pages, 0);
         assert_eq!(second.already_stored, first.facebook_pages);
@@ -421,16 +428,16 @@ mod tests {
 
     #[test]
     fn facebook_crawl_retries_through_faults() {
-        let (world, store, clock) = crawled(42);
+        let (world, store, links, clock) = crawled(42);
         let api = FacebookApi::new(
             Arc::clone(&world),
             Arc::new(SimClock::new()),
             FaultModel::new(0.15, 3),
         );
         let stats =
-            crawl_facebook(&api, &store, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
+            crawl_facebook(&api, &store, &links, &clock, &RetryPolicy::default(), 4, &Telemetry::new()).unwrap();
         let _ = &world;
-        let linked = linked_urls(&store, "facebook_url").unwrap().len();
+        let linked = linked_urls(&links, |l| l.facebook_url.as_ref()).len();
         assert_eq!(stats.facebook_pages, linked);
     }
 }

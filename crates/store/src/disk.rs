@@ -17,27 +17,37 @@
 //! Durability protocol:
 //!
 //! * **Records** are framed (`frame::encode`) and written through the
-//!   [`Vfs`] seam with no userspace buffering; [`DiskBackend::flush`]
-//!   fsyncs every open handle. A crash can tear at most the last record
-//!   of each partition file.
+//!   [`Vfs`] seam with no userspace buffering: a put is one `append` on a
+//!   cached handle, found by `(namespace, snapshot, partition)` without
+//!   formatting a path or touching the filesystem's metadata. A handle
+//!   is *dirty* from its first append until its next successful sync;
+//!   [`DiskBackend::flush`] fsyncs the dirty handles only, and runs
+//!   before every read. A crash can tear at most the last record of each
+//!   partition file.
 //! * **Snapshots** are committed by building `.tmp-snap-NNNN/` with a
 //!   `COMMITTED` marker inside and atomically renaming it into place,
 //!   then fsyncing the namespace directory. A snapshot either exists
 //!   fully or not at all; ids are derived from the maximum committed id,
-//!   never from directory counts.
+//!   never from directory counts. The committed ids of every namespace
+//!   are held in memory: the recovery scan fills the set, a commit adds
+//!   its id after the directory fsync, and `latest_snapshot`,
+//!   `snapshots` and the append path read only the set.
 //! * **Recovery** runs at every open (and on demand via
 //!   [`DiskBackend::recover`]): uncommitted temp dirs are deleted,
 //!   marker-less `snap-*` dirs are quarantined, and every partition log is
 //!   scanned — torn tails truncated, checksum-failed records moved to a
-//!   `.quarantine` sidecar (counted, never silently dropped). Cached
-//!   writers for any repaired file are invalidated so post-recovery
-//!   appends never go through a stale handle.
+//!   `.quarantine` sidecar (counted, never silently dropped). The
+//!   committed-snapshot set is rebuilt from what the scan found, and
+//!   cached writers for any repaired file or vanished snapshot are
+//!   invalidated so post-recovery appends never go through a stale
+//!   handle.
 
 use crate::frame;
 use crate::vfs::{RealFs, Vfs, VfsFile};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -67,11 +77,49 @@ pub struct RecoveryStats {
     pub writer_invalidations: u64,
 }
 
+/// One cached append handle.
+struct Writer {
+    file: Box<dyn VfsFile>,
+    path: PathBuf,
+    /// Appended to since its last successful sync.
+    dirty: bool,
+}
+
+/// Committed snapshot ids per namespace (keyed by [`ns_key`]).
+type Committed = HashMap<String, BTreeSet<u32>>;
+
 struct Writers {
-    open: HashMap<PathBuf, Box<dyn VfsFile>>,
+    /// Open handles by namespace (keyed by [`ns_key`]), then by
+    /// `(snapshot, partition)`.
+    open: HashMap<String, HashMap<(u32, usize), Writer>>,
     /// Files whose last append errored: the on-disk tail is suspect and
     /// must be repaired before the next append.
     poisoned: HashSet<PathBuf>,
+}
+
+impl Writers {
+    fn get_mut(&mut self, ns: &str, snapshot: u32, partition: usize) -> Option<&mut Writer> {
+        self.open.get_mut(ns)?.get_mut(&(snapshot, partition))
+    }
+
+    /// Drop the handle of a file whose tail is now suspect and mark the
+    /// file for repair before its next append.
+    fn poison(&mut self, ns: &str, snapshot: u32, partition: usize) {
+        if let Some(w) = self.open.get_mut(ns).and_then(|m| m.remove(&(snapshot, partition))) {
+            self.poisoned.insert(w.path);
+        }
+    }
+
+    /// Keep only the handles `keep` accepts; returns how many were dropped.
+    fn retain(&mut self, mut keep: impl FnMut(&str, u32, &Writer) -> bool) -> u64 {
+        let mut dropped = 0;
+        for (ns, handles) in self.open.iter_mut() {
+            let before = handles.len();
+            handles.retain(|&(snap, _), w| keep(ns, snap, w));
+            dropped += (before - handles.len()) as u64;
+        }
+        dropped
+    }
 }
 
 /// Filesystem-backed framed-log store. All I/O goes through the [`Vfs`]
@@ -81,8 +129,12 @@ pub struct DiskBackend {
     partitions: usize,
     vfs: Arc<dyn Vfs>,
     writers: Mutex<Writers>,
-    /// Serializes snapshot commits (the temp-dir + rename protocol is not
-    /// idempotent under races).
+    /// Committed snapshot ids of every namespace: filled by the recovery
+    /// scan, extended by commits.
+    committed: Mutex<Committed>,
+    /// Serializes snapshot commits and recovery scans (the temp-dir +
+    /// rename protocol is not idempotent under races, and a recovery
+    /// rebuilds the committed set a commit would extend).
     commit_lock: Mutex<()>,
     recovery: Mutex<RecoveryStats>,
 }
@@ -90,6 +142,23 @@ pub struct DiskBackend {
 /// `/` is the namespace separator but not a legal path component.
 fn encode_ns(ns: &str) -> String {
     ns.replace('/', "__")
+}
+
+/// The namespace a directory name stands for.
+fn decode_ns(dir: &str) -> String {
+    dir.replace("__", "/")
+}
+
+/// The in-memory key of a namespace: the name of its directory decoded
+/// again, so a namespace and the directory the recovery scan finds for it
+/// share one key. A name without `_` is its own key (encoding only
+/// doubles `/` into `__`, and decoding only undoes that).
+fn ns_key(ns: &str) -> Cow<'_, str> {
+    if ns.contains('_') {
+        Cow::Owned(decode_ns(&encode_ns(ns)))
+    } else {
+        Cow::Borrowed(ns)
+    }
 }
 
 /// Parse `snap-NNNN` into its id; anything else (temp dirs, quarantine
@@ -133,6 +202,7 @@ impl DiskBackend {
             partitions: partitions.max(1),
             vfs,
             writers: Mutex::new(Writers { open: HashMap::new(), poisoned: HashSet::new() }),
+            committed: Mutex::new(HashMap::new()),
             commit_lock: Mutex::new(()),
             recovery: Mutex::new(RecoveryStats::default()),
         };
@@ -153,38 +223,35 @@ impl DiskBackend {
             .join(format!("part-{:03}.log", partition % self.partitions))
     }
 
-    /// Is this snapshot directory committed (exists with its marker)?
+    /// Is this snapshot committed? Reads the in-memory set only.
     fn is_committed(&self, ns: &str, snapshot: u32) -> bool {
-        self.vfs.exists(&self.snap_dir(ns, snapshot).join(COMMITTED))
-    }
-
-    /// Committed snapshot ids of a namespace, sorted. `None` if the
-    /// namespace directory does not exist.
-    fn committed_ids(&self, ns: &str) -> Option<Vec<u32>> {
-        let names = self.vfs.list_dir(&self.ns_dir(ns)).ok()?;
-        let mut ids: Vec<u32> = names
-            .iter()
-            .filter_map(|n| parse_snap_id(n))
-            .filter(|&id| self.is_committed(ns, id))
-            .collect();
-        ids.sort_unstable();
-        Some(ids)
+        self.committed
+            .lock()
+            .get(ns_key(ns).as_ref())
+            .is_some_and(|ids| ids.contains(&snapshot))
     }
 
     /// Commit one snapshot directory: temp dir + marker + atomic rename +
-    /// directory fsync. Idempotent for already-committed ids.
+    /// directory fsync, then record the id in the committed set.
+    /// Idempotent for already-committed ids, including one whose rename
+    /// landed but whose commit reported an error.
     fn commit_snapshot(&self, ns: &str, id: u32) -> io::Result<()> {
         let _guard = self.commit_lock.lock();
         if self.is_committed(ns, id) {
             return Ok(());
         }
         let ns_dir = self.ns_dir(ns);
-        self.vfs.create_dir_all(&ns_dir)?;
-        let tmp = ns_dir.join(format!(".tmp-snap-{id:04}"));
-        self.vfs.create_dir_all(&tmp)?;
-        self.vfs.write_file(&tmp.join(COMMITTED), format!("{id}\n").as_bytes())?;
-        self.vfs.rename(&tmp, &self.snap_dir(ns, id))?;
-        self.vfs.sync_dir(&ns_dir)
+        let snap_dir = self.snap_dir(ns, id);
+        if !self.vfs.exists(&snap_dir.join(COMMITTED)) {
+            self.vfs.create_dir_all(&ns_dir)?;
+            let tmp = ns_dir.join(format!(".tmp-snap-{id:04}"));
+            self.vfs.create_dir_all(&tmp)?;
+            self.vfs.write_file(&tmp.join(COMMITTED), format!("{id}\n").as_bytes())?;
+            self.vfs.rename(&tmp, &snap_dir)?;
+        }
+        self.vfs.sync_dir(&ns_dir)?;
+        self.committed.lock().entry(ns_key(ns).into_owned()).or_default().insert(id);
+        Ok(())
     }
 
     /// Create namespace dir and snapshot 0 if absent.
@@ -195,86 +262,106 @@ impl DiskBackend {
     /// Open a fresh snapshot; returns its id — the max committed id plus
     /// one, so temp dirs, quarantined dirs and id gaps never skew it.
     pub fn new_snapshot(&self, ns: &str) -> io::Result<u32> {
-        let next = self
-            .committed_ids(ns)
-            .and_then(|ids| ids.last().map(|&m| m + 1))
-            .unwrap_or(0);
+        let next = self.latest_snapshot(ns).map_or(0, |m| m + 1);
         self.commit_snapshot(ns, next)?;
         Ok(next)
     }
 
     /// Latest committed snapshot id, if the namespace has any.
     pub fn latest_snapshot(&self, ns: &str) -> Option<u32> {
-        self.committed_ids(ns).and_then(|ids| ids.last().copied())
+        self.committed.lock().get(ns_key(ns).as_ref())?.last().copied()
     }
 
     /// All committed snapshot ids in the namespace, sorted.
     pub fn snapshots(&self, ns: &str) -> Vec<u32> {
-        self.committed_ids(ns).unwrap_or_default()
+        self.committed
+            .lock()
+            .get(ns_key(ns).as_ref())
+            .map(|ids| ids.iter().copied().collect())
+            .unwrap_or_default()
     }
 
     /// Append one record to a partition log (creating the namespace and
     /// snapshot 0 on demand; later snapshots must already be committed).
     /// Returns `Ok(false)` if the target snapshot does not exist.
+    ///
+    /// A handle opened for this `(namespace, snapshot, partition)` makes
+    /// the append one write: no path is formatted and no metadata is
+    /// read. Only the first append to a partition (or the first after an
+    /// error or a recovery dropped its handle) checks the committed set,
+    /// repairs a poisoned file and opens the handle.
     pub fn append(&self, ns: &str, snapshot: u32, partition: usize, line: &str) -> io::Result<bool> {
-        if !self.is_committed(ns, snapshot) {
-            if snapshot != 0 {
-                return Ok(false);
-            }
-            self.commit_snapshot(ns, 0)?;
-        }
-        let path = self.part_path(ns, snapshot, partition);
+        let key = ns_key(ns);
+        let partition = partition % self.partitions;
         let framed = frame::encode(line.as_bytes());
         let mut writers = self.writers.lock();
-        if writers.poisoned.contains(&path) {
-            // A previous append to this file errored: its tail is suspect.
-            // Repair (truncate the torn record) before writing anything
-            // after it.
-            let repair = self.repair_file(&path)?;
-            let mut stats = self.recovery.lock();
-            stats.partitions += 1;
-            stats.records_ok += repair.records_ok;
-            stats.torn_tails += u64::from(repair.torn_tail);
-            stats.torn_bytes += repair.torn_bytes;
-            stats.quarantined_records += repair.quarantined;
-            drop(stats);
-            writers.poisoned.remove(&path);
-        }
-        let handle = match writers.open.entry(path.clone()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let opened = self.vfs.open_append(e.key())?;
-                e.insert(opened)
+        if writers.get_mut(&key, snapshot, partition).is_none() {
+            drop(writers);
+            if !self.is_committed(&key, snapshot) {
+                if snapshot != 0 {
+                    return Ok(false);
+                }
+                self.commit_snapshot(&key, 0)?;
             }
+            let path = self.part_path(&key, snapshot, partition);
+            writers = self.writers.lock();
+            if writers.poisoned.contains(&path) {
+                // A previous append to this file errored: its tail is
+                // suspect. Repair (truncate the torn record) before
+                // writing anything after it.
+                let repair = self.repair_file(&path)?;
+                let mut stats = self.recovery.lock();
+                stats.partitions += 1;
+                stats.records_ok += repair.records_ok;
+                stats.torn_tails += u64::from(repair.torn_tail);
+                stats.torn_bytes += repair.torn_bytes;
+                stats.quarantined_records += repair.quarantined;
+                drop(stats);
+                writers.poisoned.remove(&path);
+            }
+            let handles = writers.open.entry(key.to_string()).or_default();
+            if let Entry::Vacant(e) = handles.entry((snapshot, partition)) {
+                let file = self.vfs.open_append(&path)?;
+                e.insert(Writer { file, path, dirty: false });
+            }
+        }
+        let Some(handle) = writers.get_mut(&key, snapshot, partition) else {
+            return Err(io::Error::other("append handle vanished"));
         };
-        match handle.append(&framed) {
-            Ok(()) => Ok(true),
+        match handle.file.append(&framed) {
+            Ok(()) => {
+                handle.dirty = true;
+                Ok(true)
+            }
             Err(e) => {
                 // The write may have torn: drop the handle and poison the
                 // path so the next append repairs before proceeding.
-                writers.open.remove(&path);
-                writers.poisoned.insert(path);
+                writers.poison(&key, snapshot, partition);
                 Err(e)
             }
         }
     }
 
-    /// Fsync every open partition handle (called before every read).
+    /// Fsync every dirty partition handle (called before every read). A
+    /// handle with no append since its last successful sync costs
+    /// nothing.
     pub fn flush(&self) -> io::Result<()> {
         let mut writers = self.writers.lock();
         let mut failed = Vec::new();
         let mut first_err = None;
-        for (path, handle) in writers.open.iter_mut() {
-            if let Err(e) = handle.sync() {
-                failed.push(path.clone());
-                if first_err.is_none() {
-                    first_err = Some(e);
+        for (ns, handles) in writers.open.iter_mut() {
+            for (&(snapshot, partition), w) in handles.iter_mut().filter(|(_, w)| w.dirty) {
+                match w.file.sync() {
+                    Ok(()) => w.dirty = false,
+                    Err(e) => {
+                        failed.push((ns.clone(), snapshot, partition));
+                        first_err.get_or_insert(e);
+                    }
                 }
             }
         }
-        for path in failed {
-            writers.open.remove(&path);
-            writers.poisoned.insert(path);
+        for (ns, snapshot, partition) in failed {
+            writers.poison(&ns, snapshot, partition);
         }
         match first_err {
             Some(e) => Err(e),
@@ -361,7 +448,7 @@ impl DiskBackend {
                 continue;
             }
             if self.vfs.is_dir(&self.root.join(&name)) {
-                out.push(name.replace("__", "/"));
+                out.push(decode_ns(&name));
             }
         }
         out.sort();
@@ -394,12 +481,15 @@ impl DiskBackend {
 
     /// Run a full recovery scan: remove uncommitted temp snapshots,
     /// quarantine marker-less snapshot dirs, truncate torn partition
-    /// tails, quarantine checksum-failed records, and invalidate any
-    /// cached writer whose file was repaired. Safe (and cheap) on a clean
-    /// store; runs automatically at open.
+    /// tails, quarantine checksum-failed records, rebuild the committed
+    /// snapshot set, and invalidate any cached writer whose file was
+    /// repaired or whose snapshot is no longer committed. Safe (and
+    /// cheap) on a clean store; runs automatically at open.
     pub fn recover(&self) -> io::Result<()> {
+        let _guard = self.commit_lock.lock();
         let mut stats = RecoveryStats { scans: 1, ..RecoveryStats::default() };
-        let mut repaired_files: Vec<PathBuf> = Vec::new();
+        let mut repaired_files: HashSet<PathBuf> = HashSet::new();
+        let mut committed = Committed::new();
         for ns_name in self.vfs.list_dir(&self.root)? {
             let ns_dir = self.root.join(&ns_name);
             if !self.vfs.is_dir(&ns_dir) {
@@ -413,7 +503,7 @@ impl DiskBackend {
                     stats.uncommitted_snapshots += 1;
                     continue;
                 }
-                let Some(_id) = parse_snap_id(&entry) else { continue };
+                let Some(id) = parse_snap_id(&entry) else { continue };
                 if !self.vfs.exists(&entry_path.join(COMMITTED)) {
                     // A snap-* dir without its marker cannot have come from
                     // our commit protocol: quarantine rather than trust or
@@ -423,6 +513,7 @@ impl DiskBackend {
                     stats.uncommitted_snapshots += 1;
                     continue;
                 }
+                committed.entry(decode_ns(&ns_name)).or_default().insert(id);
                 for file in self.vfs.list_dir(&entry_path)? {
                     if !(file.starts_with("part-") && file.ends_with(".log")) {
                         continue;
@@ -435,21 +526,21 @@ impl DiskBackend {
                     stats.torn_bytes += repair.torn_bytes;
                     stats.quarantined_records += repair.quarantined;
                     if repair.modified {
-                        repaired_files.push(path);
+                        repaired_files.insert(path);
                     }
                 }
             }
         }
         // Post-recovery appends must not go through handles whose file
-        // changed under them.
+        // changed under them, nor into a snapshot that is gone.
         let mut writers = self.writers.lock();
-        for path in repaired_files {
-            if writers.open.remove(&path).is_some() {
-                stats.writer_invalidations += 1;
-            }
-            writers.poisoned.remove(&path);
-        }
+        stats.writer_invalidations = writers.retain(|ns, snap, w| {
+            !repaired_files.contains(&w.path)
+                && committed.get(ns).is_some_and(|ids| ids.contains(&snap))
+        });
+        writers.poisoned.retain(|path| !repaired_files.contains(path));
         drop(writers);
+        *self.committed.lock() = committed;
         let mut total = self.recovery.lock();
         total.scans += stats.scans;
         total.partitions += stats.partitions;
@@ -533,6 +624,7 @@ impl DiskBackend {
 mod tests {
     use super::*;
     use crate::vfs::MemFs;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn mem_backend(partitions: usize) -> (Arc<MemFs>, DiskBackend) {
         let fs = Arc::new(MemFs::new());
@@ -789,6 +881,180 @@ mod tests {
             vec!["acked-before-fault"]
         );
         assert_eq!(b2.recovery_stats().quarantined_records, 0);
+    }
+
+    /// Per-operation counts of everything a backend asks of its [`Vfs`].
+    #[derive(Default)]
+    struct Ops {
+        list_dir: AtomicU64,
+        exists: AtomicU64,
+        appends: AtomicU64,
+        syncs: AtomicU64,
+    }
+
+    /// A [`MemFs`] that counts the operations the I/O-budget tests pin.
+    struct CountingFs {
+        inner: MemFs,
+        ops: Arc<Ops>,
+    }
+
+    struct CountingFile {
+        inner: Box<dyn VfsFile>,
+        ops: Arc<Ops>,
+    }
+
+    impl VfsFile for CountingFile {
+        fn append(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.ops.appends.fetch_add(1, Ordering::Relaxed);
+            self.inner.append(buf)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.ops.syncs.fetch_add(1, Ordering::Relaxed);
+            self.inner.sync()
+        }
+    }
+
+    impl Vfs for CountingFs {
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            let inner = self.inner.open_append(path)?;
+            Ok(Box::new(CountingFile { inner, ops: Arc::clone(&self.ops) }))
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn write_file(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
+            self.inner.write_file(path, contents)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+            self.inner.truncate(path, len)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_dir_all(path)
+        }
+        fn list_dir(&self, path: &Path) -> io::Result<Vec<String>> {
+            self.ops.list_dir.fetch_add(1, Ordering::Relaxed);
+            self.inner.list_dir(path)
+        }
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            self.inner.sync_dir(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.ops.exists.fetch_add(1, Ordering::Relaxed);
+            self.inner.exists(path)
+        }
+        fn is_dir(&self, path: &Path) -> bool {
+            self.inner.is_dir(path)
+        }
+    }
+
+    fn counting_backend(partitions: usize) -> (Arc<Ops>, DiskBackend) {
+        let ops = Arc::new(Ops::default());
+        let fs = CountingFs { inner: MemFs::new(), ops: Arc::clone(&ops) };
+        let b = DiskBackend::open_with_vfs("/store", partitions, Arc::new(fs)).unwrap();
+        (ops, b)
+    }
+
+    fn count(c: &AtomicU64) -> u64 {
+        c.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_put_is_one_append_and_no_metadata_lookup() {
+        let (ops, b) = counting_backend(4);
+        // The first put to each (namespace, snapshot, partition) may
+        // commit the namespace and open the handle.
+        for p in 0..4 {
+            assert!(b.append("a/b", 0, p, "first").unwrap());
+        }
+        let s1 = b.new_snapshot("a/b").unwrap();
+        assert!(b.append("a/b", s1, 0, "first").unwrap());
+        let (list, exists, appends) = (count(&ops.list_dir), count(&ops.exists), count(&ops.appends));
+        // After that, N puts are N appends — through the path the store's
+        // put takes, which asks for the latest snapshot first.
+        let n = 500;
+        for i in 0..n {
+            let snap = if i % 5 == 0 { 0 } else { b.latest_snapshot("a/b").unwrap() };
+            assert!(b.append("a/b", snap, i % 4, &format!("line-{i}")).unwrap());
+        }
+        assert_eq!(count(&ops.appends) - appends, n as u64);
+        assert_eq!(count(&ops.list_dir) - list, 0);
+        assert_eq!(count(&ops.exists) - exists, 0);
+        assert_eq!(b.snapshots("a/b"), vec![0, s1]);
+    }
+
+    #[test]
+    fn reads_sync_only_what_was_appended_since_the_last_sync() {
+        let (ops, b) = counting_backend(4);
+        for p in 0..4 {
+            b.append("ns", 0, p, "x").unwrap();
+        }
+        // Four dirty handles: the first read syncs each once.
+        b.read_partition("ns", 0, 0).unwrap();
+        assert_eq!(count(&ops.syncs), 4);
+        // Nothing appended since: reads (and flushes) sync nothing.
+        for p in 0..4 {
+            b.read_partition("ns", 0, p).unwrap();
+        }
+        b.flush().unwrap();
+        assert_eq!(count(&ops.syncs), 4);
+        // One append, then a read: exactly that handle is synced.
+        b.append("ns", 0, 2, "y").unwrap();
+        assert_eq!(b.read_partition("ns", 0, 1).unwrap().unwrap().0, vec!["x"]);
+        assert_eq!(count(&ops.syncs), 5);
+        b.partition_extent("ns", 0, 2).unwrap();
+        assert_eq!(count(&ops.syncs), 5);
+    }
+
+    #[test]
+    fn a_snapshot_quarantined_out_of_band_leaves_the_set_at_recover() {
+        let (fs, b) = mem_backend(1);
+        b.append("ns", 0, 0, "v0").unwrap();
+        assert_eq!(b.new_snapshot("ns").unwrap(), 1);
+        assert_eq!(b.new_snapshot("ns").unwrap(), 2);
+        b.append("ns", 2, 0, "v2").unwrap();
+        // Another tool strips snapshot 2's marker and deletes snapshot 1:
+        // the in-memory set still holds both until a recovery scan.
+        fs.remove_file(Path::new("/store/ns/snap-0002/COMMITTED")).unwrap();
+        fs.remove_dir_all(Path::new("/store/ns/snap-0001")).unwrap();
+        assert_eq!(b.snapshots("ns"), vec![0, 1, 2]);
+        b.recover().unwrap();
+        assert!(fs.is_dir(Path::new("/store/ns/quarantine-snap-0002")));
+        assert_eq!(b.snapshots("ns"), vec![0]);
+        assert_eq!(b.latest_snapshot("ns"), Some(0));
+        // The handle into the vanished snapshot is gone with it: appends
+        // there are refused, and new ids continue from what is committed.
+        assert!(!b.append("ns", 2, 0, "late").unwrap());
+        assert_eq!(b.new_snapshot("ns").unwrap(), 1);
+        assert!(b.append("ns", 1, 0, "v1").unwrap());
+        assert_eq!(b.snapshots("ns"), vec![0, 1]);
+        assert_eq!(b.read_partition("ns", 1, 0).unwrap().unwrap().0, vec!["v1"]);
+        drop(b);
+        let reopened = DiskBackend::open_with_vfs("/store", 1, fs as Arc<dyn Vfs>).unwrap();
+        assert_eq!(reopened.snapshots("ns"), vec![0, 1]);
+    }
+
+    #[test]
+    fn namespaces_with_underscores_share_one_set_across_reopen() {
+        let fs = Arc::new(MemFs::new());
+        let open = || DiskBackend::open_with_vfs("/r", 1, Arc::clone(&fs) as Arc<dyn Vfs>).unwrap();
+        let b = open();
+        b.append("crawl__state", 0, 0, "a").unwrap();
+        drop(b);
+        // The recovery scan knows the directory as `crawl/state`; the
+        // name the writer used still finds its committed snapshot.
+        let b = open();
+        assert_eq!(b.latest_snapshot("crawl__state"), Some(0));
+        assert!(b.append("crawl__state", 0, 0, "b").unwrap());
+        assert_eq!(b.read_partition("crawl__state", 0, 0).unwrap().unwrap().0, vec!["a", "b"]);
     }
 
     #[test]

@@ -141,6 +141,37 @@ if [ -n "$handoff" ]; then
   exit 1
 fi
 
+echo "==> crawl-scan gate (the crawl reads angellist/companies once, into the link table)"
+# CrunchBase augmentation and the Facebook and Twitter crawls used to scan
+# and parse every crawled company profile each, three full reads of the
+# namespace per crawl. Outside #[cfg(test)] modules, crates/crawl/src may
+# name the companies namespace only to write it (.put), in
+# links::company_links (the one read those three stages share), and in
+# the BFS resume probe (bfs.rs fn scan: the keys an interrupted run
+# already stored; the namespace is absent when a fresh crawl probes it).
+company_reads="$(awk '
+  FNR == 1 { in_test = 0; fn_name = "" }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+  in_test || /^[[:space:]]*\/\// { next }
+  match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+  /NS_COMPANIES|"angellist\/companies"/ {
+    allowed = /pub const NS_COMPANIES: / || /^use / || /\.put\(NS_COMPANIES, / \
+           || (FILENAME == "crates/crawl/src/links.rs" && fn_name == "company_links") \
+           || (FILENAME == "crates/crawl/src/bfs.rs" && fn_name == "scan" \
+               && /existing_keys\(store, NS_COMPANIES\)/)
+    if (!allowed) print FILENAME ":" FNR ": in fn " fn_name ": " $0
+  }
+' crates/crawl/src/*.rs)"
+if [ -n "$company_reads" ]; then
+  echo "crawl-scan gate: angellist/companies is read outside the link table:" >&2
+  echo "$company_reads" >&2
+  exit 1
+fi
+if ! grep -q "store.scan_partition(" crates/crawl/src/links.rs; then
+  echo "crawl-scan gate: links::company_links no longer reads the namespace" >&2
+  exit 1
+fi
+
 echo "==> telemetry smoke (tiny pipeline -> report parses, mandatory counters present)"
 smoke_dir="$(mktemp -d)"
 # `|| true` keeps an empty pid list (the happy path: every server already
@@ -151,15 +182,16 @@ cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --telemetry "$smoke_dir/telemetry/run.json" dataset-stats >/dev/null
 # telemetry-report validates the JSON and the mandatory counter set, and
 # exits non-zero on a malformed or incomplete report.
-cargo run -q --release --offline -p crowdnet-core --bin repro -- \
-  --out "$smoke_dir" telemetry-report | grep -q "crawl.angellist.attempts"
+telemetry_summary="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
+  --out "$smoke_dir" telemetry-report)"
+grep -q "crawl.angellist.attempts" <<< "$telemetry_summary"
 
 echo "==> serve smoke (every endpoint answers in-process, serve.* counters recorded)"
 serve_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 --out "$smoke_dir" \
   --telemetry "$smoke_dir/telemetry/serve.json" serve --smoke)"
-echo "$serve_out" | grep -q "^  200 GET /stats"
-if echo "$serve_out" | grep -q "^  [45]"; then
+grep -q "^  200 GET /stats" <<< "$serve_out"
+if grep -q "^  [45]" <<< "$serve_out"; then
   echo "serve smoke: endpoint returned an error status" >&2
   exit 1
 fi
@@ -167,23 +199,23 @@ fi
 # alongside the mandatory pipeline set.
 serve_summary="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --telemetry "$smoke_dir/telemetry/serve.json" --out "$smoke_dir" telemetry-report)"
-echo "$serve_summary" | grep -q "serve.requests"
-echo "$serve_summary" | grep -q "serve.cache."
+grep -q "serve.requests" <<< "$serve_summary"
+grep -q "serve.cache." <<< "$serve_summary"
 
 echo "==> ingest smoke (live epochs publish into a pinned service, ingest.* counters recorded)"
 ingest_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 --out "$smoke_dir" \
   --telemetry "$smoke_dir/telemetry/ingest.json" ingest --smoke)"
-echo "$ingest_out" | grep -q "epoch 0 pinned"
-echo "$ingest_out" | grep -q "^  200 GET /stats"
-if echo "$ingest_out" | grep -q "^  [45]"; then
+grep -q "epoch 0 pinned" <<< "$ingest_out"
+grep -q "^  200 GET /stats" <<< "$ingest_out"
+if grep -q "^  [45]" <<< "$ingest_out"; then
   echo "ingest smoke: endpoint returned an error status" >&2
   exit 1
 fi
 # Mandatory ingest counters: the changefeed delivered events, documents
 # and edges were applied, and epochs were published.
 for counter in ingest.events ingest.docs ingest.edges ingest.epochs; do
-  if ! echo "$ingest_out" | grep -q "$counter=[1-9]"; then
+  if ! grep -q "$counter=[1-9]" <<< "$ingest_out"; then
     echo "ingest smoke: mandatory counter $counter missing or zero" >&2
     exit 1
   fi
@@ -192,22 +224,22 @@ done
 # ingest-tier counters alongside the mandatory pipeline set.
 ingest_summary="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --telemetry "$smoke_dir/telemetry/ingest.json" --out "$smoke_dir" telemetry-report)"
-echo "$ingest_summary" | grep -q "ingest.events"
-echo "$ingest_summary" | grep -q "ingest.epoch"
+grep -q "ingest.events" <<< "$ingest_summary"
+grep -q "ingest.epoch" <<< "$ingest_summary"
 
 echo "==> shard smoke (scatter-gather router over 2 shards answers every endpoint)"
 shard_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 --out "$smoke_dir" \
   --telemetry "$smoke_dir/telemetry/shard.json" serve --shards 2 --smoke)"
-echo "$shard_out" | grep -q "^  200 GET /stats"
-if echo "$shard_out" | grep -q "^  [45]"; then
+grep -q "^  200 GET /stats" <<< "$shard_out"
+if grep -q "^  [45]" <<< "$shard_out"; then
   echo "shard smoke: endpoint returned an error status" >&2
   exit 1
 fi
 # Mandatory shard counters: shards opened, writes routed, requests fanned
 # out through the router.
 for counter in shard.set.opened shard.set.puts shard.router.requests shard.router.fanouts; do
-  if ! echo "$shard_out" | grep -q "$counter=[1-9]"; then
+  if ! grep -q "$counter=[1-9]" <<< "$shard_out"; then
     echo "shard smoke: mandatory counter $counter missing or zero" >&2
     exit 1
   fi
@@ -238,14 +270,14 @@ test -n "$addr0" && test -n "$addr1"
 # answers 200 through the remote scatter-gather path.
 shardnet_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 --out "$smoke_dir" serve --remote "$addr0,$addr1" --smoke)"
-echo "$shardnet_out" | grep -q "importing the corpus into the remote fleet"
-echo "$shardnet_out" | grep -q "^  200 GET /stats"
-if echo "$shardnet_out" | grep -q "^  [45]"; then
+grep -q "importing the corpus into the remote fleet" <<< "$shardnet_out"
+grep -q "^  200 GET /stats" <<< "$shardnet_out"
+if grep -q "^  [45]" <<< "$shardnet_out"; then
   echo "shardnet smoke: endpoint returned an error status over remote shards" >&2
   exit 1
 fi
 for counter in shardnet.legs shardnet.pool.reuse_hits; do
-  if ! echo "$shardnet_out" | grep -q "$counter=[1-9]"; then
+  if ! grep -q "$counter=[1-9]" <<< "$shardnet_out"; then
     echo "shardnet smoke: mandatory counter $counter missing or zero" >&2
     exit 1
   fi
@@ -256,13 +288,13 @@ kill -9 "$s1_pid" 2>/dev/null
 wait "$s1_pid" 2>/dev/null || true
 degraded_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 --out "$smoke_dir" serve --remote "$addr0,$addr1" --smoke)"
-echo "$degraded_out" | grep -q "adopting populated remote shards"
-echo "$degraded_out" | grep -q "partial=true"
-if echo "$degraded_out" | grep -q "^  [45]"; then
+grep -q "adopting populated remote shards" <<< "$degraded_out"
+grep -q "partial=true" <<< "$degraded_out"
+if grep -q "^  [45]" <<< "$degraded_out"; then
   echo "shardnet smoke: degraded fleet returned an error status (must degrade, never 5xx)" >&2
   exit 1
 fi
-echo "$degraded_out" | grep -q "shardnet.degraded_flips=[1-9]"
+grep -q "shardnet.degraded_flips=[1-9]" <<< "$degraded_out"
 # Restart shard 1 from its durable store on a fresh port: recovery on
 # open must restore byte-identical answers (digests compared on every
 # endpoint except the version-bearing /stats and live /healthz).
@@ -278,18 +310,18 @@ addr1b="$(sed -n 's/^shard-server listening on //p' "$shardnet_dir/s1b.log")"
 test -n "$addr1b"
 restored_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 --out "$smoke_dir" serve --remote "$addr0,$addr1b" --smoke)"
-if echo "$restored_out" | grep -q "^  [45]"; then
+if grep -q "^  [45]" <<< "$restored_out"; then
   echo "shardnet smoke: restored fleet returned an error status" >&2
   exit 1
 fi
-healthy_lines="$(echo "$shardnet_out" | grep '^  200 GET' | grep -v -e '/stats' -e '/healthz')"
-restored_lines="$(echo "$restored_out" | grep '^  200 GET' | grep -v -e '/stats' -e '/healthz')"
+healthy_lines="$(grep '^  200 GET' <<< "$shardnet_out" | grep -v -e '/stats' -e '/healthz')"
+restored_lines="$(grep '^  200 GET' <<< "$restored_out" | grep -v -e '/stats' -e '/healthz')"
 if [ "$healthy_lines" != "$restored_lines" ]; then
   echo "shardnet smoke: restarted fleet diverged from the healthy run:" >&2
   diff <(echo "$healthy_lines") <(echo "$restored_lines") >&2 || true
   exit 1
 fi
-if echo "$restored_lines" | grep -q "partial=true"; then
+if grep -q "partial=true" <<< "$restored_lines"; then
   echo "shardnet smoke: restored fleet still flags partial responses" >&2
   exit 1
 fi
@@ -302,20 +334,20 @@ echo "==> chaos drills (scripted fault scenarios: zero 5xx, accurate partials, b
 # the drill's own invariants (zero 5xx, partial accuracy, re-equivalence
 # after heal) are enforced inside the binary — PASS is the whole gate.
 chaos_flaky="$("$repro_bin" --scenario flaky-link --seed 7 chaos)"
-echo "$chaos_flaky" | grep -q "chaos drill flaky-link: PASS"
+grep -q "chaos drill flaky-link: PASS" <<< "$chaos_flaky"
 # The breaker must visibly open and close again, the injector must have
 # actually fired, and the chaos.* tallies must be non-zero.
-echo "$chaos_flaky" | grep -q "counters\[heal\]: breaker state=closed opens=[1-9]"
-echo "$chaos_flaky" | grep -Eq "injected\[heal\]: .* resets=[1-9]"
-echo "$chaos_flaky" | grep -q "end: chaos.connects=[1-9]"
-echo "$chaos_flaky" | grep -q "violations=0"
+grep -q "counters\[heal\]: breaker state=closed opens=[1-9]" <<< "$chaos_flaky"
+grep -Eq "injected\[heal\]: .* resets=[1-9]" <<< "$chaos_flaky"
+grep -q "end: chaos.connects=[1-9]" <<< "$chaos_flaky"
+grep -q "violations=0" <<< "$chaos_flaky"
 # one-way-partition, twice at the same seed: the drill transcript must
 # replay byte-identically — fault injection is deterministic, not flaky.
 chaos_part_a="$("$repro_bin" --scenario one-way-partition --seed 7 chaos)"
 chaos_part_b="$("$repro_bin" --scenario one-way-partition --seed 7 chaos)"
-echo "$chaos_part_a" | grep -q "chaos drill one-way-partition: PASS"
-echo "$chaos_part_a" | grep -q "partial=true"
-echo "$chaos_part_a" | grep -Eq "injected\[[a-z]*\]: .* partition_drops=[1-9]"
+grep -q "chaos drill one-way-partition: PASS" <<< "$chaos_part_a"
+grep -q "partial=true" <<< "$chaos_part_a"
+grep -Eq "injected\[[a-z]*\]: .* partition_drops=[1-9]" <<< "$chaos_part_a"
 if [ "$chaos_part_a" != "$chaos_part_b" ]; then
   echo "chaos drill: same-seed replay diverged:" >&2
   diff <(echo "$chaos_part_a") <(echo "$chaos_part_b") >&2 || true
@@ -326,7 +358,7 @@ echo "==> recovery smoke (crash the durable crawl, resume, compare content hash)
 # Uninterrupted durable crawl at tiny scale: the reference content hash.
 full_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 crawl --store "$smoke_dir/full-store")"
-full_hash="$(echo "$full_out" | sed -n 's/^store content hash: //p')"
+full_hash="$(sed -n 's/^store content hash: //p' <<< "$full_out")"
 test -n "$full_hash"
 # Kill the same crawl at a deterministic file-operation crash-point…
 set +e
@@ -342,21 +374,21 @@ fi
 # …then resume: recovery + checkpoint replay must land on the same bytes.
 resume_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 crawl --store "$smoke_dir/crash-store" --resume)"
-resume_hash="$(echo "$resume_out" | sed -n 's/^store content hash: //p')"
+resume_hash="$(sed -n 's/^store content hash: //p' <<< "$resume_out")"
 if [ "$resume_hash" != "$full_hash" ]; then
   echo "recovery smoke: resumed hash $resume_hash != uninterrupted hash $full_hash" >&2
   exit 1
 fi
-echo "$resume_out" | grep -q "store.recovery.scans=[1-9]"
+grep -q "store.recovery.scans=[1-9]" <<< "$resume_out"
 
 echo "==> column smoke (projection rebuilds from the crawled log, reloads committed, column.* counters recorded)"
 # First open of the crawled store finds no committed projection: it must
 # rebuild from the JSON log, persist the runs and count the work.
 column_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 column --store "$smoke_dir/full-store")"
-echo "$column_out" | grep -q "^rebuilt (absent, corrupt or stale)"
+grep -q "^rebuilt (absent, corrupt or stale)" <<< "$column_out"
 for counter in column.rebuilds column.bytes column.dict.entries; do
-  if ! echo "$column_out" | grep -q "$counter=[1-9]"; then
+  if ! grep -q "$counter=[1-9]" <<< "$column_out"; then
     echo "column smoke: mandatory counter $counter missing or zero" >&2
     exit 1
   fi
@@ -364,14 +396,14 @@ done
 # Second open must load the committed projection instead of rescanning.
 column_out2="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 column --store "$smoke_dir/full-store")"
-echo "$column_out2" | grep -q "^loaded committed"
+grep -q "^loaded committed" <<< "$column_out2"
 # Columnar analysis path: the same experiment answered through typed
 # columns, with the scan decode counted.
 columnar_out="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
   --scale tiny --seed 7 --out "$smoke_dir" --columnar dataset-stats)"
-echo "$columnar_out" | grep -q "columnar projection attached"
+grep -q "columnar projection attached" <<< "$columnar_out"
 for counter in column.builds column.scan.docs; do
-  if ! echo "$columnar_out" | grep -q "$counter=[1-9]"; then
+  if ! grep -q "$counter=[1-9]" <<< "$columnar_out"; then
     echo "column smoke: mandatory counter $counter missing or zero in --columnar run" >&2
     exit 1
   fi
