@@ -531,7 +531,6 @@ impl Conn for FaultConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::RealTcp;
     use std::io::{Read, Write};
     use std::net::TcpListener;
 

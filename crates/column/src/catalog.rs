@@ -597,35 +597,9 @@ impl ColumnCatalog {
         Ok(out)
     }
 
-    /// Typed scan of one snapshot: for every document in canonical order
-    /// (partition-major), decode only the requested top-level `fields` and
-    /// hand `(key, values)` to `f` — `values[i]` is `Some` iff the row's
-    /// shape carries `fields[i]`. This is the zero-JSON-parse path the
-    /// feature extractors and the bench use.
-    pub fn scan_fields<F>(
-        &self,
-        ns: &str,
-        snap: SnapshotId,
-        fields: &[&str],
-        mut f: F,
-    ) -> Result<(), ColumnError>
-    where
-        F: FnMut(&str, &[Option<Value>]),
-    {
-        let parts = self.partition_runs(ns, snap)?;
-        let mut rows = 0u64;
-        for runs in parts {
-            rows += merge_partition_fields(runs, fields, &mut |key, vals| f(key, vals))?;
-        }
-        if let Some(c) = &self.scan_docs {
-            c.add(rows);
-        }
-        Ok(())
-    }
-
     /// Size figures for one projected snapshot — the per-namespace twin of
-    /// [`ColumnCatalog::stats`], used by the compression bench to compare
-    /// encoded column bytes against the namespace's serialized JSON.
+    /// [`ColumnCatalog::stats`], which the compression test compares against
+    /// the namespace's serialized JSON.
     pub fn snapshot_stats(&self, ns: &str, snap: SnapshotId) -> Result<ColumnStats, ColumnError> {
         let mut stats = ColumnStats { namespaces: 1, ..Default::default() };
         for run in self.partition_runs(ns, snap)?.iter().flatten() {
@@ -1057,29 +1031,6 @@ mod tests {
         assert_eq!(cat.edges(EDGE_NAMESPACE, SnapshotId(0)).unwrap(), want);
         // The companies namespace has no edge segment.
         assert!(cat.edges("angellist/companies", SnapshotId(0)).is_err());
-    }
-
-    #[test]
-    fn scan_fields_returns_typed_values_per_row() {
-        let store = seeded_store();
-        let cat = ColumnSet::build_from_store(&store, ColumnConfig::default(), None)
-            .unwrap()
-            .catalog();
-        let mut got = Vec::new();
-        cat.scan_fields(EDGE_NAMESPACE, SnapshotId(0), &["role", "id"], |key, vals| {
-            got.push((key.to_string(), vals.to_vec()));
-        })
-        .unwrap();
-        let mut want = Vec::new();
-        for docs in store.scan_partitions(EDGE_NAMESPACE, SnapshotId(0)).unwrap() {
-            for doc in docs {
-                want.push((
-                    doc.key.clone(),
-                    vec![doc.body.get("role").cloned(), doc.body.get("id").cloned()],
-                ));
-            }
-        }
-        assert_eq!(got, want);
     }
 
     #[test]

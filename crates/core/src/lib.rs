@@ -8,7 +8,7 @@
 //! Every analysis consumes only the **crawled store** through the dataflow
 //! engine — never the generator's ground truth — so the measured numbers go
 //! through exactly the path the paper's Spark jobs did. Ground truth is used
-//! solely by the ablation scoring in `crowdnet-bench`.
+//! solely by the detector ablation (`examples/detector_shootout.rs`).
 //!
 //! ```
 //! use crowdnet_core::pipeline::{Pipeline, PipelineConfig};

@@ -49,6 +49,36 @@ fn flaky_link_drill_passes() {
 }
 
 #[test]
+fn slow_shard_drill_sheds_the_gray_shard_and_replays() {
+    let first = chaosdrill::run("slow-shard", 7).expect("drill runs");
+    assert!(
+        first.passed(),
+        "drill violations: {:#?}\ntranscript:\n{}",
+        first.violations,
+        first.transcript
+    );
+    // Every victim exchange is delayed past the gray budget, so the
+    // breaker's gray detector must have shed the shard at least once.
+    let gray_trips = first
+        .transcript
+        .split_whitespace()
+        .filter_map(|w| w.strip_prefix("gray_trips="))
+        .filter_map(|n| n.parse::<u64>().ok())
+        .max()
+        .unwrap_or(0);
+    assert!(
+        gray_trips >= 1,
+        "the gray detector never tripped:\n{}",
+        first.transcript
+    );
+    let second = chaosdrill::run("slow-shard", 7).expect("drill replays");
+    assert_eq!(
+        first.transcript, second.transcript,
+        "same seed, different transcript"
+    );
+}
+
+#[test]
 fn unknown_scenario_is_an_error() {
     assert!(chaosdrill::run("nope", 1).is_err());
 }

@@ -280,6 +280,7 @@ mod tests {
     use crowdnet_socialsim::clock::{RecordingClock, SimClock};
     use crowdnet_socialsim::sources::angellist::AngelListApi;
     use crowdnet_socialsim::sources::FaultModel;
+    use crowdnet_socialsim::sources::twitter::{CALLS_PER_WINDOW, WINDOW_MS};
     use crowdnet_socialsim::{World, WorldConfig};
 
     fn crawled(seed: u64) -> (Arc<World>, Store, Vec<CompanyLink>, Arc<dyn Clock>) {
@@ -354,24 +355,43 @@ mod tests {
         }
     }
 
+    /// The smallest world probed (seed 42) whose crawl links more Twitter
+    /// profiles (923) than five tokens may call in one window (5 × 180):
+    /// one token rides several windows and a five-token pool still has to
+    /// ride one, so the wait can fall strictly from 1 to 5 to 15 tokens.
+    /// (The 4k-company world links 356, which five tokens cover unparked.)
+    const FIVE_TOKENS_WAIT: crowdnet_socialsim::Scale =
+        crowdnet_socialsim::Scale::Custom { companies: 12_000, users: 2_000 };
+
     #[test]
     fn more_tokens_mean_less_virtual_waiting() {
-        let (world, store, links, _) = crawled(42);
-        let waiting_with = |tokens_per_owner: usize, owners: &[&str]| {
+        // §3's multi-token trick: "we distribute the Twitter crawling job to
+        // several machines, using different access tokens, which tackles the
+        // rate limit issue effectively".
+        let waiting_with = |owners: &[&str], per_owner: usize| {
+            // A fresh crawl per pool: a rerun skips profiles already stored.
+            let (world, store, links, _) = crawled_at(42, WorldConfig::at_scale(42, FIVE_TOKENS_WAIT));
+            let linked = linked_urls(&links, |l| l.twitter_url.as_ref()).len();
+            assert!(linked > 5 * CALLS_PER_WINDOW, "five tokens must have to wait: {linked} links");
             let sim = Arc::new(SimClock::new());
             let api = TwitterApi::new(Arc::clone(&world), sim.clone(), FaultModel::none());
-            let pool = TokenPool::register(&api, sim.clone(), owners, tokens_per_owner).unwrap();
-            let clock = Arc::new(RecordingClock::new());
-            let dyn_clock: Arc<dyn Clock> = clock.clone();
-            crawl_twitter(&api, &store, &links, &pool, &dyn_clock, &RetryPolicy::default(), 2, &Telemetry::new())
-                .unwrap();
-            sim.now_ms() // virtual time the *service* clock advanced (parked waits)
+            let pool = TokenPool::register(&api, sim.clone(), owners, per_owner).unwrap();
+            let clock: Arc<dyn Clock> = Arc::new(RecordingClock::new());
+            // One worker: a parked pool sleeps once, so the service clock
+            // advances by exactly the time the crawl spent waiting.
+            let stats =
+                crawl_twitter(&api, &store, &links, &pool, &clock, &RetryPolicy::default(), 1, &Telemetry::new())
+                    .unwrap();
+            assert_eq!(stats.twitter_profiles, linked);
+            sim.now_ms()
         };
-        let one = waiting_with(1, &["a"]);
-        let many = waiting_with(5, &["a", "b", "c"]);
+        let one = waiting_with(&["a"], 1);
+        let five = waiting_with(&["a"], 5);
+        let fifteen = waiting_with(&["a", "b", "c"], 5);
+        assert!(one >= WINDOW_MS, "one token must ride a 15-minute window: {one} ms");
         assert!(
-            many <= one,
-            "15 tokens ({many} ms) should not wait longer than 1 token ({one} ms)"
+            one > five && five > fifteen,
+            "virtual wait must fall strictly: 1 token {one} ms, 5 tokens {five} ms, 15 tokens {fifteen} ms"
         );
     }
 

@@ -119,19 +119,6 @@ impl<T: Send> Dataset<T> {
         Dataset { partitions, ctx, telemetry }
     }
 
-    /// Transform whole partitions at once (the escape hatch for custom
-    /// per-partition logic, like Spark's `mapPartitions`).
-    pub fn map_partitions<U: Send, F>(self, f: F) -> Dataset<U>
-    where
-        F: Fn(Vec<T>) -> Vec<U> + Sync,
-    {
-        let ctx = self.ctx;
-        let telemetry = self.telemetry;
-        let partitions =
-            run_stage_metered(ctx, telemetry.as_ref(), "map_partitions", self.partitions, |_, part| f(part));
-        Dataset { partitions, ctx, telemetry }
-    }
-
     /// Key every element, producing a [`Pairs`] for grouped operations.
     pub fn key_by<K, F>(self, f: F) -> Pairs<K, T>
     where
@@ -167,16 +154,6 @@ impl<T: Send> Dataset<T> {
     pub fn union(mut self, other: Dataset<T>) -> Dataset<T> {
         self.partitions.extend(other.partitions);
         self
-    }
-
-    /// Rebalance into `n` partitions.
-    pub fn repartition(self, n: usize) -> Dataset<T> {
-        let ctx = self.ctx;
-        let telemetry = self.telemetry.clone();
-        let flat: Vec<T> = self.collect();
-        let mut out = Dataset::from_vec(flat, ctx.with_partitions(n));
-        out.telemetry = telemetry;
-        out
     }
 
     /// First `n` elements in partition order.
@@ -258,31 +235,6 @@ impl<T: Send + Ord> Dataset<T> {
         let mut out = Dataset::from_vec(flat, ctx);
         out.telemetry = telemetry;
         out
-    }
-
-    /// The `k` largest elements, descending — computed with per-partition
-    /// top-k heaps merged at the driver, so only `O(partitions × k)`
-    /// elements leave the workers (Spark's `top`).
-    pub fn top_k(self, k: usize) -> Vec<T> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let ctx = self.ctx;
-        let partials = run_stage_metered(ctx, self.telemetry.as_ref(), "top_k", self.partitions, |_, part| {
-            let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<T>> =
-                std::collections::BinaryHeap::with_capacity(k + 1);
-            for item in part {
-                heap.push(std::cmp::Reverse(item));
-                if heap.len() > k {
-                    heap.pop(); // drop the smallest of the kept set
-                }
-            }
-            heap.into_iter().map(|r| r.0).collect::<Vec<_>>()
-        });
-        let mut all: Vec<T> = partials.into_iter().flatten().collect();
-        all.sort_by(|a, b| b.cmp(a));
-        all.truncate(k);
-        all
     }
 
     /// Minimum element.
@@ -420,11 +372,12 @@ mod tests {
     }
 
     #[test]
-    fn union_and_repartition() {
+    fn union_keeps_both_partition_sets() {
         let a = Dataset::from_vec(vec![1, 2], ctx());
         let b = Dataset::from_vec(vec![3, 4], ctx());
-        let u = a.union(b).repartition(2);
-        assert_eq!(u.partition_count(), 2);
+        let parts = a.partition_count() + b.partition_count();
+        let u = a.union(b);
+        assert_eq!(u.partition_count(), parts);
         let mut all = u.collect();
         all.sort();
         assert_eq!(all, vec![1, 2, 3, 4]);
@@ -471,40 +424,12 @@ mod tests {
     }
 
     #[test]
-    fn top_k_matches_sort() {
-        let data: Vec<i64> = (0..10_000).map(|i| (i * 7919) % 10_007).collect();
-        let d = Dataset::from_vec(data.clone(), ctx());
-        let top = d.top_k(25);
-        let mut expected = data;
-        expected.sort_by(|a, b| b.cmp(a));
-        expected.truncate(25);
-        assert_eq!(top, expected);
-    }
-
-    #[test]
-    fn top_k_edge_cases() {
-        let d = Dataset::from_vec(vec![3, 1, 2], ctx());
-        assert_eq!(d.clone().top_k(0), Vec::<i32>::new());
-        assert_eq!(d.clone().top_k(10), vec![3, 2, 1]);
-        assert_eq!(d.top_k(1), vec![3]);
-        let empty: Dataset<i32> = Dataset::from_vec(vec![], ctx());
-        assert!(empty.top_k(5).is_empty());
-    }
-
-    #[test]
     fn min_max() {
         let d = Dataset::from_vec(vec![5, -2, 9, 0], ctx());
         assert_eq!(d.clone().min(), Some(-2));
         assert_eq!(d.max(), Some(9));
         let empty: Dataset<i32> = Dataset::from_vec(vec![], ctx());
         assert_eq!(empty.min(), None);
-    }
-
-    #[test]
-    fn map_partitions_sees_whole_partitions() {
-        let d = Dataset::from_partitions(vec![vec![1, 2, 3], vec![4, 5]], ctx());
-        let sums = d.map_partitions(|p| vec![p.iter().sum::<i32>()]).collect();
-        assert_eq!(sums, vec![6, 9]);
     }
 
     #[test]
@@ -516,7 +441,6 @@ mod tests {
             .map(|x| x * 2)
             .filter(|x| x % 4 == 0)
             .flat_map(|x| vec![x])
-            .repartition(2)
             .sorted()
             .collect();
         assert_eq!(out.len(), 32);

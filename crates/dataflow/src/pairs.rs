@@ -294,11 +294,6 @@ where
         });
         Pairs { partitions, ctx }
     }
-
-    /// Collect into a `HashMap`, last value per key winning.
-    pub fn collect_map(self) -> HashMap<K, V> {
-        self.collect().into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +327,7 @@ mod tests {
     #[test]
     fn group_by_key_collects_all_values() {
         let p = pairs(vec![(1, 10), (2, 20), (1, 11), (3, 30), (1, 12)]);
-        let grouped = p.group_by_key().collect_map();
+        let grouped: HashMap<_, _> = p.group_by_key().collect().into_iter().collect();
         let mut ones = grouped[&1].clone();
         ones.sort();
         assert_eq!(ones, vec![10, 11, 12]);
@@ -343,7 +338,8 @@ mod tests {
     #[test]
     fn reduce_by_key_matches_group_then_fold() {
         let data: Vec<(u32, i64)> = (0..1000).map(|i| (i % 7, i as i64)).collect();
-        let reduced = pairs(data.clone()).reduce_by_key(|a, b| a + b).collect_map();
+        let reduced: HashMap<_, _> =
+            pairs(data.clone()).reduce_by_key(|a, b| a + b).collect().into_iter().collect();
         let mut expected: HashMap<u32, i64> = HashMap::new();
         for (k, v) in data {
             *expected.entry(k).or_insert(0) += v;
@@ -354,7 +350,7 @@ mod tests {
     #[test]
     fn count_by_key_counts() {
         let data: Vec<(u32, i64)> = (0..90).map(|i| (i % 3, 0)).collect();
-        let counts = pairs(data).count_by_key().collect_map();
+        let counts: HashMap<_, _> = pairs(data).count_by_key().collect().into_iter().collect();
         assert_eq!(counts[&0], 30);
         assert_eq!(counts[&1], 30);
         assert_eq!(counts[&2], 30);
@@ -417,10 +413,12 @@ mod tests {
     #[test]
     fn map_values_and_filter() {
         let p = pairs(vec![(1, 1), (2, 2), (3, 3)]);
-        let out = p
+        let out: HashMap<_, _> = p
             .map_values(|v| v * 10)
             .filter(|k, v| *k != 2 && *v > 5)
-            .collect_map();
+            .collect()
+            .into_iter()
+            .collect();
         assert_eq!(out.len(), 2);
         assert_eq!(out[&1], 10);
         assert_eq!(out[&3], 30);
@@ -429,7 +427,8 @@ mod tests {
     #[test]
     fn dataset_key_by_feeds_pairs() {
         let d = Dataset::from_vec((0..100u32).collect(), ctx());
-        let by_mod = d.key_by(|x| x % 4).count_by_key().collect_map();
+        let by_mod: HashMap<_, _> =
+            d.key_by(|x| x % 4).count_by_key().collect().into_iter().collect();
         assert_eq!(by_mod[&0], 25);
         assert_eq!(by_mod[&3], 25);
     }

@@ -1,14 +1,12 @@
 //! Empirical statistics for the paper's analyses.
 //!
-//! * [`Ecdf`] — empirical cumulative distribution functions (Figures 3 & 4),
-//!   with Dvoretzky–Kiefer–Wolfowitz confidence bands. §5.3 invokes the
-//!   Glivenko–Cantelli theorem to bound `‖F_n − F‖∞` for the 800 000-pair
-//!   sample; [`dkw_epsilon`] is the quantitative version of that bound.
+//! * [`Ecdf`] — empirical cumulative distribution functions (Figures 3 & 4).
+//!   §5.3 invokes the Glivenko–Cantelli theorem to bound `‖F_n − F‖∞` for
+//!   the 800 000-pair sample; [`dkw_epsilon`] is the quantitative
+//!   (Dvoretzky–Kiefer–Wolfowitz) version of that bound.
 //! * [`Kde`] — Gaussian kernel density estimation (the "PDF estimation of 96
 //!   communities" in Figure 5).
-//! * [`Histogram`], [`Summary`], [`tail_share`] — the degree summaries and
-//!   concentration statements of §3 and §5.1 ("30 % of the investors …
-//!   account for 75 % of all the investment edges").
+//! * [`Histogram`], [`Summary`] — the degree summaries of §3 and §5.1.
 
 /// An empirical CDF over `f64` samples.
 ///
@@ -103,26 +101,6 @@ impl Ecdf {
             _ => Vec::new(),
         }
     }
-
-    /// Two-sided DKW confidence band half-width at confidence `1 − alpha`.
-    pub fn confidence_band(&self, alpha: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(dkw_epsilon(self.sorted.len(), alpha))
-        }
-    }
-
-    /// Kolmogorov–Smirnov distance `sup_x |F_n(x) − G_m(x)|` between two
-    /// ECDFs (used to compare a community's shared-investment CDF against the
-    /// global one in Figure 4).
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut sup: f64 = 0.0;
-        for &x in self.sorted.iter().chain(other.sorted.iter()) {
-            sup = sup.max((self.eval(x) - other.eval(x)).abs());
-        }
-        sup
-    }
 }
 
 /// Dvoretzky–Kiefer–Wolfowitz bound: with probability at least `1 − alpha`,
@@ -166,18 +144,6 @@ impl Kde {
             0.9 * spread * (n as f64).powf(-0.2)
         };
         Kde { samples, bandwidth }
-    }
-
-    /// Build with an explicit bandwidth.
-    pub fn with_bandwidth(values: Vec<f64>, bandwidth: f64) -> Kde {
-        let mut kde = Kde::new(values);
-        kde.bandwidth = bandwidth.max(f64::MIN_POSITIVE);
-        kde
-    }
-
-    /// The bandwidth in use.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
     }
 
     /// Estimated density at `x`.
@@ -311,30 +277,6 @@ impl Summary {
     }
 }
 
-/// Concentration of mass in the upper tail: for a vector of non-negative
-/// "sizes" (e.g. investor out-degrees) and a threshold `k`, returns
-/// `(fraction of items with size ≥ k, fraction of total mass those items
-/// hold)`.
-///
-/// §5.1: `tail_share(degrees, 3) ≈ (0.30, 0.75)` — 30 % of investors hold
-/// 75 % of the investment edges.
-pub fn tail_share(values: &[u64], k: u64) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let total: u64 = values.iter().sum();
-    let tail: Vec<u64> = values.iter().copied().filter(|&v| v >= k).collect();
-    let tail_mass: u64 = tail.iter().sum();
-    (
-        tail.len() as f64 / values.len() as f64,
-        if total == 0 {
-            0.0
-        } else {
-            tail_mass as f64 / total as f64
-        },
-    )
-}
-
 /// Pearson correlation coefficient of two equal-length samples.
 /// `None` if lengths differ, n < 2, or either sample is constant.
 pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
@@ -456,7 +398,6 @@ mod tests {
         assert_eq!(e.eval(1.0), 0.0);
         assert_eq!(e.median(), None);
         assert!(e.points().is_empty());
-        assert!(e.confidence_band(0.05).is_none());
     }
 
     #[test]
@@ -474,20 +415,6 @@ mod tests {
             assert!(w[1].1 >= w[0].1);
         }
         assert_eq!(grid.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn ks_distance_identical_is_zero() {
-        let e = Ecdf::new(vec![1.0, 2.0, 3.0]);
-        assert_eq!(e.ks_distance(&e.clone()), 0.0);
-    }
-
-    #[test]
-    fn ks_distance_disjoint_is_one() {
-        let a = Ecdf::new(vec![1.0, 2.0]);
-        let b = Ecdf::new(vec![10.0, 20.0]);
-        assert_eq!(a.ks_distance(&b), 1.0);
-        assert_eq!(b.ks_distance(&a), 1.0);
     }
 
     #[test]
@@ -528,17 +455,11 @@ mod tests {
         assert_eq!(Kde::new(vec![]).eval(0.0), 0.0);
         let single = Kde::new(vec![3.0]);
         assert!(single.eval(3.0) > 0.0);
-        // Constant sample: bandwidth falls back to 1.0 rather than 0.
+        // Constant sample: the spread falls back to 1.0 rather than 0, so
+        // the density stays finite instead of dividing by a zero bandwidth.
         let constant = Kde::new(vec![2.0; 10]);
-        assert!(constant.bandwidth() > 0.0);
+        assert!(constant.eval(2.0).is_finite());
         assert!(constant.eval(2.0) > constant.eval(5.0));
-    }
-
-    #[test]
-    fn kde_explicit_bandwidth() {
-        let kde = Kde::with_bandwidth(vec![0.0, 10.0], 0.5);
-        assert_eq!(kde.bandwidth(), 0.5);
-        assert!(kde.eval(0.0) > kde.eval(5.0));
     }
 
     #[test]
@@ -573,16 +494,6 @@ mod tests {
         assert_eq!(s.median, 4.0);
         assert!((s.sd - 2.138).abs() < 0.01);
         assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn tail_share_worked_example() {
-        // 10 investors: seven with 1 investment, three with 9 → deg≥3 covers
-        // 30% of investors and 27/34 of edges.
-        let degrees = [1, 1, 1, 1, 1, 1, 1, 9, 9, 9];
-        let (items, mass) = tail_share(&degrees, 3);
-        assert!((items - 0.3).abs() < 1e-12);
-        assert!((mass - 27.0 / 34.0).abs() < 1e-12);
     }
 
     #[test]
@@ -625,12 +536,5 @@ mod tests {
         let noise: Vec<f64> = (0..n).map(|i| ((i * 7919) % 101) as f64).collect();
         let p_noise = permutation_p_value(&x, &noise, 500, 1).unwrap();
         assert!(p_noise > 0.05, "p = {p_noise}");
-    }
-
-    #[test]
-    fn tail_share_edges() {
-        assert_eq!(tail_share(&[], 1), (0.0, 0.0));
-        assert_eq!(tail_share(&[0, 0], 1), (0.0, 0.0));
-        assert_eq!(tail_share(&[5, 5], 1), (1.0, 1.0));
     }
 }

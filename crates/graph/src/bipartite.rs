@@ -328,6 +328,19 @@ mod tests {
     }
 
     #[test]
+    fn degree_concentration_worked_example() {
+        // §5.1's shape: 10 investors, seven with 1 investment and three with
+        // 9 → out-degree ≥ 3 covers 30% of investors and 27/34 of edges.
+        let singles = (0..7u32).map(|i| (i, 100 + i));
+        let heavy = (7..10u32).flat_map(|i| (0..9u32).map(move |c| (i, 200 + c)));
+        let g = BipartiteGraph::from_edges(singles.chain(heavy).collect::<Vec<_>>());
+        let (frac_inv, frac_edges) = g.degree_concentration(3);
+        assert!((frac_inv - 0.3).abs() < 1e-12);
+        assert!((frac_edges - 27.0 / 34.0).abs() < 1e-12);
+        assert_eq!(g.degree_concentration(1), (1.0, 1.0));
+    }
+
+    #[test]
     fn filter_min_investments_drops_small_investors() {
         let g = toy();
         let f = g.filter_min_investments(2);

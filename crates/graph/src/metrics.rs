@@ -50,7 +50,7 @@ fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
 }
 
 /// Shared investment size of one investor pair.
-pub fn shared_investment_size(graph: &BipartiteGraph, a: u32, b: u32) -> usize {
+fn shared_investment_size(graph: &BipartiteGraph, a: u32, b: u32) -> usize {
     sorted_intersection_size(graph.companies_of(a), graph.companies_of(b))
 }
 

@@ -372,26 +372,26 @@ impl IngestEngine {
             let tele_g = telemetry.clone();
             let tele_e = telemetry.clone();
             let tele_s = telemetry;
-            edges = crossbeam::thread::scope(|s| {
-                let graph_handle = s.spawn(move |_| {
+            edges = std::thread::scope(|s| {
+                let graph_handle = s.spawn(move || {
                     let t0 = tele_g.now_ms();
                     let edges = apply_graph(graph);
                     graph_hist.record(tele_g.now_ms() - t0);
                     edges
                 });
                 if threads >= 3 {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let t0 = tele_e.now_ms();
                         apply_entities(entities);
                         entities_hist.record(tele_e.now_ms() - t0);
                     });
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let t0 = tele_s.now_ms();
                         apply_stats(stats);
                         stats_hist.record(tele_s.now_ms() - t0);
                     });
                 } else {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let t0 = tele_e.now_ms();
                         apply_entities(entities);
                         entities_hist.record(tele_e.now_ms() - t0);
@@ -403,8 +403,7 @@ impl IngestEngine {
                 graph_handle
                     .join()
                     .map_err(|_| IngestError::Thread("graph maintainer".into()))
-            })
-            .map_err(|_| IngestError::Thread("maintainer scope".into()))??;
+            })?;
         }
 
         for ev in events {

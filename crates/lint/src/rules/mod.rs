@@ -41,8 +41,9 @@ pub const ALL: &[Rule] = &[
         summary: "no wall-clock or ambient randomness outside the clock module",
         explain: "Determinism is load-bearing: simulations, golden tests and crash-recovery \
                   replays all assume time and randomness are injected. Instant::now(), \
-                  SystemTime::now() and ad-hoc seeds outside crates/telemetry's clock \
-                  module make runs unreproducible. Take a Clock (or seed) as input.",
+                  SystemTime::now() and ad-hoc seeds outside crates/socialsim's clock \
+                  module make runs unreproducible. Take a Clock (or seed) as input; code \
+                  that measures wall time reads it through clock::SystemClock.",
         check: wallclock::check,
     },
     Rule {

@@ -1,8 +1,7 @@
 //! Workspace file discovery: every `.rs` file under the repository root,
 //! excluding build output (`target/`), the vendored dependency stand-ins
-//! (`vendor/` — external code held to its upstream's standards, and the
-//! one place `Instant::now` legitimately lives in a bench harness) and
-//! VCS internals.
+//! (`vendor/` — external code held to its upstream's standards) and VCS
+//! internals.
 
 use crate::LintError;
 use std::fs;

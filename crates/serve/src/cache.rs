@@ -11,11 +11,10 @@
 //! key. The hot path — a hit — takes only the *read* lock: recency is
 //! recorded by storing a global atomic tick into the entry's
 //! `last_access`, not by relinking the LRU list (which would need the
-//! write lock). BENCH_serve_latency.json showed the previous
-//! mutex-per-shard design inverting worker scaling (~70k rps at 1 worker
-//! down to ~50k at 4–8) because every hit serialized on the shard mutex;
-//! with shared read locks, concurrent hits on the same shard no longer
-//! contend.
+//! write lock). The previous mutex-per-shard design inverted worker
+//! scaling (~70k rps at 1 worker down to ~50k at 4–8) because every hit
+//! serialized on the shard mutex; with shared read locks, concurrent hits
+//! on the same shard no longer contend.
 //!
 //! Eviction is CLOCK-style second chance: entries are linked in insertion
 //! order, and the evictor walks from the tail; an entry whose
@@ -478,10 +477,10 @@ mod tests {
     fn concurrent_access_is_safe() {
         let (c, _t) = cache(1 << 16, 8);
         let c = std::sync::Arc::new(c);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u64 {
                 let c = std::sync::Arc::clone(&c);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..500u64 {
                         let key = format!("k{}", (t * 7 + i) % 50);
                         if c.get(&key, i % 3).is_none() {
@@ -490,8 +489,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let stats = c.stats();
         assert!(stats.bytes <= stats.capacity_bytes);
     }

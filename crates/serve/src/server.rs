@@ -446,11 +446,11 @@ mod tests {
         started.recv().unwrap();
         // Fill the queue from threads (call() blocks on its reply).
         let shed_count = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
                 let s = Arc::clone(&s);
                 let shed_count = Arc::clone(&shed_count);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let resp = s.call(Request::get("/healthz"));
                     if resp.status == 503 {
                         shed_count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -468,8 +468,7 @@ mod tests {
             }
             // Unblock after the burst: queued calls finish as 200s.
             release.send(()).unwrap();
-        })
-        .unwrap();
+        });
         let shed = shed_count.load(std::sync::atomic::Ordering::SeqCst);
         assert!(shed >= 1, "burst should shed at least once");
         assert!(shed < 8, "some requests must be admitted");

@@ -487,7 +487,7 @@ mod tests {
     fn seeded_pair_on(shards: usize, t: Telemetry) -> (Service, Router) {
         let store = Arc::new(Store::memory(4));
         let set = Arc::new(ShardSet::memory(shards, 4, &t).unwrap());
-        let mut write = |ns: &str, doc: Document| {
+        let write = |ns: &str, doc: Document| {
             store.put(ns, doc.clone()).unwrap();
             set.put(ns, doc).unwrap();
         };

@@ -212,8 +212,7 @@ impl ShardSet {
         Ok(())
     }
 
-    /// Mark a shard down (the kill switch recovery tests and the bench's
-    /// degradation section flip).
+    /// Mark a shard down (the kill switch the recovery tests flip).
     pub fn kill(&self, index: usize) -> Result<(), ShardError> {
         let shard = self
             .shards
@@ -269,7 +268,7 @@ pub fn merge_stats(per_shard: impl IntoIterator<Item = Vec<NamespaceStats>>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdnet_json::{obj, Value};
+    use crowdnet_json::obj;
 
     const NS: &str = "angellist/users";
 

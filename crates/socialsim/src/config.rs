@@ -180,7 +180,8 @@ impl WorldConfig {
         WorldConfig::at_scale(seed, Scale::Fraction(16))
     }
 
-    /// A small world for benches (1/64 scale).
+    /// A small world (1/64 scale): `repro --scale small` and the
+    /// paper-shape tests.
     pub fn small(seed: u64) -> WorldConfig {
         WorldConfig::at_scale(seed, Scale::Fraction(64))
     }

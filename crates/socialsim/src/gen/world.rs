@@ -64,7 +64,7 @@ pub struct World {
     /// All users.
     pub users: Vec<User>,
     /// Ground-truth planted communities (not exposed through any API; used
-    /// only to score detector recovery in the ablation benches).
+    /// only to score detector recovery in the detector ablation).
     pub planted_communities: Vec<PlantedCommunity>,
     /// Publicly listed syndicates (exposed through the AngelList API).
     pub syndicates: Vec<Syndicate>,

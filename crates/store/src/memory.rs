@@ -164,17 +164,16 @@ mod tests {
         let b = Arc::new(MemoryBackend::new(4));
         let threads = 8;
         let per = 500;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let b = Arc::clone(&b);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per {
                         b.append("ns", 0, t * per + i, format!("{t}:{i}"));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let total: usize = (0..4)
             .map(|p| b.read_partition("ns", 0, p).unwrap().len())
             .sum();

@@ -39,15 +39,9 @@ impl ExecCtx {
         ExecCtx::new(n)
     }
 
-    /// Single-threaded context (baseline for the scaling benchmarks).
+    /// Single-threaded context.
     pub fn serial() -> ExecCtx {
         ExecCtx::new(1)
-    }
-
-    /// Override the default partition count.
-    pub fn with_partitions(mut self, partitions: usize) -> ExecCtx {
-        self.default_partitions = partitions.max(1);
-        self
     }
 
     /// Worker threads per stage.
@@ -166,7 +160,6 @@ mod tests {
         assert_eq!(ctx.default_partitions(), 8);
         assert_eq!(ExecCtx::new(0).threads(), 1);
         assert_eq!(ExecCtx::serial().threads(), 1);
-        assert_eq!(ctx.with_partitions(3).default_partitions(), 3);
     }
 
     #[test]

@@ -716,17 +716,16 @@ mod tests {
     #[test]
     fn concurrent_puts_from_many_threads() {
         let s = Arc::new(Store::memory(8));
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..8usize {
                 let s = Arc::clone(&s);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..250usize {
                         s.put("ns", doc(t * 1000 + i)).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(s.doc_count("ns").unwrap(), 2000);
     }
 

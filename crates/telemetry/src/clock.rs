@@ -1,8 +1,7 @@
 //! The injected time source.
 //!
 //! Telemetry never reads the wall clock itself (the workspace `no-wallclock`
-//! lint forbids it outside `crowdnet-socialsim::clock` and the bench
-//! harness). Instead a [`Clock`] is bound into each [`Telemetry`] handle:
+//! lint forbids it outside `crowdnet-socialsim::clock`). Instead a [`Clock`] is bound into each [`Telemetry`] handle:
 //! the crawler binds its `SimClock`, the `repro` binary binds the system
 //! clock. The trait is deliberately minimal — `now_ms` only — and is
 //! implemented for any `Fn() -> u64` closure, so adapting an external clock

@@ -22,8 +22,7 @@
 //!   also hit stderr (silent by default, so tests stay quiet).
 //! * [`report`] — serializes the whole registry + span tree + events to a
 //!   `crowdnet-json` [`Value`](crowdnet_json::Value) with fully sorted
-//!   keys, the format written to `results/telemetry/<run>.json` and by the
-//!   bench harness to `BENCH_*.json`.
+//!   keys, the format written to `results/telemetry/<run>.json`.
 //!
 //! The [`Telemetry`] handle is cheaply cloneable and threads through
 //! config structs (`CrawlConfig`, `PipelineConfig`, `CodaConfig`, …); a

@@ -5,8 +5,7 @@
 //! histograms are emitted in name order and spans/events in start order,
 //! so a deterministic run (SimClock, fixed seed) serializes to identical
 //! bytes every time — the property the integration suite asserts. The same
-//! schema is written to `results/telemetry/<run>.json` by `repro` and to
-//! `BENCH_*.json` by the bench harness.
+//! schema is written to `results/telemetry/<run>.json` by `repro`.
 
 use crate::{Telemetry, Verbosity};
 use crowdnet_json::{obj, Object, Value};

@@ -8,36 +8,34 @@ const PER_THREAD: u64 = 10_000;
 #[test]
 fn counter_loses_no_increments_under_contention() {
     let t = Telemetry::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
             let t = t.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let c = t.counter("contended");
                 for _ in 0..PER_THREAD {
                     c.inc();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(t.counter("contended").value(), THREADS as u64 * PER_THREAD);
 }
 
 #[test]
 fn histogram_loses_no_observations_under_contention() {
     let t = Telemetry::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for i in 0..THREADS {
             let t = t.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let h = t.histogram_with("contended", &[8, 64, 512]);
                 for j in 0..PER_THREAD {
                     h.record((i as u64 * 31 + j) % 1000);
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let snap = t.histogram_with("contended", &[8, 64, 512]).snapshot();
     let expected = THREADS as u64 * PER_THREAD;
     assert_eq!(snap.count, expected);
@@ -49,10 +47,10 @@ fn histogram_loses_no_observations_under_contention() {
 #[test]
 fn registry_races_resolve_to_one_metric_per_name() {
     let t = Telemetry::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
             let t = t.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // Everyone races to create the same names; each inc must
                 // land on the single shared counter.
                 for name in ["a", "b", "c"] {
@@ -60,8 +58,7 @@ fn registry_races_resolve_to_one_metric_per_name() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     for name in ["a", "b", "c"] {
         assert_eq!(t.counter(name).value(), THREADS as u64, "counter {name}");
     }

@@ -1,7 +1,7 @@
 //! Detector ablation: run CoDA against the four baselines on the same
-//! crawled world and score each cover two ways — recovery of the planted
-//! ground truth (best-match F1) and the paper's own community-strength
-//! metrics.
+//! crawled world and score each cover three ways — recovery of the planted
+//! ground truth (best-match F1), the paper's own community-strength metric,
+//! and wall time — over three world seeds, then average per detector.
 //!
 //! ```sh
 //! cargo run --release --example detector_shootout
@@ -18,41 +18,52 @@ use crowdnet::graph::metrics::{self, Community};
 use crowdnet::graph::projection::Projection;
 use crowdnet::graph::sbm::{self, SbmConfig};
 use crowdnet::graph::{BipartiteGraph, Coda, CodaConfig, Cover};
-use crowdnet::socialsim::{Scale, WorldConfig};
-use std::time::Instant;
+use crowdnet::socialsim::clock::SystemClock;
+use crowdnet::socialsim::{Clock, Scale, WorldConfig};
 
-fn score(name: &str, graph: &BipartiteGraph, cover: &Cover, truth: &Cover, ms: u128) {
-    let f1 = best_match_f1(cover, truth);
-    let pcts = metrics::cover_shared_investor_pcts(graph, cover, 2);
-    let mean_pct = pcts.iter().sum::<f64>() / pcts.len().max(1) as f64;
-    println!(
-        "{name:<18} {:>4} communities  F1 vs planted {f1:.3}  mean shared-investor {mean_pct:>5.1}%  {ms:>6} ms",
-        cover.len()
-    );
+const SEEDS: [u64; 3] = [11, 23, 47];
+const COMPANIES: u32 = 20_000;
+const USERS: u32 = 30_000;
+const DETECTORS: [&str; 5] = ["CoDA", "BigCLAM", "LabelProp", "Louvain", "SBM"];
+
+/// One detector's score on one world.
+struct Row {
+    f1: f64,
+    shared_pct: f64,
+    communities: usize,
+    ms: u64,
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut config = PipelineConfig::tiny(11);
+fn measure(graph: &BipartiteGraph, truth: &Cover, detect: impl FnOnce() -> Cover) -> Row {
+    let wall = SystemClock;
+    let t0 = wall.now_ms();
+    let cover = detect();
+    let ms = wall.now_ms() - t0;
+    let pcts = metrics::cover_shared_investor_pcts(graph, &cover, 2);
+    Row {
+        f1: best_match_f1(&cover, truth),
+        shared_pct: pcts.iter().sum::<f64>() / pcts.len().max(1) as f64,
+        communities: cover.len(),
+        ms,
+    }
+}
+
+/// Score every detector on the world generated from `seed`, in
+/// [`DETECTORS`] order.
+fn shootout(seed: u64) -> Result<Vec<Row>, Box<dyn std::error::Error>> {
+    let mut config = PipelineConfig::tiny(seed);
     config.world = WorldConfig::at_scale(
-        11,
+        seed,
         Scale::Custom {
-            companies: 25_000,
-            users: 40_000,
+            companies: COMPANIES,
+            users: USERS,
         },
     );
-    println!("crawling a 25k-company / 40k-user world…");
     let outcome = Pipeline::new(config).run()?;
 
     // The graph every detector sees: investors with ≥4 investments (§5.2).
     let graph =
         BipartiteGraph::from_edges(investment_edges(&outcome)?).filter_min_investments(MIN_INVESTMENTS);
-    println!(
-        "filtered graph: {} investors / {} companies / {} edges\n",
-        graph.investor_count(),
-        graph.company_count(),
-        graph.edge_count()
-    );
-
     // Planted ground truth, restricted to investors present in the graph.
     let truth: Cover = outcome
         .world
@@ -67,35 +78,58 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (members.len() >= 3).then_some(Community { members })
         })
         .collect();
-    println!("planted ground truth: {} communities with ≥3 surviving members\n", truth.len());
+    println!(
+        "seed {seed}: {} investors / {} companies / {} edges; {} planted communities with ≥3 surviving members",
+        graph.investor_count(),
+        graph.company_count(),
+        graph.edge_count(),
+        truth.len()
+    );
 
     let k = outcome.config.world.communities;
-
-    let t = Instant::now();
-    let coda_cfg = CodaConfig { communities: k, iterations: 25, ..Default::default() };
-    let coda = Coda::fit(&graph, &coda_cfg);
-    let coda_cover = coda.investor_communities(&graph, &coda_cfg);
-    score("CoDA", &graph, &coda_cover, &truth, t.elapsed().as_millis());
-
-    let t = Instant::now();
-    let bc = BigClam::fit(&graph, &BigClamConfig { communities: k, iterations: 25, ..Default::default() });
-    let bc_cover = bc.investor_communities(&graph);
-    score("BigCLAM", &graph, &bc_cover, &truth, t.elapsed().as_millis());
-
-    let t = Instant::now();
-    let lpa_cover = label_propagation(&graph, &LabelPropConfig::default());
-    score("label propagation", &graph, &lpa_cover, &truth, t.elapsed().as_millis());
-
     let projection = Projection::from_bipartite(&graph, 500);
-    let t = Instant::now();
-    let louvain_cover = louvain(&projection, &LouvainConfig::default());
-    score("Louvain", &graph, &louvain_cover, &truth, t.elapsed().as_millis());
+    Ok(vec![
+        measure(&graph, &truth, || {
+            let cfg = CodaConfig { communities: k, iterations: 25, ..Default::default() };
+            Coda::fit(&graph, &cfg).investor_communities(&graph, &cfg)
+        }),
+        measure(&graph, &truth, || {
+            let cfg = BigClamConfig { communities: k, iterations: 25, ..Default::default() };
+            BigClam::fit(&graph, &cfg).investor_communities(&graph)
+        }),
+        measure(&graph, &truth, || label_propagation(&graph, &LabelPropConfig::default())),
+        measure(&graph, &truth, || louvain(&projection, &LouvainConfig::default())),
+        measure(&graph, &truth, || {
+            sbm::cover_of(&sbm::fit(&projection, &SbmConfig { blocks: k, ..Default::default() }), k)
+        }),
+    ])
+}
 
-    let t = Instant::now();
-    let sbm_model = sbm::fit(&projection, &SbmConfig { blocks: k, ..Default::default() });
-    let sbm_cover = sbm::cover_of(&sbm_model, k);
-    score("SBM (greedy)", &graph, &sbm_cover, &truth, t.elapsed().as_millis());
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    println!("crawling {} {COMPANIES}-company / {USERS}-user worlds…", SEEDS.len());
+    let mut sums = [(0.0, 0.0, 0u64); DETECTORS.len()];
+    for seed in SEEDS {
+        for (i, row) in shootout(seed)?.into_iter().enumerate() {
+            println!(
+                "  {:<10} F1 {:.3}  shared-investor {:>5.1}%  {:>3} communities  {:>6} ms",
+                DETECTORS[i], row.f1, row.shared_pct, row.communities, row.ms
+            );
+            sums[i].0 += row.f1;
+            sums[i].1 += row.shared_pct;
+            sums[i].2 += row.ms;
+        }
+    }
 
+    println!("\nmeans over seeds {SEEDS:?}:");
+    let n = SEEDS.len() as f64;
+    for (name, (f1, pct, ms)) in DETECTORS.iter().zip(sums) {
+        println!(
+            "  {name:<10} F1 {:.3}  shared-investor {:>5.1}%  {:>6} ms",
+            f1 / n,
+            pct / n,
+            ms / SEEDS.len() as u64
+        );
+    }
     println!(
         "\nCoDA is the paper's pick because it models the *directed bipartite*\n\
          structure natively; the undirected baselines must project or expand it."

@@ -6,6 +6,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> cargo check --workspace --all-targets (warnings gate)"
+# Every target, tests and examples included, must compile without a single
+# warning: an unused import or a stray `mut` fails here, not in review.
+check_out="$(cargo check --offline --workspace --all-targets 2>&1)"
+if grep -q '^warning:' <<< "$check_out"; then
+  echo "warnings gate: cargo check printed warnings:" >&2
+  echo "$check_out" >&2
+  exit 1
+fi
+
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 

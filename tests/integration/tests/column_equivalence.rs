@@ -9,12 +9,16 @@
 //! JSON log on the next open.
 
 use crowdnet_column::{open_or_rebuild, save, ColumnConfig, ColumnSet};
+use crowdnet_crawl::augment::NS_CRUNCHBASE;
+use crowdnet_crawl::social::{NS_FACEBOOK, NS_TWITTER};
+use crowdnet_crawl::{CrawlConfig, Crawler};
 use crowdnet_dataflow::dataset::scan_store;
 use crowdnet_dataflow::{Dataset, ExecCtx};
 use crowdnet_graph::BipartiteGraph;
 use crowdnet_ingest::{IngestConfig, IngestEngine};
 use crowdnet_json::{obj, Value};
 use crowdnet_serve::artifacts::{NS_COMPANIES, NS_USERS};
+use crowdnet_socialsim::{World, WorldConfig};
 use crowdnet_store::{Document, FailpointFs, FaultPlan, MemFs, SnapshotId, Store, Vfs};
 use crowdnet_telemetry::Telemetry;
 use proptest::prelude::*;
@@ -320,4 +324,33 @@ fn crashed_column_commit_is_rebuilt_from_the_log() {
         save_crashes >= 1,
         "no crash-point in the sweep landed inside the column commit itself"
     );
+}
+
+/// The projection is also the smaller encoding: over a crawled corpus,
+/// every corpus namespace's sealed column runs weigh no more than the JSON
+/// documents they project.
+#[test]
+fn crawled_corpus_columns_are_no_larger_than_their_json() {
+    let world = Arc::new(World::generate(&WorldConfig::tiny(42)));
+    let store = Store::memory(4);
+    Crawler::new(world, CrawlConfig::default())
+        .run(&store)
+        .expect("crawl");
+    let set = ColumnSet::build_from_store(&store, ColumnConfig::default(), None).expect("build");
+    let catalog = set.catalog();
+    for ns in [NS_COMPANIES, NS_USERS, NS_CRUNCHBASE, NS_FACEBOOK, NS_TWITTER] {
+        let json_bytes: usize = store
+            .scan_snapshot(ns, SnapshotId(0))
+            .expect("scan")
+            .iter()
+            .map(|doc| doc.encode().len())
+            .sum();
+        let stats = catalog.snapshot_stats(ns, SnapshotId(0)).expect("stats");
+        assert!(stats.rows > 0, "{ns}: no rows projected");
+        assert!(
+            stats.encoded_bytes <= json_bytes,
+            "{ns}: columns {} B > JSON {json_bytes} B",
+            stats.encoded_bytes
+        );
+    }
 }
