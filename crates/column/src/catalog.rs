@@ -557,15 +557,29 @@ impl ColumnCatalog {
         ns: &str,
         snap: SnapshotId,
     ) -> Result<Vec<Vec<Document>>, ColumnError> {
-        let parts = self.partition_runs(ns, snap)?;
         let mut out = Vec::with_capacity(self.partitions);
-        for runs in parts {
-            out.push(merge_runs(runs)?);
-        }
-        if let Some(c) = &self.scan_docs {
-            c.add(out.iter().map(Vec::len).sum::<usize>() as u64);
-        }
+        self.for_each_partition(ns, snap, |docs| out.push(docs))?;
         Ok(out)
+    }
+
+    /// [`ColumnCatalog::docs_partitioned`] one partition at a time: each
+    /// partition's documents, in canonical order, go to `each` before the
+    /// next partition is decoded, so a consumer that folds them into its
+    /// own structure never holds more than one decoded partition.
+    pub fn for_each_partition(
+        &self,
+        ns: &str,
+        snap: SnapshotId,
+        mut each: impl FnMut(Vec<Document>),
+    ) -> Result<(), ColumnError> {
+        for runs in self.partition_runs(ns, snap)? {
+            let docs = merge_runs(runs)?;
+            if let Some(c) = &self.scan_docs {
+                c.add(docs.len() as u64);
+            }
+            each(docs);
+        }
+        Ok(())
     }
 
     /// Decode one snapshot into a single globally key-sorted vector — the

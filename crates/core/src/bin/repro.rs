@@ -301,6 +301,12 @@ fn run_experiment(
                 model.rows_stuck,
                 model.rows_stuck as f64 / updates.max(1) as f64 * 100.0
             );
+            println!(
+                "line-search candidates evaluated: {}, ended early by the partial-sum bound: {} ({:.1}%)",
+                model.line_search_evaluations,
+                model.line_search_early_exits,
+                model.line_search_early_exits as f64 / model.line_search_evaluations.max(1) as f64 * 100.0
+            );
             // Model selection: how does the scaled-from-the-paper C compare
             // with its neighbors under held-out likelihood?
             let k = coda_cfg.communities;
@@ -703,7 +709,7 @@ fn ingest_live(
     telemetry: crowdnet_telemetry::Telemetry,
     args: &Args,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    use crowdnet_ingest::{run_live, IngestConfig, IngestEngine, LiveConfig};
+    use crowdnet_ingest::{epoch_digest, run_live, IngestConfig, IngestEngine, LiveConfig};
     use crowdnet_serve::{Request, Service, ServiceConfig};
     header("Live ingestion (crowdnet-ingest)");
     let service = Arc::new(Service::new(
@@ -715,6 +721,7 @@ fn ingest_live(
     // Epoch 0: the caught-up state of the crawled corpus, pinned before
     // the study starts so every request already reads a frozen epoch.
     let first = engine.publish(Some(&service));
+    let first_digest = epoch_digest(&first, engine.model());
     println!(
         "epoch 0 pinned at store version {} ({} investors / {} companies)",
         first.version,
@@ -743,6 +750,13 @@ fn ingest_live(
             let response = service.handle(&Request::get(&target));
             println!("  {:>3} GET {target}", response.status);
         }
+        // One digest over every published epoch's fitted outputs (cover,
+        // PageRank, CoDA model): the live path's bits, pinned by check.sh.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for day in std::iter::once(first_digest).chain(days.iter().map(|d| d.epoch_digest)) {
+            fnv1a(&mut digest, &day.to_le_bytes());
+        }
+        println!("ingest epoch digest: {digest:016x} over {} epochs", days.len() + 1);
     }
     println!(
         "ingest counters: ingest.events={} ingest.docs={} ingest.edges={} ingest.epochs={} \

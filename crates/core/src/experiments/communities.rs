@@ -117,11 +117,7 @@ mod tests {
 
     /// F, H, the likelihood trace and the stuck count, compared bit for bit.
     fn assert_bitwise_eq(a: &Coda, b: &Coda, what: &str) {
-        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            rows.iter()
-                .map(|r| r.iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
+        let bits = |rows: &[f64]| -> Vec<u64> { rows.iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&a.f), bits(&b.f), "{what}: F");
         assert_eq!(bits(&a.h), bits(&b.h), "{what}: H");
         let trace = |m: &Coda| -> Vec<u64> { m.ll_trace.iter().map(|v| v.to_bits()).collect() };

@@ -8,7 +8,7 @@
 //! is exactly why the paper picks CoDA.
 
 use crate::bipartite::BipartiteGraph;
-use crate::coda::{column_sums, update_node};
+use crate::coda::{column_sums, update_row, Scratch};
 use crate::metrics::{Community, Cover};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,9 +63,8 @@ impl BigClam {
             }
         }
 
-        let mut f: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..c).map(|_| rng.random::<f64>() * 0.1).collect())
-            .collect();
+        // Row-major: node `i`'s weights are `f[i·c..(i+1)·c]`.
+        let mut f: Vec<f64> = (0..n * c).map(|_| rng.random::<f64>() * 0.1).collect();
         // Seed communities from high-degree nodes' neighborhoods, skipping
         // anchors whose neighborhoods mostly overlap one already chosen (the
         // same diversification CoDA's init uses).
@@ -85,9 +84,9 @@ impl BigClam {
                 continue;
             }
             covered.extend(adj[anchor].iter().copied());
-            f[anchor][k] += 1.0;
+            f[anchor * c + k] += 1.0;
             for &v in &adj[anchor] {
-                f[v as usize][k] += 1.0;
+                f[v as usize * c + k] += 1.0;
             }
             k += 1;
         }
@@ -96,24 +95,28 @@ impl BigClam {
         // node's own row — which must NOT appear in its non-edge penalty, or
         // every node suppresses itself to zero. Maintain the sums
         // incrementally and hand each update a self-excluded copy.
+        // A node is never its own neighbour, so its update reads `f`
+        // everywhere but its own row, which it works on in a copy.
         let mut sum_f = column_sums(&f, c);
         let mut sum_wo_self = vec![0.0; c];
+        let mut row = vec![0.0; c];
+        let mut scratch = Scratch::default();
         for _ in 0..cfg.iterations {
             for i in 0..n {
-                let mut row = std::mem::take(&mut f[i]);
+                row.copy_from_slice(&f[i * c..][..c]);
                 for k in 0..c {
                     sum_wo_self[k] = sum_f[k] - row[k];
                 }
-                update_node(&mut row, &adj[i], &f, &sum_wo_self, cfg.step);
+                update_row(&mut row, &adj[i], &f, &sum_wo_self, cfg.step, &mut scratch);
                 for k in 0..c {
                     sum_f[k] = sum_wo_self[k] + row[k];
                 }
-                f[i] = row;
+                f[i * c..][..c].copy_from_slice(&row);
             }
         }
 
         BigClam {
-            f,
+            f: f.chunks_exact(c).map(<[f64]>::to_vec).collect(),
             investor_count: nu,
         }
     }

@@ -73,15 +73,22 @@ impl Default for CodaConfig {
 /// A fitted CoDA model.
 #[derive(Debug, Clone)]
 pub struct Coda {
-    /// Outgoing affiliations: investor index → C weights.
-    pub f: Vec<Vec<f64>>,
-    /// Incoming affiliations: company index → C weights.
-    pub h: Vec<Vec<f64>>,
+    /// Outgoing affiliations, row-major: investor `u`'s `C` weights are
+    /// `f[u·C..(u+1)·C]` ([`Coda::f_row`]).
+    pub f: Vec<f64>,
+    /// Incoming affiliations, row-major by company ([`Coda::h_row`]).
+    pub h: Vec<f64>,
     /// Log-likelihood after every iteration (for convergence checks).
     pub ll_trace: Vec<f64>,
     /// Row updates, over the whole fit, whose line search found no
     /// improving step (the row stayed where it was).
     pub rows_stuck: u64,
+    /// Line-search candidates whose local likelihood was evaluated, over
+    /// the whole fit (candidates equal to the row are not evaluated).
+    pub line_search_evaluations: u64,
+    /// Of those, the ones rejected by a partial-sum bound before their
+    /// last neighbour.
+    pub line_search_early_exits: u64,
     communities: usize,
 }
 
@@ -90,7 +97,8 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `log(1 − exp(−x))`, clamped for numerical stability.
+/// `log(1 − exp(−x))`, clamped for numerical stability. Never positive:
+/// the line search's early exit rests on that.
 #[inline]
 pub(crate) fn log1mexp(x: f64) -> f64 {
     let x = x.max(1e-10);
@@ -108,6 +116,11 @@ fn edge_weight(x: f64) -> f64 {
     1.0 / x.exp_m1().max(1e-12)
 }
 
+/// `C` weights of the cold init, one uniform draw in `[0, 0.1)` each.
+fn cold_row(rng: &mut StdRng, c: usize) -> impl Iterator<Item = f64> + '_ {
+    (0..c).map(|_| rng.random::<f64>() * 0.1)
+}
+
 impl Coda {
     /// Fit the model to a bipartite graph.
     pub fn fit(graph: &BipartiteGraph, cfg: &CodaConfig) -> Coda {
@@ -118,16 +131,18 @@ impl Coda {
 
         // Random small init, then seed each community from the neighborhood
         // of a distinct high-in-degree company (conductance-style seeding).
-        let mut f: Vec<Vec<f64>> = (0..nu)
-            .map(|_| (0..c).map(|_| rng.random::<f64>() * 0.1).collect())
-            .collect();
-        let mut h: Vec<Vec<f64>> = (0..nc)
-            .map(|_| (0..c).map(|_| rng.random::<f64>() * 0.1).collect())
-            .collect();
+        let mut f: Vec<f64> = Vec::with_capacity(nu * c);
+        for _ in 0..nu {
+            f.extend(cold_row(&mut rng, c));
+        }
+        let mut h: Vec<f64> = Vec::with_capacity(nc * c);
+        for _ in 0..nc {
+            h.extend(cold_row(&mut rng, c));
+        }
         for (k, anchor) in pick_anchors(graph, c).into_iter().enumerate() {
-            h[anchor as usize][k] += 1.0;
+            h[anchor as usize * c + k] += 1.0;
             for &inv in graph.investors_of(anchor) {
-                f[inv as usize][k] += 1.0;
+                f[inv as usize * c + k] += 1.0;
             }
         }
         Coda::fit_from(graph, cfg, f, h)
@@ -141,7 +156,8 @@ impl Coda {
     /// affiliation structure of the surviving nodes is already in place.
     ///
     /// Falls back to a cold [`Coda::fit`] when the community count
-    /// changed (rows would not be comparable).
+    /// changed (rows would not be comparable), counted as
+    /// `coda.warm_fallbacks`.
     pub fn fit_warm(
         graph: &BipartiteGraph,
         cfg: &CodaConfig,
@@ -150,61 +166,67 @@ impl Coda {
     ) -> Coda {
         let c = cfg.communities.max(1);
         if prev.communities != c {
+            cfg.telemetry.counter("coda.warm_fallbacks").inc();
             return Coda::fit(graph, cfg);
         }
         let nu = graph.investor_count();
         let nc = graph.company_count();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let cold = |rng: &mut StdRng| -> Vec<f64> {
-            (0..c).map(|_| rng.random::<f64>() * 0.1).collect()
-        };
-        let mut f: Vec<Vec<f64>> = Vec::with_capacity(nu);
+        let mut f: Vec<f64> = Vec::with_capacity(nu * c);
         for u in 0..nu as u32 {
-            f.push(match prev_graph.investor_index(graph.investor_id(u)) {
-                Some(pu) => prev.f[pu as usize].clone(),
-                None => cold(&mut rng),
-            });
+            match prev_graph.investor_index(graph.investor_id(u)) {
+                Some(pu) => f.extend_from_slice(prev.f_row(pu)),
+                None => f.extend(cold_row(&mut rng, c)),
+            }
         }
-        let mut h: Vec<Vec<f64>> = Vec::with_capacity(nc);
+        let mut h: Vec<f64> = Vec::with_capacity(nc * c);
         for ci in 0..nc as u32 {
-            h.push(match prev_graph.company_index(graph.company_id(ci)) {
-                Some(pc) => prev.h[pc as usize].clone(),
-                None => cold(&mut rng),
-            });
+            match prev_graph.company_index(graph.company_id(ci)) {
+                Some(pc) => h.extend_from_slice(prev.h_row(pc)),
+                None => h.extend(cold_row(&mut rng, c)),
+            }
         }
         Coda::fit_from(graph, cfg, f, h)
     }
 
     /// Shared block-coordinate ascent loop over a prepared init.
-    fn fit_from(graph: &BipartiteGraph, cfg: &CodaConfig, f: Vec<Vec<f64>>, h: Vec<Vec<f64>>) -> Coda {
+    fn fit_from(graph: &BipartiteGraph, cfg: &CodaConfig, f: Vec<f64>, h: Vec<f64>) -> Coda {
         let c = cfg.communities.max(1);
         let mut model = Coda {
             f,
             h,
             ll_trace: Vec::with_capacity(cfg.iterations),
             rows_stuck: 0,
+            line_search_evaluations: 0,
+            line_search_early_exits: 0,
             communities: c,
         };
 
         let _span = cfg.telemetry.span("coda.fit");
         let iter_counter = cfg.telemetry.counter("coda.iterations");
         let stuck_counter = cfg.telemetry.counter("coda.rows_stuck");
+        let evaluations_counter = cfg.telemetry.counter("coda.line_search.evaluations");
+        let early_exits_counter = cfg.telemetry.counter("coda.line_search.early_exits");
         for it in 0..cfg.iterations {
-            // Update investors (F) against fixed H.
+            // Update investors (F) against fixed H, then companies (H)
+            // against fixed F.
             let sum_h = column_sums(&model.h, c);
-            let stuck_f = update_rows(cfg, &mut model.f, &model.h, &sum_h, |u| {
+            let mut tally = update_rows(cfg, c, &mut model.f, &model.h, &sum_h, |u| {
                 graph.companies_of(u)
             });
-            // Update companies (H) against fixed F.
             let sum_f = column_sums(&model.f, c);
-            let stuck_h = update_rows(cfg, &mut model.h, &model.f, &sum_f, |ci| {
+            tally += update_rows(cfg, c, &mut model.h, &model.f, &sum_f, |ci| {
                 graph.investors_of(ci)
             });
             let ll = model.log_likelihood(graph);
             model.ll_trace.push(ll);
-            model.rows_stuck += stuck_f + stuck_h;
+            model.rows_stuck += tally.stuck;
+            model.line_search_evaluations += tally.evaluations;
+            model.line_search_early_exits += tally.early_exits;
             iter_counter.inc();
-            stuck_counter.add(stuck_f + stuck_h);
+            stuck_counter.add(tally.stuck);
+            evaluations_counter.add(tally.evaluations);
+            early_exits_counter.add(tally.early_exits);
             cfg.telemetry.event(
                 Level::Debug,
                 "coda",
@@ -219,6 +241,16 @@ impl Coda {
         self.communities
     }
 
+    /// Investor `u`'s outgoing affiliation row.
+    pub fn f_row(&self, u: u32) -> &[f64] {
+        &self.f[u as usize * self.communities..][..self.communities]
+    }
+
+    /// Company `c`'s incoming affiliation row.
+    pub fn h_row(&self, c: u32) -> &[f64] {
+        &self.h[c as usize * self.communities..][..self.communities]
+    }
+
     /// Full-data log-likelihood under the directed AGM.
     pub fn log_likelihood(&self, graph: &BipartiteGraph) -> f64 {
         let c = self.communities;
@@ -226,9 +258,9 @@ impl Coda {
         let sum_h = column_sums(&self.h, c);
         let mut ll = 0.0;
         let mut edge_dot_total = 0.0;
-        for u in 0..graph.investor_count() {
-            for &ci in graph.companies_of(u as u32) {
-                let d = dot(&self.f[u], &self.h[ci as usize]);
+        for u in 0..graph.investor_count() as u32 {
+            for &ci in graph.companies_of(u) {
+                let d = dot(self.f_row(u), self.h_row(ci));
                 ll += log1mexp(d);
                 edge_dot_total += d;
             }
@@ -250,10 +282,11 @@ impl Coda {
     /// Empty communities are dropped.
     pub fn investor_communities(&self, graph: &BipartiteGraph, cfg: &CodaConfig) -> Cover {
         let delta = cfg.min_membership.unwrap_or_else(|| self.delta(graph));
+        let investors = (self.f.len() / self.communities) as u32;
         (0..self.communities)
             .filter_map(|k| {
-                let members: Vec<u32> = (0..self.f.len() as u32)
-                    .filter(|&u| self.f[u as usize][k] >= delta)
+                let members: Vec<u32> = (0..investors)
+                    .filter(|&u| self.f_row(u)[k] >= delta)
                     .collect();
                 (!members.is_empty()).then_some(Community { members })
             })
@@ -267,9 +300,9 @@ impl Coda {
     /// and for dense test fixtures where δ under-separates.
     pub fn dominant_communities(&self) -> Cover {
         let mut groups: std::collections::HashMap<usize, Vec<u32>> = std::collections::HashMap::new();
-        for (u, row) in self.f.iter().enumerate() {
-            // Manual argmax: affiliations are clamped finite, and a NaN (or
-            // an empty row) simply never wins, so no comparator can panic.
+        for (u, row) in self.f.chunks_exact(self.communities).enumerate() {
+            // Manual argmax: affiliations are clamped finite, and a NaN
+            // simply never wins, so no comparator can panic.
             let mut k = 0usize;
             let mut weight = f64::NEG_INFINITY;
             for (i, &w) in row.iter().enumerate() {
@@ -293,8 +326,8 @@ impl Coda {
     /// Companies affiliated with community `k` (for visualization).
     pub fn community_companies(&self, graph: &BipartiteGraph, cfg: &CodaConfig, k: usize) -> Vec<u32> {
         let delta = cfg.min_membership.unwrap_or_else(|| self.delta(graph));
-        (0..self.h.len() as u32)
-            .filter(|&c| self.h[c as usize][k] >= delta)
+        (0..(self.h.len() / self.communities) as u32)
+            .filter(|&c| self.h_row(c)[k] >= delta)
             .collect()
     }
 }
@@ -368,9 +401,8 @@ pub fn choose_communities(
         let pair_dot = |u: u32, ci: u32| -> f64 {
             let fu = train
                 .investor_index(graph.investor_id(u))
-                .map(|i| model.f[i as usize].as_slice());
-            let hc = find_company(&train, graph.company_id(ci))
-                .map(|i| model.h[i as usize].as_slice());
+                .map(|i| model.f_row(i));
+            let hc = find_company(&train, graph.company_id(ci)).map(|i| model.h_row(i));
             match (fu, hc) {
                 (Some(f), Some(h)) => dot(f, h),
                 _ => 1e-4,
@@ -440,9 +472,11 @@ fn pick_anchors(graph: &BipartiteGraph, c: usize) -> Vec<u32> {
     anchors
 }
 
-pub(crate) fn column_sums(rows: &[Vec<f64>], c: usize) -> Vec<f64> {
+/// Column sums of a row-major buffer of `c`-wide rows, accumulated row by
+/// row in order.
+pub(crate) fn column_sums(rows: &[f64], c: usize) -> Vec<f64> {
     let mut out = vec![0.0; c];
-    for row in rows {
+    for row in rows.chunks_exact(c) {
         for (o, v) in out.iter_mut().zip(row) {
             *o += v;
         }
@@ -454,108 +488,233 @@ pub(crate) fn column_sums(rows: &[Vec<f64>], c: usize) -> Vec<f64> {
 /// let a block of heavy rows finish while the others keep going.
 const BLOCKS_PER_WORKER: usize = 4;
 
-/// One half-iteration: [`update_node`] over every row of `rows` against the
-/// fixed `other` side and its column sums. Rows are cut into contiguous
-/// blocks of about equal work (degree + 1) and each block is one
-/// [`run_tasks`] task. A row's update reads only `other`, `sum_other` and
-/// its own neighbours, so every row ends bit-identical to the serial loop.
-/// Returns the rows that found no improving step, summed over the blocks
-/// in block order.
+/// What a run of row updates did, summed over rows.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Updates whose line search found no improving step.
+    stuck: u64,
+    /// Candidates whose local likelihood was evaluated.
+    evaluations: u64,
+    /// Evaluations cut short by the partial-sum bound.
+    early_exits: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, other: Tally) {
+        self.stuck += other.stuck;
+        self.evaluations += other.evaluations;
+        self.early_exits += other.early_exits;
+    }
+}
+
+/// One half-iteration: [`update_row`] over every `c`-wide row of the
+/// row-major `rows` against the fixed `other` side and its column sums.
+/// Rows are cut into contiguous blocks of about equal work (degree + 1)
+/// and each block is one [`run_tasks`] task with its own [`Scratch`]. A
+/// row's update reads only `other`, `sum_other` and its own neighbours,
+/// so every row ends bit-identical to the serial loop. The tallies are
+/// summed over the blocks.
 fn update_rows<'g>(
     cfg: &CodaConfig,
-    rows: &mut [Vec<f64>],
-    other: &[Vec<f64>],
+    c: usize,
+    rows: &mut [f64],
+    other: &[f64],
     sum_other: &[f64],
     neighbors: impl Fn(u32) -> &'g [u32] + Sync,
-) -> u64 {
+) -> Tally {
     let blocks = match cfg.ctx.threads() {
         1 => 1,
         threads => threads * BLOCKS_PER_WORKER,
     };
-    let work: usize = (0..rows.len() as u32).map(|r| neighbors(r).len() + 1).sum();
+    let n = rows.len() / c;
+    let work: usize = (0..n as u32).map(|r| neighbors(r).len() + 1).sum();
     let per_block = work.div_ceil(blocks).max(1);
     let mut tasks = Vec::with_capacity(blocks);
     let mut rest = rows;
     let mut start = 0usize;
-    while !rest.is_empty() {
+    while start < n {
         let (mut len, mut weight) = (0, 0);
-        while len < rest.len() && weight < per_block {
+        while start + len < n && weight < per_block {
             weight += neighbors((start + len) as u32).len() + 1;
             len += 1;
         }
-        let (block, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        let (block, tail) = std::mem::take(&mut rest).split_at_mut(len * c);
         tasks.push((start, block));
         start += len;
         rest = tail;
     }
-    let stuck = run_tasks(cfg.ctx, tasks, |_, (start, block)| {
-        let mut stuck = 0u64;
-        for (i, row) in block.iter_mut().enumerate() {
+    let tallies = run_tasks(cfg.ctx, tasks, |_, (start, block)| {
+        let mut scratch = Scratch::default();
+        for (i, row) in block.chunks_exact_mut(c).enumerate() {
             let adjacent = neighbors((start + i) as u32);
-            if !update_node(row, adjacent, other, sum_other, cfg.step) {
-                stuck += 1;
+            if !update_row(row, adjacent, other, sum_other, cfg.step, &mut scratch) {
+                scratch.tally.stuck += 1;
             }
         }
-        stuck
+        scratch.tally
     });
-    stuck.into_iter().sum()
+    tallies
+        .into_iter()
+        .fold(Tally::default(), |mut total, tally| {
+            total += tally;
+            total
+        })
+}
+
+/// Neighbours per step of a candidate's likelihood sum: their dot products
+/// are computed together, and the early-exit bound is checked before each
+/// step.
+const STRIDE: usize = 4;
+
+/// Per-task buffers of [`update_row`], reused across rows, and the tally
+/// of the rows it updated.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// `Σother − Σ_{v∈N} other_v`: the non-edge weight of each community.
+    rest: Vec<f64>,
+    grad: Vec<f64>,
+    candidate: Vec<f64>,
+    /// `candidate_k · rest_k`: the candidate's non-edge penalty terms.
+    penalty: Vec<f64>,
+    /// `row · other_v` for every neighbour `v`, at the current row.
+    dots: Vec<f64>,
+    tally: Tally,
+}
+
+/// Hand `row · other_v` for each `v` of `vs` to `out`, in order, reading
+/// `other` as row-major `row.len()`-wide rows. Four dot products are
+/// summed side by side, each over `k` in order from `−0.0` (the neutral
+/// element `Iterator::sum` folds from), so every value equals [`dot`] bit
+/// for bit.
+#[inline]
+fn dots(row: &[f64], vs: &[u32], other: &[f64], mut out: impl FnMut(f64)) {
+    let c = row.len();
+    let other_row = |v: u32| &other[v as usize * c..][..c];
+    let mut chunks = vs.chunks_exact(4);
+    for four in &mut chunks {
+        let (a, b, d, e) = (
+            other_row(four[0]),
+            other_row(four[1]),
+            other_row(four[2]),
+            other_row(four[3]),
+        );
+        let mut s = [-0.0f64; 4];
+        for k in 0..c {
+            let x = row[k];
+            s[0] += x * a[k];
+            s[1] += x * b[k];
+            s[2] += x * d[k];
+            s[3] += x * e[k];
+        }
+        s.into_iter().for_each(&mut out);
+    }
+    for &v in chunks.remainder() {
+        out(dot(row, other_row(v)));
+    }
+}
+
+/// `ll − Σ_k penalty_k`, subtracted in `k` order: the last step of a local
+/// likelihood, and monotone non-decreasing in `ll`.
+#[inline]
+fn penalized(ll: f64, penalty: &[f64]) -> f64 {
+    penalty.iter().fold(ll, |ll, p| ll - p)
 }
 
 /// One projected-gradient update with backtracking line search of a single
-/// node's affiliation row against the fixed other side. Returns whether an
-/// improving step was found (otherwise the row is left unchanged).
-pub(crate) fn update_node(
+/// node's affiliation row against the fixed other side (row-major, the
+/// row's width per node). Returns whether an improving step was found
+/// (otherwise the row is left unchanged).
+///
+/// The row's local likelihood is `Σ_{v∈N} log1mexp(row·other_v) −
+/// Σ_k row_k·rest_k`. Up to six candidates `clamp(row + step·grad)` are
+/// tried at halving steps, and the first whose likelihood exceeds the
+/// row's is taken. Every edge term is ≤ 0 and rounding is monotone, so a
+/// candidate's partial sum over its first `j` neighbours, passed through
+/// the same penalty subtractions, bounds its final likelihood from above:
+/// once that bound is ≤ the row's, the candidate is rejected without the
+/// remaining neighbours. A candidate equal to the row is rejected without
+/// evaluation. Both shortcuts give the decision the full evaluation would.
+pub(crate) fn update_row(
     row: &mut [f64],
     neighbors: &[u32],
-    other: &[Vec<f64>],
+    other: &[f64],
     sum_other: &[f64],
     step0: f64,
+    scratch: &mut Scratch,
 ) -> bool {
     let c = row.len();
-    // Cached neighbor sum: Σ_{v∈N} other_v.
-    let mut sum_neighbors = vec![0.0; c];
+    let Scratch {
+        rest,
+        grad,
+        candidate,
+        penalty,
+        dots: base_dots,
+        tally,
+    } = scratch;
+    rest.clear();
+    rest.resize(c, 0.0);
     for &v in neighbors {
-        for (s, o) in sum_neighbors.iter_mut().zip(&other[v as usize]) {
+        for (s, o) in rest.iter_mut().zip(&other[v as usize * c..][..c]) {
             *s += o;
         }
     }
+    for (r, total) in rest.iter_mut().zip(sum_other) {
+        *r = total - *r;
+    }
 
-    // Local objective for this node.
-    let local_ll = |r: &[f64]| -> f64 {
-        let mut ll = 0.0;
-        for &v in neighbors {
-            ll += log1mexp(dot(r, &other[v as usize]));
-        }
-        for k in 0..c {
-            ll -= r[k] * (sum_other[k] - sum_neighbors[k]);
-        }
-        ll
-    };
-
-    // Gradient: Σ_{v∈N} other_v · w(dot) − (Σother − Σ_{v∈N} other_v).
-    let mut grad = vec![0.0; c];
-    for &v in neighbors {
-        let w = edge_weight(dot(row, &other[v as usize]));
-        for (g, o) in grad.iter_mut().zip(&other[v as usize]) {
+    // The row's dot products serve both the gradient and its likelihood.
+    base_dots.clear();
+    dots(row, neighbors, other, |d| base_dots.push(d));
+    // Gradient: Σ_{v∈N} other_v · w(dot) − rest.
+    grad.clear();
+    grad.resize(c, 0.0);
+    for (&v, &d) in neighbors.iter().zip(base_dots.iter()) {
+        let w = edge_weight(d);
+        for (g, o) in grad.iter_mut().zip(&other[v as usize * c..][..c]) {
             *g += o * w;
         }
     }
-    for k in 0..c {
-        grad[k] -= sum_other[k] - sum_neighbors[k];
+    for (g, r) in grad.iter_mut().zip(rest.iter()) {
+        *g -= r;
     }
+    let mut base = 0.0;
+    for &d in base_dots.iter() {
+        base += log1mexp(d);
+    }
+    penalty.clear();
+    penalty.extend(row.iter().zip(rest.iter()).map(|(x, r)| x * r));
+    let base = penalized(base, penalty);
 
-    let base = local_ll(row);
+    candidate.resize(c, 0.0);
     let mut step = step0;
-    let mut candidate = vec![0.0; c];
-    for _ in 0..6 {
-        for k in 0..c {
-            candidate[k] = (row[k] + step * grad[k]).clamp(0.0, 1_000.0);
-        }
-        if local_ll(&candidate) > base {
-            row.copy_from_slice(&candidate);
-            return true;
+    'candidates: for _ in 0..6 {
+        for ((x, &r), &g) in candidate.iter_mut().zip(row.iter()).zip(grad.iter()) {
+            *x = (r + step * g).clamp(0.0, 1_000.0);
         }
         step *= 0.5;
+        if candidate
+            .iter()
+            .zip(row.iter())
+            .all(|(x, r)| x.to_bits() == r.to_bits())
+        {
+            continue;
+        }
+        tally.evaluations += 1;
+        for ((p, x), r) in penalty.iter_mut().zip(candidate.iter()).zip(rest.iter()) {
+            *p = x * r;
+        }
+        let mut ll = 0.0;
+        for vs in neighbors.chunks(STRIDE) {
+            if penalized(ll, penalty) <= base {
+                tally.early_exits += 1;
+                continue 'candidates;
+            }
+            dots(candidate, vs, other, |d| ll += log1mexp(d));
+        }
+        if penalized(ll, penalty) > base {
+            row.copy_from_slice(candidate);
+            return true;
+        }
     }
     // No improving step found: leave the row unchanged (ascent property).
     false
@@ -564,6 +723,125 @@ pub(crate) fn update_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The row update before the early-exit line search and the flat
+    /// layout: every candidate's full local likelihood, fresh buffers per
+    /// call, `other` as one `Vec` per node. [`update_row`] must agree with
+    /// it bit for bit.
+    fn update_node(
+        row: &mut [f64],
+        neighbors: &[u32],
+        other: &[Vec<f64>],
+        sum_other: &[f64],
+        step0: f64,
+    ) -> bool {
+        let c = row.len();
+        // Cached neighbor sum: Σ_{v∈N} other_v.
+        let mut sum_neighbors = vec![0.0; c];
+        for &v in neighbors {
+            for (s, o) in sum_neighbors.iter_mut().zip(&other[v as usize]) {
+                *s += o;
+            }
+        }
+
+        // Local objective for this node.
+        let local_ll = |r: &[f64]| -> f64 {
+            let mut ll = 0.0;
+            for &v in neighbors {
+                ll += log1mexp(dot(r, &other[v as usize]));
+            }
+            for k in 0..c {
+                ll -= r[k] * (sum_other[k] - sum_neighbors[k]);
+            }
+            ll
+        };
+
+        // Gradient: Σ_{v∈N} other_v · w(dot) − (Σother − Σ_{v∈N} other_v).
+        let mut grad = vec![0.0; c];
+        for &v in neighbors {
+            let w = edge_weight(dot(row, &other[v as usize]));
+            for (g, o) in grad.iter_mut().zip(&other[v as usize]) {
+                *g += o * w;
+            }
+        }
+        for k in 0..c {
+            grad[k] -= sum_other[k] - sum_neighbors[k];
+        }
+
+        let base = local_ll(row);
+        let mut step = step0;
+        let mut candidate = vec![0.0; c];
+        for _ in 0..6 {
+            for k in 0..c {
+                candidate[k] = (row[k] + step * grad[k]).clamp(0.0, 1_000.0);
+            }
+            if local_ll(&candidate) > base {
+                row.copy_from_slice(&candidate);
+                return true;
+            }
+            step *= 0.5;
+        }
+        // No improving step found: leave the row unchanged (ascent property).
+        false
+    }
+
+    /// Rows of a row-major buffer, one `Vec` each.
+    fn unflatten(flat: &[f64], c: usize) -> Vec<Vec<f64>> {
+        flat.chunks_exact(c).map(<[f64]>::to_vec).collect()
+    }
+
+    /// The fit as it was, serially through [`update_node`] on one `Vec`
+    /// per row, from `init`'s factors (a zero-pass fit, cold or warm)
+    /// for `iterations` passes.
+    fn oracle_fit(graph: &BipartiteGraph, init: &Coda, iterations: usize, step: f64) -> Coda {
+        let c = init.community_count();
+        let mut f = unflatten(&init.f, c);
+        let mut h = unflatten(&init.h, c);
+        let sums = |rows: &[Vec<f64>]| -> Vec<f64> {
+            let mut out = vec![0.0; c];
+            for row in rows {
+                for (o, v) in out.iter_mut().zip(row) {
+                    *o += v;
+                }
+            }
+            out
+        };
+        let mut ll_trace = Vec::new();
+        let mut stuck = 0;
+        for _ in 0..iterations {
+            let sum_h = sums(&h);
+            for (u, row) in f.iter_mut().enumerate() {
+                let neighbors = graph.companies_of(u as u32);
+                stuck += u64::from(!update_node(row, neighbors, &h, &sum_h, step));
+            }
+            let sum_f = sums(&f);
+            for (ci, row) in h.iter_mut().enumerate() {
+                let neighbors = graph.investors_of(ci as u32);
+                stuck += u64::from(!update_node(row, neighbors, &f, &sum_f, step));
+            }
+            let mut ll = 0.0;
+            let mut edge_dot_total = 0.0;
+            for (u, row) in f.iter().enumerate() {
+                for &ci in graph.companies_of(u as u32) {
+                    let d = dot(row, &h[ci as usize]);
+                    ll += log1mexp(d);
+                    edge_dot_total += d;
+                }
+            }
+            ll -= dot(&sums(&f), &sums(&h)) - edge_dot_total;
+            ll_trace.push(ll);
+        }
+        Coda {
+            f: f.concat(),
+            h: h.concat(),
+            ll_trace,
+            rows_stuck: stuck,
+            line_search_evaluations: 0,
+            line_search_early_exits: 0,
+            communities: c,
+        }
+    }
 
     /// Two dense planted blocks with light cross-noise.
     fn planted(seed: u64) -> (BipartiteGraph, Vec<Vec<u32>>) {
@@ -611,6 +889,145 @@ mod tests {
         } else {
             inter / union
         }
+    }
+
+    /// One affiliation weight: zero, the upper clamp, a subnormal or tiny
+    /// value, or an ordinary one.
+    fn weight() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1_000.0),
+            Just(f64::MIN_POSITIVE / 4.0),
+            1e-300f64..1e-6,
+            0.0f64..3.0,
+        ]
+    }
+
+    /// Widest `C` the kernel cases draw.
+    const MAX_C: usize = 40;
+
+    /// `(row, other rows, neighbour list with repeats, extra non-edge
+    /// weight per community, initial step)` at `C` in 1..=40, over 1 to
+    /// 11 other rows.
+    #[allow(clippy::type_complexity)]
+    fn kernel_case() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>, Vec<u32>, Vec<f64>, f64)> {
+        let width = || MAX_C..MAX_C + 1;
+        (
+            (
+                1..MAX_C + 1,
+                proptest::collection::vec(weight(), width()),
+                proptest::collection::vec(proptest::collection::vec(weight(), width()), 1..12),
+            ),
+            (
+                proptest::collection::vec(0u32..64, 0..20),
+                proptest::collection::vec(0.0f64..50.0, width()),
+                prop_oneof![Just(0.25), 1e-3f64..2.0],
+            ),
+        )
+            .prop_map(|((c, mut row, mut other), (neighbors, mut extra, step))| {
+                row.truncate(c);
+                extra.truncate(c);
+                for o in &mut other {
+                    o.truncate(c);
+                }
+                let n = other.len() as u32;
+                let neighbors = neighbors.into_iter().map(|v| v % n).collect();
+                (row, other, neighbors, extra, step)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_kernel_is_bitwise_the_oracle(case in kernel_case()) {
+            let (row, other, neighbors, extra, step) = case;
+            let c = row.len();
+            let mut sum_other = vec![0.0; c];
+            for o in &other {
+                for (s, v) in sum_other.iter_mut().zip(o) {
+                    *s += v;
+                }
+            }
+            for (s, e) in sum_other.iter_mut().zip(&extra) {
+                *s += e;
+            }
+            let mut want = row.clone();
+            let improved = update_node(&mut want, &neighbors, &other, &sum_other, step);
+            let mut got = row.clone();
+            let mut scratch = Scratch::default();
+            let flat = other.concat();
+            let got_improved = update_row(&mut got, &neighbors, &flat, &sum_other, step, &mut scratch);
+            prop_assert_eq!(got_improved, improved);
+            let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+            // The scratch is reused: a second row through it agrees too.
+            let mut again = row.clone();
+            let again_improved =
+                update_row(&mut again, &neighbors, &flat, &sum_other, step, &mut scratch);
+            prop_assert_eq!(again_improved, improved);
+            prop_assert_eq!(bits(&again), bits(&want));
+            prop_assert!(scratch.tally.early_exits <= scratch.tally.evaluations);
+            prop_assert!(scratch.tally.evaluations <= 12);
+        }
+    }
+
+    /// The fit equals the oracle fit bit for bit, cold and warm, serial and
+    /// on two workers, and its line search mostly exits early.
+    fn assert_fit_is_the_oracle(g: &BipartiteGraph, grown: &BipartiteGraph, cfg: &CodaConfig) {
+        let frozen = CodaConfig { iterations: 0, ..cfg.clone() };
+        let cold_oracle = oracle_fit(g, &Coda::fit(g, &frozen), cfg.iterations, cfg.step);
+        for threads in [1, 2] {
+            let cfg = CodaConfig { ctx: ExecCtx::new(threads), ..cfg.clone() };
+            let cold = Coda::fit(g, &cfg);
+            assert_bitwise_eq(&cold, &cold_oracle, &format!("cold fit, {threads} threads"));
+            assert!(cold.line_search_early_exits <= cold.line_search_evaluations);
+            let warm = Coda::fit_warm(grown, &cfg, &cold, g);
+            let frozen = CodaConfig { iterations: 0, ..cfg.clone() };
+            let init = Coda::fit_warm(grown, &frozen, &cold, g);
+            let warm_oracle = oracle_fit(grown, &init, cfg.iterations, cfg.step);
+            assert_bitwise_eq(&warm, &warm_oracle, &format!("warm fit, {threads} threads"));
+        }
+    }
+
+    #[test]
+    fn the_fit_is_bitwise_the_oracle_fit_on_the_planted_fixture() {
+        let (g, _) = planted(13);
+        let mut grown = g.clone();
+        grown.add_edge(999, 100);
+        grown.add_edge(3, 207);
+        let cfg = CodaConfig { communities: 3, iterations: 15, ..CodaConfig::default() };
+        assert_fit_is_the_oracle(&g, &grown, &cfg);
+    }
+
+    #[test]
+    fn the_fit_is_bitwise_the_oracle_fit_on_the_tiny_world() {
+        // The tiny world's investment graph, filtered and sized the way the
+        // serving tier fits it.
+        let world = crowdnet_socialsim::World::generate(&crowdnet_socialsim::WorldConfig::tiny(42));
+        let edges = world
+            .users
+            .iter()
+            .flat_map(|u| u.investments.iter().map(move |c| (u.id.0, c.0)));
+        let full = BipartiteGraph::from_edges(edges);
+        let g = full.filter_min_investments(4);
+        assert!(g.investor_count() > 5, "{} filtered investors", g.investor_count());
+        let mut grown = g.clone();
+        grown.add_edge(u32::MAX, g.company_id(0));
+        grown.add_edge(g.investor_id(0), g.company_id(g.company_count() as u32 - 1));
+        let communities = ((g.investor_count() as f64).sqrt().ceil() as usize).max(2);
+        let telemetry = Telemetry::new();
+        let cfg = CodaConfig {
+            communities,
+            iterations: 25,
+            telemetry: telemetry.clone(),
+            ..CodaConfig::default()
+        };
+        assert_fit_is_the_oracle(&g, &grown, &cfg);
+        // Some candidates are ruled out early, and the counters saw them.
+        let evaluations = telemetry.counter("coda.line_search.evaluations").value();
+        let early = telemetry.counter("coda.line_search.early_exits").value();
+        assert!(early > 0 && early <= evaluations, "{early} early exits of {evaluations}");
     }
 
     #[test]
@@ -673,9 +1090,7 @@ mod tests {
 
     /// F, H, the likelihood trace and the stuck count, compared bit for bit.
     fn assert_bitwise_eq(a: &Coda, b: &Coda, what: &str) {
-        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            rows.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
-        };
+        let bits = |rows: &[f64]| -> Vec<u64> { rows.iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&a.f), bits(&b.f), "{what}: F");
         assert_eq!(bits(&a.h), bits(&b.h), "{what}: H");
         let trace = |m: &Coda| -> Vec<u64> { m.ll_trace.iter().map(|v| v.to_bits()).collect() };
@@ -709,6 +1124,14 @@ mod tests {
             assert_eq!(par.investor_communities(&g, &cfg), cover);
             assert_eq!(telemetry.counter("coda.iterations").value(), 12);
             assert_eq!(telemetry.counter("coda.rows_stuck").value(), cold.rows_stuck);
+            assert_eq!(
+                telemetry.counter("coda.line_search.evaluations").value(),
+                cold.line_search_evaluations
+            );
+            assert_eq!(
+                telemetry.counter("coda.line_search.early_exits").value(),
+                cold.line_search_early_exits
+            );
             let par_warm = Coda::fit_warm(&grown, &cfg, &par, &g);
             assert_bitwise_eq(&par_warm, &warm, &format!("warm fit, {threads} threads"));
         }
@@ -776,7 +1199,8 @@ mod tests {
         // community's companies. dominant_communities sorts by size but we
         // need the community *index*; find it via the strongest member row.
         let biggest = &cover[0];
-        let k = model.f[biggest.members[0] as usize]
+        let k = model
+            .f_row(biggest.members[0])
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
@@ -784,9 +1208,9 @@ mod tests {
             .0;
         // Dense fixture again: take companies by argmax of H rather than the
         // sparse-regime δ rule.
-        let companies: std::collections::HashSet<u32> = (0..model.h.len() as u32)
+        let companies: std::collections::HashSet<u32> = (0..g.company_count() as u32)
             .filter(|&c| {
-                let row = &model.h[c as usize];
+                let row = model.h_row(c);
                 let best = row
                     .iter()
                     .enumerate()
@@ -858,10 +1282,10 @@ mod tests {
         let warm = Coda::fit_warm(&g2, &CodaConfig { iterations: 0, ..cfg.clone() }, &prev, &g);
         for u in 0..g.investor_count() as u32 {
             let wu = g2.investor_index(g.investor_id(u)).unwrap();
-            assert_eq!(warm.f[wu as usize], prev.f[u as usize]);
+            assert_eq!(warm.f_row(wu), prev.f_row(u));
         }
-        let nu = g2.investor_index(999).unwrap() as usize;
-        assert!(warm.f[nu].iter().all(|&v| (0.0..0.1).contains(&v)));
+        let nu = g2.investor_index(999).unwrap();
+        assert!(warm.f_row(nu).iter().all(|&v| (0.0..0.1).contains(&v)));
         // And a real refit improves (or keeps) the likelihood.
         let refit = Coda::fit_warm(&g2, &CodaConfig { iterations: 5, ..cfg.clone() }, &prev, &g);
         assert!(refit.log_likelihood(&g2) >= warm.log_likelihood(&g2) - 1e-6);
@@ -874,8 +1298,18 @@ mod tests {
             &g,
             &CodaConfig { communities: 2, iterations: 5, ..CodaConfig::default() },
         );
-        let cfg3 = CodaConfig { communities: 3, iterations: 5, ..CodaConfig::default() };
+        let telemetry = Telemetry::new();
+        let cfg3 = CodaConfig {
+            communities: 3,
+            iterations: 5,
+            telemetry: telemetry.clone(),
+            ..CodaConfig::default()
+        };
         let warm = Coda::fit_warm(&g, &cfg3, &prev, &g);
+        assert_eq!(telemetry.counter("coda.warm_fallbacks").value(), 1);
+        // A warm fit at the same community count is no fallback.
+        Coda::fit_warm(&g, &CodaConfig { communities: 2, ..cfg3.clone() }, &prev, &g);
+        assert_eq!(telemetry.counter("coda.warm_fallbacks").value(), 1);
         let cold = Coda::fit(&g, &cfg3);
         assert_eq!(warm.f, cold.f);
         assert_eq!(warm.ll_trace, cold.ll_trace);

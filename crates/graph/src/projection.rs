@@ -14,7 +14,6 @@
 //! single-edge bipartite inserts, for the ingest tier's PageRank.
 
 use crate::bipartite::{BipartiteGraph, EdgeInsert};
-use crate::fxhash::FxHashMap;
 
 /// A weighted undirected investor graph.
 #[derive(Debug, Clone)]
@@ -27,35 +26,37 @@ pub struct Projection {
 
 impl Projection {
     /// Project `graph` onto investors, skipping companies with more than
-    /// `max_company_degree` investors.
+    /// `max_company_degree` investors. Each investor's row is its sorted
+    /// co-investor list (one entry per shared company) run-length encoded
+    /// into `(neighbor, count)`.
     pub fn from_bipartite(graph: &BipartiteGraph, max_company_degree: usize) -> Projection {
         let n = graph.investor_count();
-        let mut weights: Vec<FxHashMap<u32, f64>> = vec![FxHashMap::default(); n];
-        for c in 0..graph.company_count() as u32 {
-            let investors = graph.investors_of(c);
-            if investors.len() < 2 || investors.len() > max_company_degree {
-                continue;
-            }
-            for (a_pos, &a) in investors.iter().enumerate() {
-                for &b in &investors[a_pos + 1..] {
-                    *weights[a as usize].entry(b).or_insert(0.0) += 1.0;
-                    *weights[b as usize].entry(a).or_insert(0.0) += 1.0;
+        let mut co_investors: Vec<u32> = Vec::new();
+        let mut total: u64 = 0;
+        let adj: Vec<Vec<(u32, f64)>> = (0..n as u32)
+            .map(|a| {
+                co_investors.clear();
+                for &c in graph.companies_of(a) {
+                    let investors = graph.investors_of(c);
+                    if (2..=max_company_degree).contains(&investors.len()) {
+                        co_investors.extend(investors.iter().filter(|&&b| b != a));
+                    }
                 }
-            }
-        }
-        let mut total = 0.0;
-        let adj: Vec<Vec<(u32, f64)>> = weights
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(u32, f64)> = m.into_iter().collect();
-                v.sort_unstable_by_key(|&(n, _)| n);
-                total += v.iter().map(|&(_, w)| w).sum::<f64>();
-                v
+                co_investors.sort_unstable();
+                total += co_investors.len() as u64;
+                let mut row: Vec<(u32, f64)> = Vec::new();
+                for &b in &co_investors {
+                    match row.last_mut() {
+                        Some((last, w)) if *last == b => *w += 1.0,
+                        _ => row.push((b, 1.0)),
+                    }
+                }
+                row
             })
             .collect();
         Projection {
             adj,
-            total_weight: total / 2.0,
+            total_weight: total as f64 / 2.0,
         }
     }
 
@@ -78,37 +79,56 @@ impl Projection {
 /// Incrementally maintained hub-capped co-investment projection: replays
 /// the hub-cap rule of [`Projection::from_bipartite`] transition by
 /// transition (a company crossing the cap retracts every pair it had
-/// contributed).
+/// contributed). The adjacency is kept as the sorted [`Projection`]
+/// itself, so a solver reads it in place.
 #[derive(Debug, Clone)]
 pub struct DynamicProjection {
-    /// node → neighbor → weight (shared-company count).
-    weights: Vec<FxHashMap<u32, f64>>,
+    proj: Projection,
     max_company_degree: usize,
 }
 
 impl DynamicProjection {
-    /// Empty projection with the given hub cap.
-    pub fn new(max_company_degree: usize) -> DynamicProjection {
+    /// The projection of `graph` as it stands, to be followed from here
+    /// by [`DynamicProjection::apply_insert`].
+    pub fn from_bipartite(graph: &BipartiteGraph, max_company_degree: usize) -> DynamicProjection {
         DynamicProjection {
-            weights: Vec::new(),
+            proj: Projection::from_bipartite(graph, max_company_degree),
             max_company_degree,
         }
     }
 
     /// Nodes tracked so far.
     pub fn node_count(&self) -> usize {
-        self.weights.len()
+        self.proj.node_count()
     }
 
+    /// The maintained projection, equal to [`Projection::from_bipartite`]
+    /// on the same graph and cap.
+    pub fn projection(&self) -> &Projection {
+        &self.proj
+    }
+
+    /// Add `delta` (±1) to the weight of pair `(a, b)`, dropping the pair
+    /// when its weight reaches zero. Weights and the total stay whole
+    /// numbers, so every sum over them is exact.
     fn bump_pair(&mut self, a: u32, b: u32, delta: f64) {
+        let mut applied = 0.0;
         for (x, y) in [(a, b), (b, a)] {
-            let m = &mut self.weights[x as usize];
-            let w = m.entry(y).or_insert(0.0);
-            *w += delta;
-            if *w <= 0.0 {
-                m.remove(&y);
+            let row = &mut self.proj.adj[x as usize];
+            match row.binary_search_by_key(&y, |&(n, _)| n) {
+                Ok(i) if row[i].1 + delta > 0.0 => {
+                    row[i].1 += delta;
+                    applied = delta;
+                }
+                Ok(i) => applied = -row.remove(i).1,
+                Err(i) if delta > 0.0 => {
+                    row.insert(i, (y, delta));
+                    applied = delta;
+                }
+                Err(_) => {}
             }
         }
+        self.proj.total_weight += applied;
     }
 
     /// Apply one bipartite edge insertion, given the post-insert `graph`.
@@ -119,8 +139,8 @@ impl DynamicProjection {
     /// every pair among the prior investors (the company just became a
     /// hub); `k > cap + 1` is a no-op (already excluded).
     pub fn apply_insert(&mut self, graph: &BipartiteGraph, ins: &EdgeInsert) {
-        if self.weights.len() < graph.investor_count() {
-            self.weights.resize_with(graph.investor_count(), FxHashMap::default);
+        if self.proj.adj.len() < graph.investor_count() {
+            self.proj.adj.resize_with(graph.investor_count(), Vec::new);
         }
         if !ins.new_edge {
             return;
@@ -147,26 +167,6 @@ impl DynamicProjection {
                     }
                 }
             }
-        }
-    }
-
-    /// Export as a [`Projection`] (sorted adjacency), structurally equal
-    /// to [`Projection::from_bipartite`] on the same graph and cap.
-    pub fn to_projection(&self) -> Projection {
-        let mut total = 0.0;
-        let adj: Vec<Vec<(u32, f64)>> = self
-            .weights
-            .iter()
-            .map(|m| {
-                let mut v: Vec<(u32, f64)> = m.iter().map(|(&n, &w)| (n, w)).collect();
-                v.sort_unstable_by_key(|&(n, _)| n);
-                total += v.iter().map(|&(_, w)| w).sum::<f64>();
-                v
-            })
-            .collect();
-        Projection {
-            adj,
-            total_weight: total / 2.0,
         }
     }
 }
@@ -237,7 +237,7 @@ mod tests {
     /// Grow a [`DynamicProjection`] edge by edge beside the graph.
     fn grow(seq: &[(u32, u32)], cap: usize) -> (BipartiteGraph, DynamicProjection) {
         let mut g = BipartiteGraph::from_edges(Vec::<(u32, u32)>::new());
-        let mut p = DynamicProjection::new(cap);
+        let mut p = DynamicProjection::from_bipartite(&g, cap);
         for &(inv, com) in seq {
             let ins = g.add_edge(inv, com);
             p.apply_insert(&g, &ins);
@@ -263,9 +263,19 @@ mod tests {
         for cap in [2, 3, 50] {
             let (g, p) = grow(&seq, cap);
             let batch = Projection::from_bipartite(&g, cap);
-            let inc = p.to_projection();
+            let inc = p.projection();
             assert_eq!(inc.adj, batch.adj, "cap {cap}");
             assert_eq!(inc.total_weight, batch.total_weight);
+            // Started from the batch projection half-way, then followed.
+            let (half, _) = grow(&seq[..seq.len() / 2], cap);
+            let mut g2 = half.clone();
+            let mut q = DynamicProjection::from_bipartite(&half, cap);
+            for &(inv, com) in &seq[seq.len() / 2..] {
+                let ins = g2.add_edge(inv, com);
+                q.apply_insert(&g2, &ins);
+            }
+            assert_eq!(q.projection().adj, batch.adj, "cap {cap}, resumed");
+            assert_eq!(q.projection().total_weight, batch.total_weight);
         }
     }
 
@@ -274,7 +284,7 @@ mod tests {
         // Company 500 grows to cap+1 investors: its pairs must vanish.
         let edges: Vec<(u32, u32)> = (0..4u32).map(|i| (i, 500)).collect();
         let (g, p) = grow(&edges, 3);
-        let inc = p.to_projection();
+        let inc = p.projection();
         assert_eq!(inc.edge_count(), 0);
         assert_eq!(Projection::from_bipartite(&g, 3).edge_count(), 0);
         assert_eq!(inc.total_weight, 0.0);

@@ -8,7 +8,8 @@ use crowdnet_graph::labelprop::{label_propagation, LabelPropConfig};
 use crowdnet_graph::louvain::{louvain, LouvainConfig};
 use crowdnet_graph::metrics::{self, Community};
 use crowdnet_graph::pagerank::{pagerank, PageRankConfig};
-use crowdnet_graph::projection::Projection;
+use crowdnet_graph::projection::{DynamicProjection, Projection};
+use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 /// Random edge list over bounded id spaces.
@@ -47,10 +48,8 @@ proptest! {
             prop_assert!(w[1] >= w[0] - 1e-6, "LL fell: {} -> {}", w[0], w[1]);
         }
         // Affiliations stay non-negative and finite.
-        for row in model.f.iter().chain(model.h.iter()) {
-            for &v in row {
-                prop_assert!(v >= 0.0 && v.is_finite());
-            }
+        for &v in model.f.iter().chain(model.h.iter()) {
+            prop_assert!(v >= 0.0 && v.is_finite());
         }
     }
 
@@ -113,5 +112,55 @@ proptest! {
         let other = vec![Community { members: vec![0] }];
         let score = best_match_f1(&cover, &other);
         prop_assert!((0.0..=1.0).contains(&score));
+    }
+    #[test]
+    fn projections_count_shared_non_hub_companies(edges in edges_strategy(), cap in 1usize..12) {
+        let g = BipartiteGraph::from_edges(edges.clone());
+        // Oracle: every co-investing pair of every company within the cap.
+        let mut pairs: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        for c in 0..g.company_count() as u32 {
+            let investors = g.investors_of(c);
+            if investors.len() < 2 || investors.len() > cap {
+                continue;
+            }
+            for &a in investors {
+                for &b in investors {
+                    if a != b {
+                        *pairs.entry((a, b)).or_insert(0.0) += 1.0;
+                    }
+                }
+            }
+        }
+        let mut want: Vec<Vec<(u32, f64)>> = vec![Vec::new(); g.investor_count()];
+        for (&(a, b), &w) in &pairs {
+            want[a as usize].push((b, w));
+        }
+        let batch = Projection::from_bipartite(&g, cap);
+        prop_assert_eq!(&batch.adj, &want);
+        prop_assert_eq!(batch.total_weight, pairs.values().sum::<f64>() / 2.0);
+        // Grown edge by edge, from empty and from the batch projection of
+        // the first half, it is the same projection (in the grown graph's
+        // own index order).
+        let mut grown = BipartiteGraph::from_edges(Vec::<(u32, u32)>::new());
+        let mut dynamic = DynamicProjection::from_bipartite(&grown, cap);
+        let mut resumed: Option<(BipartiteGraph, DynamicProjection)> = None;
+        for (i, &(inv, com)) in edges.iter().enumerate() {
+            if i == edges.len() / 2 {
+                resumed = Some((grown.clone(), DynamicProjection::from_bipartite(&grown, cap)));
+            }
+            let ins = grown.add_edge(inv, com);
+            dynamic.apply_insert(&grown, &ins);
+            if let Some((g2, p2)) = &mut resumed {
+                let ins = g2.add_edge(inv, com);
+                p2.apply_insert(g2, &ins);
+            }
+        }
+        let rebuilt = Projection::from_bipartite(&grown, cap);
+        prop_assert_eq!(&dynamic.projection().adj, &rebuilt.adj);
+        prop_assert_eq!(dynamic.projection().total_weight, rebuilt.total_weight);
+        if let Some((_, p2)) = &resumed {
+            prop_assert_eq!(&p2.projection().adj, &rebuilt.adj);
+            prop_assert_eq!(p2.projection().total_weight, rebuilt.total_weight);
+        }
     }
 }

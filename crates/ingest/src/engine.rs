@@ -188,6 +188,13 @@ impl IngestEngine {
         &self.stats
     }
 
+    /// The CoDA model fitted for the last published epoch — what the
+    /// next refit warm-starts from (`None` before the first publish, or
+    /// while no investor passes the cleaning filter).
+    pub fn model(&self) -> Option<&Coda> {
+        self.warm.as_ref().map(|(model, _)| model)
+    }
+
     /// The maintained columnar projection.
     pub fn columns(&self) -> &ColumnSet {
         &self.columns

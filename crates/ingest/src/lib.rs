@@ -48,5 +48,5 @@ pub mod maintain;
 pub use crowdnet_column as column;
 pub use engine::{DrainReport, IngestConfig, IngestEngine};
 pub use error::IngestError;
-pub use live::{run_live, DayOutcome, LiveConfig};
+pub use live::{epoch_digest, run_live, DayOutcome, LiveConfig};
 pub use maintain::{EntityMaintainer, GraphMaintainer, StatsMaintainer};

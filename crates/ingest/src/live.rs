@@ -16,7 +16,8 @@ use crate::error::IngestError;
 use crowdnet_crawl::longitudinal::{Study, StudyConfig};
 use crowdnet_json::{obj, Value};
 use crowdnet_serve::artifacts::NS_USERS;
-use crowdnet_serve::Service;
+use crowdnet_graph::Coda;
+use crowdnet_serve::{Artifacts, Service};
 use crowdnet_socialsim::World;
 use crowdnet_store::{Document, Store};
 use rand::rngs::StdRng;
@@ -71,6 +72,36 @@ pub struct DayOutcome {
     pub edges: u64,
     /// Store version of the epoch published at end of day.
     pub epoch_version: u64,
+    /// [`epoch_digest`] of that epoch.
+    pub epoch_digest: u64,
+}
+
+/// FNV-1a over an epoch's fitted outputs: its CoDA cover (community
+/// count, then each community's size and members), the bits of every
+/// PageRank score, and the bits of the fitted model's `F`, `H` and
+/// likelihood trace, so a single moved bit in any of them moves it.
+pub fn epoch_digest(epoch: &Artifacts, model: Option<&Coda>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |word: u64| {
+        for b in word.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    feed(epoch.cover.len() as u64);
+    for community in &epoch.cover {
+        feed(community.members.len() as u64);
+        community.members.iter().for_each(|&m| feed(u64::from(m)));
+    }
+    let mut floats: Vec<&[f64]> = vec![&epoch.pagerank];
+    if let Some(model) = model {
+        floats.extend([&model.f[..], &model.h[..], &model.ll_trace[..]]);
+    }
+    for values in floats {
+        feed(values.len() as u64);
+        values.iter().for_each(|v| feed(v.to_bits()));
+    }
+    hash
 }
 
 /// Run the study with the ingest tier in the loop. `store` must be the
@@ -148,6 +179,7 @@ pub fn run_live(
             docs: report.docs,
             edges: report.edges,
             epoch_version: epoch.version,
+            epoch_digest: epoch_digest(&epoch, engine.model()),
         });
     }
     Ok(out)

@@ -27,7 +27,9 @@ use std::collections::BTreeMap;
 /// The bipartite investment graph plus everything derived edge-by-edge
 /// from it: degree tables, the filtered-investor count and the dynamic
 /// co-investment projection — and, once per epoch, PageRank over that
-/// projection, warm-started from the previous epoch's scores.
+/// projection, warm-started from the previous epoch's scores. The
+/// projection exists from the first [`GraphMaintainer::refresh_pagerank`]
+/// on, so a maintainer that never publishes (a shard's) never keeps one.
 pub struct GraphMaintainer {
     graph: BipartiteGraph,
     /// Investor out-degree, index-aligned with `graph`'s investors.
@@ -38,7 +40,10 @@ pub struct GraphMaintainer {
     /// [`BipartiteGraph::filter_min_investments`]).
     filtered_investors: usize,
     min_investments: usize,
-    proj: DynamicProjection,
+    max_company_degree: usize,
+    /// Built from the graph by the first PageRank refresh, then followed
+    /// edge by edge.
+    proj: Option<DynamicProjection>,
     /// The last [`GraphMaintainer::refresh_pagerank`]'s scores (empty
     /// before the first: that solve starts cold).
     rank: Vec<f64>,
@@ -58,7 +63,8 @@ impl GraphMaintainer {
             company_degrees: Vec::new(),
             filtered_investors: 0,
             min_investments,
-            proj: DynamicProjection::new(max_company_degree),
+            max_company_degree,
+            proj: None,
             rank: Vec::new(),
             sweeps: 0,
             cold_solves: 0,
@@ -102,23 +108,30 @@ impl GraphMaintainer {
                 self.filtered_investors += 1;
             }
             self.company_degrees[ins.company_index as usize] += 1;
-            self.proj.apply_insert(&self.graph, &ins);
+            if let Some(proj) = &mut self.proj {
+                proj.apply_insert(&self.graph, &ins);
+            }
         }
         self.edges_applied += added;
         added
     }
 
     /// PageRank over the current projection, aligned with the graph's
-    /// investors: the power iteration of [`pagerank_from`], started from
-    /// the previous call's scores (investors added since enter at the
-    /// uniform share), so an epoch that changed little converges in a few
-    /// sweeps. The first call solves cold.
+    /// investors: the power iteration of [`pagerank_from`] on the
+    /// maintained adjacency in place, started from the previous call's
+    /// scores (investors added since enter at the uniform share), so an
+    /// epoch that changed little converges in a few sweeps. The first call
+    /// projects the graph and solves cold.
     pub fn refresh_pagerank(&mut self) -> Vec<f64> {
-        if self.rank.is_empty() && self.proj.node_count() > 0 {
+        let (graph, cap) = (&self.graph, self.max_company_degree);
+        let proj = self
+            .proj
+            .get_or_insert_with(|| DynamicProjection::from_bipartite(graph, cap));
+        if self.rank.is_empty() && proj.node_count() > 0 {
             self.cold_solves += 1;
         }
         let start = std::mem::take(&mut self.rank);
-        let run = pagerank_from(&self.proj.to_projection(), &PageRankConfig::default(), start);
+        let run = pagerank_from(proj.projection(), &PageRankConfig::default(), start);
         self.sweeps += run.sweeps as u64;
         self.rank = run.ranks;
         self.rank.clone()
@@ -300,6 +313,31 @@ mod tests {
         // Superset re-append converges, crossing the filter.
         assert_eq!(m.apply_doc(&investor_doc(11, &[1, 0])), 1);
         assert_eq!(m.filtered_investor_count(), 2);
+    }
+
+    #[test]
+    fn the_projection_exists_from_the_first_pagerank_refresh_and_stays_exact() {
+        use crowdnet_graph::pagerank::pagerank;
+        use crowdnet_graph::projection::Projection;
+        let mut m = GraphMaintainer::new(1, 3);
+        m.apply_doc(&investor_doc(10, &[0, 1]));
+        m.apply_doc(&investor_doc(11, &[1, 2]));
+        m.apply_doc(&investor_doc(12, &[1]));
+        // Nothing has asked for PageRank: no projection is kept.
+        assert!(m.proj.is_none());
+        let cold = m.refresh_pagerank();
+        let batch = Projection::from_bipartite(m.graph(), 3);
+        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cold), bits(&pagerank(&batch, &PageRankConfig::default())));
+        // Followed edge by edge from here, company 1 crossing the cap.
+        m.apply_doc(&investor_doc(13, &[1, 2]));
+        m.apply_doc(&investor_doc(14, &[0, 2, 3]));
+        let proj = m.proj.as_ref().map(|p| p.projection().clone()).unwrap();
+        let batch = Projection::from_bipartite(m.graph(), 3);
+        assert_eq!(proj.adj, batch.adj);
+        assert_eq!(proj.total_weight.to_bits(), batch.total_weight.to_bits());
+        m.refresh_pagerank();
+        assert_eq!(m.pagerank_recomputes(), 1);
     }
 
     #[test]

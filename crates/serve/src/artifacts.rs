@@ -114,36 +114,6 @@ impl Default for EntityIndex {
 }
 
 impl EntityIndex {
-    /// Index `entries` in order (a repeated key keeps its last body),
-    /// grouping them by shard first so each shard is built once and
-    /// wrapped in one `Arc`.
-    fn from_entries(entries: impl IntoIterator<Item = (String, Value)>) -> EntityIndex {
-        let mut entries: Vec<(usize, String, Value)> = entries
-            .into_iter()
-            .map(|(key, body)| (entity_shard(&key), key, body))
-            .collect();
-        // Stable: a repeated key's bodies stay in order, the last winning.
-        entries.sort_by_key(|&(shard, _, _)| shard);
-        let mut entries = entries.into_iter().peekable();
-        let empty = Arc::new(FxHashMap::default());
-        let mut len = 0;
-        let shards = (0..ENTITY_SHARDS)
-            .map(|shard| {
-                let mut map = FxHashMap::default();
-                while let Some((_, key, body)) = entries.next_if(|e| e.0 == shard) {
-                    map.insert(key, body);
-                }
-                len += map.len();
-                if map.is_empty() {
-                    Arc::clone(&empty)
-                } else {
-                    Arc::new(map)
-                }
-            })
-            .collect();
-        EntityIndex { shards, len }
-    }
-
     /// The body stored under `key`.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.shards.get(entity_shard(key))?.get(key)
@@ -237,7 +207,7 @@ impl Artifacts {
                 Err(e) => return Err(ServeError::Store(e)),
             }
         }
-        Ok(Artifacts::from_scans(version, scans, None, telemetry, cfg))
+        Ok(Artifacts::from_scans(version, scans, telemetry, cfg))
     }
 
     /// Build every artifact from the columnar projection instead of the
@@ -256,25 +226,25 @@ impl Artifacts {
         let _span = telemetry.span("serve.artifacts.build");
         let version = catalog.version();
 
-        let mut scans: Vec<(&str, Vec<Document>)> = Vec::new();
+        // One partition decoded at a time, straight into the index: a
+        // superseded version of a key is freed as soon as its successor
+        // lands, and no partition outlives its indexing.
+        let mut entities = EntityIndex::default();
         for ns in [NS_COMPANIES, NS_USERS] {
-            if !catalog.has(ns, SnapshotId(0)) {
-                continue;
+            if catalog.has(ns, SnapshotId(0)) {
+                catalog.for_each_partition(ns, SnapshotId(0), |docs| {
+                    for doc in docs {
+                        entities.insert(doc.key, doc.body);
+                    }
+                })?;
             }
-            let docs = catalog
-                .docs_partitioned(ns, SnapshotId(0))?
-                .into_iter()
-                .flatten()
-                .collect();
-            scans.push((ns, docs));
         }
         let edges = if catalog.has(NS_USERS, SnapshotId(0)) {
             catalog.edges(NS_USERS, SnapshotId(0))?
         } else {
             Vec::new()
         };
-        let edges = Some(edges);
-        Ok(Artifacts::from_scans(version, scans, edges, telemetry, cfg))
+        Ok(Artifacts::from_index(version, entities, edges, telemetry, cfg))
     }
 
     /// Build every artifact from already-gathered canonical scans of the
@@ -288,34 +258,42 @@ impl Artifacts {
         telemetry: &Telemetry,
         cfg: &ArtifactsConfig,
     ) -> Artifacts {
-        Artifacts::from_scans(version, scans, None, telemetry, cfg)
+        Artifacts::from_scans(version, scans, telemetry, cfg)
     }
 
-    /// The one constructor behind the three entry points above: index the
-    /// scanned documents by key, take the investment edges as given
-    /// (sealed column segments) or walk them out of the user documents,
-    /// then graph → PageRank → [`Artifacts::assemble`].
+    /// Index the scanned documents by key (a repeated key keeps its last
+    /// body) and walk the investment edges out of the user documents.
     fn from_scans(
         version: u64,
         scans: Vec<(&str, Vec<Document>)>,
-        sealed_edges: Option<Vec<(u32, u32)>>,
         telemetry: &Telemetry,
         cfg: &ArtifactsConfig,
     ) -> Artifacts {
-        let walk_edges = sealed_edges.is_none();
-        let mut edges = sealed_edges.unwrap_or_default();
-        let docs = scans
-            .into_iter()
-            .flat_map(|(ns, docs)| docs.into_iter().map(move |doc| (ns, doc)));
-        let entities = EntityIndex::from_entries(docs.map(|(ns, doc)| {
-            if walk_edges && ns == NS_USERS {
-                if let Some((id, companies)) = investor_edges(&doc.body) {
-                    edges.extend(companies.map(|c| (id, c)));
+        let mut entities = EntityIndex::default();
+        let mut edges = Vec::new();
+        for (ns, docs) in scans {
+            for doc in docs {
+                if ns == NS_USERS {
+                    if let Some((id, companies)) = investor_edges(&doc.body) {
+                        edges.extend(companies.map(|c| (id, c)));
+                    }
                 }
+                entities.insert(doc.key, doc.body);
             }
-            (doc.key, doc.body)
-        }));
+        }
+        Artifacts::from_index(version, entities, edges, telemetry, cfg)
+    }
 
+    /// The one constructor behind the three entry points above: graph →
+    /// PageRank → [`Artifacts::assemble`] over an indexed corpus and its
+    /// investment edges.
+    fn from_index(
+        version: u64,
+        entities: EntityIndex,
+        edges: Vec<(u32, u32)>,
+        telemetry: &Telemetry,
+        cfg: &ArtifactsConfig,
+    ) -> Artifacts {
         let graph = BipartiteGraph::from_edges(edges);
         let pagerank = pagerank(
             &Projection::from_bipartite(&graph, cfg.max_company_degree),
@@ -597,24 +575,14 @@ mod tests {
         assert_eq!(index.get("user:7"), Some(&body(70)));
         assert_eq!(index.get("user:8"), Some(&body(8)));
         assert!(index.get("user:1000").is_none());
-        // The bucketed build agrees, last body winning for a repeated key.
-        let built = EntityIndex::from_entries(
-            (0..1000u64)
-                .map(|id| (format!("user:{id}"), body(id)))
-                .chain([("user:7".to_string(), body(70))]),
-        );
-        assert_eq!(built.len(), 1000);
-        for id in 0..1000u64 {
-            let key = format!("user:{id}");
-            assert_eq!(built.get(&key), index.get(&key), "{key}");
-        }
     }
 
     #[test]
     fn a_snapshot_shares_every_shard_the_writer_did_not_touch() {
-        let mut index = EntityIndex::from_entries(
-            (0..20_000u64).map(|id| (format!("company:{id}"), body(id))),
-        );
+        let mut index = EntityIndex::default();
+        for id in 0..20_000u64 {
+            index.insert(format!("company:{id}"), body(id));
+        }
         let snapshot = index.snapshot();
         let touched: FxHashSet<usize> = (0..64u64)
             .map(|id| {

@@ -532,6 +532,54 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_key_re_put_across_sealed_runs_keeps_its_last_body() {
+        let svc = seeded_service();
+        let store = svc.store();
+        let feed = store.subscribe(1024);
+        let telemetry = Telemetry::new();
+        let mut set = ColumnSet::build_from_store(store, ColumnConfig::default(), None).unwrap();
+        set = set.with_telemetry(&telemetry);
+        // Investor 10 grows its portfolio over three epochs, each sealed
+        // into its own run beside a fresh investor.
+        let mut rows = 0;
+        for round in 0..3u64 {
+            let investor = |id: u64, companies: &[u64]| {
+                let arr = companies.iter().map(|&c| Value::from(c)).collect::<Vec<_>>();
+                Document::new(
+                    format!("user:{id}"),
+                    obj! {
+                        "id" => id,
+                        "role" => "investor",
+                        "round" => round,
+                        "investments" => Value::Arr(arr),
+                    },
+                )
+            };
+            store.put(NS_USERS, investor(10, &[0, 1, 2, 3, 4 + round])).unwrap();
+            store.put(NS_USERS, investor(20 + round, &[0, 1, 2, 3])).unwrap();
+            while let crowdnet_store::FeedPoll::Event(ev) = feed.poll() {
+                set.apply_event(&ev);
+            }
+            set.seal();
+        }
+        let catalog = set.catalog();
+        assert_eq!(catalog.version(), store.version());
+        let runs = catalog.partition_runs(NS_USERS, SnapshotId(0)).unwrap();
+        let runs: usize = runs.iter().map(Vec::len).sum();
+        assert!(runs >= 4, "{runs} runs");
+        for ns in [NS_COMPANIES, NS_USERS] {
+            rows += catalog.rows(ns, SnapshotId(0)).unwrap();
+        }
+        svc.install_columns(Arc::clone(&catalog));
+        assert_matches_json_oracle(&svc);
+        let artifacts = svc.artifacts().unwrap();
+        let last = artifacts.entity("user", 10).unwrap();
+        assert_eq!(last.get("round").and_then(Value::as_u64), Some(2));
+        // Every decoded row is counted, superseded versions included.
+        assert_eq!(telemetry.counter("column.scan.docs").value(), rows as u64);
+    }
+
+    #[test]
     fn offered_columns_at_the_store_version_spare_the_log_scan() {
         let svc = seeded_service();
         let offered = ColumnSet::build_from_store(svc.store(), ColumnConfig::default(), None)

@@ -45,7 +45,10 @@ pub const DECLARED_METRICS: &[&str] = &[
     "chaos.injected.resets",
     "chaos.injected.truncated_writes",
     "coda.iterations",
+    "coda.line_search.early_exits",
+    "coda.line_search.evaluations",
     "coda.rows_stuck",
+    "coda.warm_fallbacks",
     "column.appends",
     "column.builds",
     "column.bytes",

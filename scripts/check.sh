@@ -230,6 +230,17 @@ for counter in ingest.events ingest.docs ingest.edges ingest.epochs; do
     exit 1
   fi
 done
+# Live-path outputs: one FNV digest over every published epoch's CoDA
+# cover and PageRank bits (the warm refits and warm-started PageRank the
+# perfbench panel does not compare). A kernel or projection change that
+# moves a single bit of any epoch changes it; a deliberate output change
+# updates the value here and says why.
+ingest_digest_want="6636a2dcb46ad94d"
+ingest_digest="$(sed -n 's/^ingest epoch digest: \([0-9a-f]*\) over .*/\1/p' <<< "$ingest_out")"
+if [ "$ingest_digest" != "$ingest_digest_want" ]; then
+  echo "ingest smoke: epoch digest '$ingest_digest' != pinned $ingest_digest_want" >&2
+  exit 1
+fi
 # The ingest run's telemetry report must validate and carry the
 # ingest-tier counters alongside the mandatory pipeline set.
 ingest_summary="$(cargo run -q --release --offline -p crowdnet-core --bin repro -- \
